@@ -17,31 +17,37 @@ Every family is piecewise-linear in its weights, so intersecting the
 half-planes at the finitely many kink weights already yields the full
 region; that critical-weight enumeration is the primary mode, with a dense
 weight grid available as a cross-checking fallback.
+
+Evaluation goes through one BoundKernel per (spec, user), built once from
+layer_coefficients in O(q log q) after the O(q^2) coefficient setup.  Since
+alpha(l) >= 0, a kink sum is
+
+    sum_l [omega*g(l) - alpha(l)]^+ = omega*G(omega) - A(omega),
+
+G and A summing g and alpha over the layers with g(l) > 0 and
+alpha(l)/g(l) < omega; likewise, for omega > 0,
+
+    sum_l max(mu*P(N11 >= l), omega*P(N12 >= l)) = mu*X(mu/omega)
+                                  + omega*(sum_l P(N12 >= l) - Y(mu/omega)),
+
+X and Y summing P(N11 >= l) and P(N12 >= l) over the layers with
+P(N12 >= l) < (mu/omega)*P(N11 >= l).  Layers sorted by their ratio with
+prefix sums turn each of these into one bisection, so a bound costs
+O(log q) exact operations.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
-from .channel import (
-    ChannelSpec,
-    as_fraction,
-    diff_tail,
-    expect,
-    expect_pos_diff,
-    layer_coefficients,
-    swap_users,
-    tail,
-)
+from .channel import ChannelSpec, as_fraction, layer_coefficients
 from .geometry import HalfPlane, RegionPolytope, intersect
 
 FAMILIES = ("1a", "1b", "1c", "2a", "2b", "2c")
-
-
-def _pos(x: Fraction) -> Fraction:
-    return x if x > 0 else Fraction(0)
 
 
 def _check_user(user):
@@ -89,51 +95,122 @@ class WeightedBound:
         return HalfPlane(self.omega, own, self.value)
 
 
+class _Sweep:
+    """Layers with den > 0 sorted by num/den, with prefix sums of den and num."""
+
+    __slots__ = ("keys", "dens", "nums")
+
+    def __init__(self, nums, dens):
+        rows = sorted(((n / d, d, n) for n, d in zip(nums, dens) if d > 0),
+                      key=lambda row: row[0])
+        self.keys = [key for key, _, _ in rows]
+        self.dens = [Fraction(0)]
+        self.nums = [Fraction(0)]
+        for _, d, n in rows:
+            self.dens.append(self.dens[-1] + d)
+            self.nums.append(self.nums[-1] + n)
+
+    def below(self, x) -> tuple:
+        """(sum of den, sum of num) over the layers whose key is < x."""
+        i = bisect_left(self.keys, x)
+        return self.dens[i], self.nums[i]
+
+    def kinks(self, omega) -> Fraction:
+        """sum_l [omega*den(l) - num(l)]^+, given num >= 0."""
+        dens, nums = self.below(omega)
+        return omega * dens - nums
+
+    def ratios(self) -> set:
+        """{0, 1} plus every key in [0, 1]: the kinks inside the weight range."""
+        return {Fraction(0), Fraction(1), *self.keys[:bisect_right(self.keys, 1)]}
+
+
+@dataclass(frozen=True)
+class BoundKernel:
+    """Everything one user's three bound families need, in that user's frame.
+
+    For user 2 the links are renamed n11<->n22, n12<->n21 first.  The sweeps
+    are alpha/beta (a-family kinks), alpha/gamma (b- and c-family kinks) and
+    P(N12 >= l)/P(N11 >= l) (the c-family top term).
+    """
+
+    e11: Fraction    # E[N11]
+    e21: Fraction    # E[N21]
+    e12: Fraction    # E[N12] = sum_l P(N12 >= l)
+    lift: Fraction   # E[(N21-N11)^+]
+    cross: Fraction  # sum_l max(P(N11-N21 >= l), P(N12 >= l))
+    alpha_sum: Fraction
+    beta: _Sweep
+    gamma: _Sweep
+    top: _Sweep
+
+    def a(self, omega) -> Fraction:
+        return self.e11 + omega * self.lift + self.beta.kinks(omega)
+
+    def b(self, omega) -> Fraction:
+        return ((1 - omega) * self.e11 + omega * self.e21
+                + self.gamma.kinks(omega) + omega * self.cross)
+
+    def c(self, omega, mu) -> Fraction:
+        return self.e11 + omega * self.lift + self.gamma.kinks(omega) + self.top_sum(omega, mu)
+
+    def top_sum(self, omega, mu) -> Fraction:
+        """sum_l max(mu*P(N11 >= l), omega*P(N12 >= l)) for 0 <= mu <= omega."""
+        if omega == 0:
+            return Fraction(0)
+        own, cross = self.top.below(mu / omega)
+        return mu * own + omega * (self.e12 - cross)
+
+
+# link names of (N11, N12, N21) in each user's frame
+_FRAMES = {1: ("n11", "n12", "n21"), 2: ("n22", "n21", "n12")}
+
+
+@lru_cache(maxsize=4096)
+def bound_kernel(spec: ChannelSpec, user) -> BoundKernel:
+    """The per-(spec, user) tables every bound of that user is evaluated from."""
+    _check_user(user)
+    co = layer_coefficients(spec)
+    n11, n12, n21 = _FRAMES[user]
+    alpha, beta, gamma = (
+        (co.alpha1, co.beta1, co.gamma1) if user == 1
+        else (co.alpha2, co.beta2, co.gamma2)
+    )
+    t11, t12 = co.tails[n11], co.tails[n12]
+    zero = Fraction(0)
+    return BoundKernel(
+        e11=sum(t11, zero),
+        e21=sum(co.tails[n21], zero),
+        e12=sum(t12, zero),
+        lift=sum(co.diff_tails[f"{n21}-{n11}"], zero),
+        cross=sum(map(max, co.diff_tails[f"{n11}-{n21}"], t12), zero),
+        alpha_sum=sum(alpha, zero),
+        beta=_Sweep(alpha, beta),
+        gamma=_Sweep(alpha, gamma),
+        top=_Sweep(t12, t11),
+    )
+
+
 def bound_a(spec: ChannelSpec, user, omega) -> Fraction:
     """Right-hand side of the a-family bound at weight omega."""
-    _check_user(user)
-    omega = _check_omega(omega)
-    sp = spec if user == 1 else swap_users(spec)
-    co = layer_coefficients(sp)
-    kinks = sum(
-        (_pos(omega * b - a) for a, b in zip(co.alpha1, co.beta1)), Fraction(0)
-    )
-    return expect(sp.n11) + omega * expect_pos_diff(sp.n21, sp.n11) + kinks
+    kernel = bound_kernel(spec, user)
+    return kernel.a(_check_omega(omega))
 
 
 def bound_b(spec: ChannelSpec, user, omega) -> Fraction:
     """Right-hand side of the b-family bound at weight omega."""
-    _check_user(user)
-    omega = _check_omega(omega)
-    sp = spec if user == 1 else swap_users(spec)
-    co = layer_coefficients(sp)
-    kinks = sum(
-        (_pos(omega * g - a) for a, g in zip(co.alpha1, co.gamma1)), Fraction(0)
-    )
-    cross = sum(
-        (max(diff_tail(sp.n11, sp.n21, l), tail(sp.n12, l)) for l in range(1, sp.q + 1)),
-        Fraction(0),
-    )
-    return (1 - omega) * expect(sp.n11) + omega * expect(sp.n21) + kinks + omega * cross
+    kernel = bound_kernel(spec, user)
+    return kernel.b(_check_omega(omega))
 
 
 def bound_c(spec: ChannelSpec, user, omega, mu) -> Fraction:
     """Right-hand side of the c-family bound at weights (omega, mu), mu <= omega."""
-    _check_user(user)
+    kernel = bound_kernel(spec, user)
     omega = _check_omega(omega)
     mu = as_fraction(mu)
     if not 0 <= mu <= omega:
         raise ValueError(f"mu must lie in [0, omega], got mu={mu}, omega={omega}")
-    sp = spec if user == 1 else swap_users(spec)
-    co = layer_coefficients(sp)
-    kinks = sum(
-        (_pos(omega * g - a) for a, g in zip(co.alpha1, co.gamma1)), Fraction(0)
-    )
-    top = sum(
-        (max(mu * tail(sp.n11, l), omega * tail(sp.n12, l)) for l in range(1, sp.q + 1)),
-        Fraction(0),
-    )
-    return expect(sp.n11) + omega * expect_pos_diff(sp.n21, sp.n11) + kinks + top
+    return kernel.c(omega, mu)
 
 
 def critical_weights(spec: ChannelSpec, user, family):
@@ -148,29 +225,16 @@ def critical_weights(spec: ChannelSpec, user, family):
     _check_user(user)
     if family not in ("a", "b", "c"):
         raise ValueError(f"family must be 'a', 'b' or 'c', got {family!r}")
-    sp = spec if user == 1 else swap_users(spec)
-    co = layer_coefficients(sp)
-
-    def ratio_set(nums, dens):
-        out = {Fraction(0), Fraction(1)}
-        for n, d in zip(nums, dens):
-            if d > 0 and n <= d:
-                out.add(n / d)
-        return out
-
+    kernel = bound_kernel(spec, user)
     if family == "a":
-        return tuple(sorted(ratio_set(co.alpha1, co.beta1)))
+        return tuple(sorted(kernel.beta.ratios()))
     if family == "b":
-        return tuple(sorted(ratio_set(co.alpha1, co.gamma1)))
+        return tuple(sorted(kernel.gamma.ratios()))
     # family c: omega kinks as in family b, mu kinks along rays mu = r*omega;
     # all cell corners of that subdivision of {0 <= mu <= omega <= 1} are
     # products of an omega kink with a ray slope
-    omegas = ratio_set(co.alpha1, co.gamma1)
-    slopes = {Fraction(0), Fraction(1)}
-    for l in range(1, sp.q + 1):
-        t_own, t_cross = tail(sp.n11, l), tail(sp.n12, l)
-        if t_own > 0 and t_cross <= t_own:
-            slopes.add(t_cross / t_own)
+    omegas = kernel.gamma.ratios()
+    slopes = kernel.top.ratios()
     return tuple(sorted({(om, r * om) for om in omegas for r in slopes}))
 
 

@@ -32,10 +32,11 @@ class FadingPmf:
     """Exact pmf of a fading level on {0, ..., q}.
 
     masses[n] = P(N = n); q is implied by the length of the mass vector.
-    Instances are immutable and hashable.
+    Instances are immutable and hashable; the tail vector and the hash are
+    computed once, so tail lookups and cache keys cost O(1).
     """
 
-    __slots__ = ("_masses",)
+    __slots__ = ("_masses", "_tails", "_hash")
 
     def __init__(self, masses):
         entries = tuple(as_fraction(m) for m in masses)
@@ -43,10 +44,16 @@ class FadingPmf:
             raise ValueError("pmf needs at least the level-0 mass")
         if any(m < 0 for m in entries):
             raise ValueError("pmf masses must be nonnegative")
-        total = sum(entries)
-        if total != 1:
-            raise ValueError(f"pmf masses must sum to 1, got {total}")
+        # suffix sums: tails[l] = P(N >= l) for l in 0..q+1
+        tails = [Fraction(0)]
+        for m in reversed(entries):
+            tails.append(tails[-1] + m)
+        tails.reverse()
+        if tails[0] != 1:
+            raise ValueError(f"pmf masses must sum to 1, got {tails[0]}")
         self._masses = entries
+        self._tails = tuple(tails)
+        self._hash = hash(entries)
 
     @classmethod
     def point(cls, level: int, q: int) -> "FadingPmf":
@@ -100,7 +107,7 @@ class FadingPmf:
         return self._masses == other._masses
 
     def __hash__(self):
-        return hash(self._masses)
+        return self._hash
 
     def __repr__(self):
         return "FadingPmf([%s])" % ", ".join(str(m) for m in self._masses)
@@ -167,7 +174,7 @@ def tail(pmf: FadingPmf, l: int) -> Fraction:
     """P(N >= l).  tail(., 0) = 1 and tail(., q+1) = 0 by convention."""
     if not 0 <= l <= pmf.q + 1:
         raise ValueError(f"l={l} outside {{0..{pmf.q + 1}}}")
-    return sum(pmf.masses[l:], Fraction(0))
+    return pmf._tails[l]
 
 
 @lru_cache(maxsize=8192)
@@ -178,14 +185,14 @@ def diff_tail(a: FadingPmf, b: FadingPmf, l: int) -> Fraction:
         raise ValueError(f"l={l} outside {{1..{a.q}}}")
     q = a.q
     return sum(
-        (b.masses[m] * tail(a, min(l + m, q + 1)) for m in range(q + 1)),
+        (b.masses[m] * a._tails[min(l + m, q + 1)] for m in range(q + 1)),
         Fraction(0),
     )
 
 
 def expect(pmf: FadingPmf) -> Fraction:
     """E[N], computed through the tail identity sum_l P(N >= l)."""
-    return sum((tail(pmf, l) for l in range(1, pmf.q + 1)), Fraction(0))
+    return sum(pmf._tails[1:-1], Fraction(0))
 
 
 def expect_pos_diff(a: FadingPmf, b: FadingPmf) -> Fraction:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .bounds import WeightedBound, active_bounds, family_bounds, grid_bounds
+from .bounds import WeightedBound, active_bounds, grid_bounds, outer_halfplanes
 from .channel import ChannelSpec, FadingPmf, expect, expect_pos_diff
 from .geometry import RegionPolytope, UnboundedRegionError, intersect, support
 from .regimes import classify, weak_sum_capacity
@@ -118,14 +118,6 @@ def load_spec_file(path) -> ChannelSpecFile:
     return ChannelSpecFile.parse(text, default_label=p.stem)
 
 
-def _all_bounds(spec: ChannelSpec) -> list:
-    out = []
-    for user in (1, 2):
-        for family in ("a", "b", "c"):
-            out.extend(family_bounds(spec, user, family))
-    return out
-
-
 def _constraint_entry(bound: WeightedBound) -> dict:
     plane = bound.halfplane()
     return {
@@ -143,7 +135,7 @@ def region_document(spec_file: ChannelSpecFile, mode: str, grid_steps: int) -> d
     if mode == "grid":
         bounds = grid_bounds(spec, grid_steps)
     else:
-        bounds = _all_bounds(spec)
+        bounds = outer_halfplanes(spec)
     region = intersect([b.halfplane() for b in bounds])
     active = active_bounds(bounds, region)
     return {
@@ -158,7 +150,7 @@ def region_document(spec_file: ChannelSpecFile, mode: str, grid_steps: int) -> d
 def classify_document(spec_file: ChannelSpecFile) -> dict:
     spec = spec_file.spec
     report = classify(spec)
-    region = intersect([b.halfplane() for b in _all_bounds(spec)])
+    region = intersect([b.halfplane() for b in outer_halfplanes(spec)])
     exact = report.regime in ("strong", "weak")
     doc = {
         "label": spec_file.label,
@@ -293,6 +285,17 @@ def render_svg(spec_file: ChannelSpecFile, region: RegionPolytope) -> str:
     return "\n".join(parts) + "\n"
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for the counts that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _emit(text: str, out) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -365,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     region.add_argument("--format", choices=("json", "csv", "svg"), default="json")
     region.add_argument("--mode", choices=("exact", "grid"), default="exact")
     region.add_argument(
-        "--grid-steps", type=int, default=256, dest="grid_steps",
+        "--grid-steps", type=_positive_int, default=256, dest="grid_steps",
         help="weight-grid resolution for --mode grid",
     )
     region.set_defaults(func=cmd_region)
@@ -379,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument(
         "suite", choices=("deterministic", "coupling", "montecarlo", "inclusions")
     )
-    verify.add_argument("--samples", type=int, default=10 ** 6)
+    verify.add_argument("--samples", type=_positive_int, default=10 ** 6)
     verify.add_argument("--seed", type=int, default=0)
     verify.set_defaults(func=cmd_verify)
     return parser

@@ -219,20 +219,3 @@ def equals(p: RegionPolytope, q: RegionPolytope) -> bool:
 def support(p: RegionPolytope, w1, w2) -> Fraction:
     return p.support(w1, w2)
 
-
-def active_planes(planes, region: RegionPolytope) -> list:
-    """Constraints supporting the region along an edge (a vertex if degenerate).
-
-    Duplicates are dropped keeping the first occurrence, so list order
-    decides which of several identical constraints is reported.
-    """
-    needed = 2 if len(region.vertices) >= 3 else 1
-    seen = set()
-    out = []
-    for plane in planes:
-        if plane in seen:
-            continue
-        seen.add(plane)
-        if sum(1 for v in region.vertices if plane.tight(v)) >= needed:
-            out.append(plane)
-    return out

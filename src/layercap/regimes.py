@@ -26,9 +26,8 @@ from .channel import (
     expect_max,
     expect_pos_diff,
     layer_coefficients,
-    swap_users,
 )
-from .bounds import bound_b, critical_weights, family_bounds
+from .bounds import _check_omega, bound_b, bound_kernel, critical_weights, family_bounds
 from .geometry import HalfPlane, RegionPolytope, equals, intersect
 
 
@@ -144,15 +143,14 @@ def weak_corner(spec: ChannelSpec, omega_A) -> CornerAllocation:
     if not 0 < omega_A <= 1:
         raise ValueError(f"omega_A must lie in (0, 1], got {omega_A}")
     co = layer_coefficients(spec)
+    kernel = bound_kernel(spec, 1)
     private = frozenset(
         l for l in range(1, spec.q + 1)
         if omega_A * co.gamma1[l - 1] >= co.alpha1[l - 1]
     )
     common = frozenset(range(1, spec.q + 1)) - private
-    r1 = expect(spec.n11) - sum((co.alpha1[l - 1] for l in private), Fraction(0))
-    r2 = expect_pos_diff(spec.n21, spec.n11) + sum(
-        (co.gamma1[l - 1] for l in private), Fraction(0)
-    )
+    r1 = kernel.e11 - sum((co.alpha1[l - 1] for l in private), Fraction(0))
+    r2 = kernel.lift + sum((co.gamma1[l - 1] for l in private), Fraction(0))
     # the split is chosen so the corner saturates the omega_A bound exactly;
     # anything else means the weak gating above let a bad channel through
     if r1 + omega_A * r2 != bound_b(spec, 1, omega_A):
@@ -162,7 +160,7 @@ def weak_corner(spec: ChannelSpec, omega_A) -> CornerAllocation:
         raise RuntimeError("corner allocation exceeds the interference-as-noise rate")
     # the zero-weight corner (own expected rate, residual interference-free
     # rate for the peer) sits on the boundary of the b-region at every weight
-    star = (expect(spec.n11), expect_pos_diff(spec.n21, spec.n11))
+    star = (kernel.e11, kernel.lift)
     for omega in critical_weights(spec, 1, "b"):
         if star[0] + omega * star[1] > bound_b(spec, 1, omega):
             raise RuntimeError("zero-weight corner left the b-region")
@@ -186,27 +184,19 @@ def moderate_bounds(spec: ChannelSpec, user, family, omega, mu=None) -> Fraction
     _require(all(rep.moderate_1) and all(rep.moderate_2), "moderate")
     if family not in _MODERATE_FAMILIES:
         raise ValueError(f"family must be one of {_MODERATE_FAMILIES}, got {family!r}")
-    if user not in (1, 2):
-        raise ValueError(f"user must be 1 or 2, got {user!r}")
-    omega = as_fraction(omega)
-    if not 0 <= omega <= 1:
-        raise ValueError(f"omega must lie in [0, 1], got {omega}")
-    sp = spec if user == 1 else swap_users(spec)
-    co = layer_coefficients(sp)
+    kernel = bound_kernel(spec, user)
+    omega = _check_omega(omega)
     if family == "a":
-        slack = sum((omega * b - a for a, b in zip(co.alpha1, co.beta1)), Fraction(0))
-        return expect(sp.n11) + omega * expect_pos_diff(sp.n21, sp.n11) + slack
+        # sum_l (omega*beta(l) - alpha(l)); beta >= 0, so the sweep's total
+        # over the layers with beta > 0 is the sum over all layers
+        slack = omega * kernel.beta.dens[-1] - kernel.alpha_sum
+        return kernel.e11 + omega * kernel.lift + slack
     if family == "b":
-        return (1 - omega) * expect(sp.n11) + omega * (expect(sp.n21) + expect(sp.n12))
+        return (1 - omega) * kernel.e11 + omega * (kernel.e21 + kernel.e12)
     mu = as_fraction(mu) if mu is not None else None
     if mu is None or not 0 <= mu <= omega:
         raise ValueError(f"c-family needs mu in [0, omega], got {mu}")
-    top = sum(
-        (max(mu * co.tails["n11"][l - 1], omega * co.tails["n12"][l - 1])
-         for l in range(1, sp.q + 1)),
-        Fraction(0),
-    )
-    return expect(sp.n11) + omega * expect_pos_diff(sp.n21, sp.n11) + top
+    return kernel.e11 + omega * kernel.lift + kernel.top_sum(omega, mu)
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,121 @@
+"""The bisection kernel against a direct per-layer reference of the bounds.
+
+The reference evaluates the three formulas of the bounds module docstring
+layer by layer, with plain Fraction sums, [.]^+ and max, from tails and
+difference tails alone; user 2 goes through swap_users.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from layercap import (
+    FAMILIES,
+    ChannelSpec,
+    FadingPmf,
+    bound_a,
+    bound_b,
+    bound_c,
+    critical_weights,
+    diff_tail,
+    outer_halfplanes,
+    swap_users,
+    tail,
+)
+
+F = Fraction
+
+
+def _pos(x):
+    return x if x > 0 else F(0)
+
+
+def reference(spec, user, family, omega, mu=None):
+    sp = spec if user == 1 else swap_users(spec)
+    n11, n12, n21, n22 = sp.n11, sp.n12, sp.n21, sp.n22
+    layers = range(1, sp.q + 1)
+    clear = [diff_tail(n21, n11, l) for l in layers]
+    alpha = [tail(n21, l) - c for l, c in zip(layers, clear)]
+    beta = [_pos(tail(n22, l) - c) for l, c in zip(layers, clear)]
+    gamma = [_pos(diff_tail(n22, n12, l) - c) for l, c in zip(layers, clear)]
+    e11 = sum((tail(n11, l) for l in layers), F(0))
+    e21 = sum((tail(n21, l) for l in layers), F(0))
+    lift = sum(clear, F(0))
+    if family == "a":
+        kinks = sum((_pos(omega * b - a) for a, b in zip(alpha, beta)), F(0))
+        return e11 + omega * lift + kinks
+    kinks = sum((_pos(omega * g - a) for a, g in zip(alpha, gamma)), F(0))
+    if family == "b":
+        cross = sum((max(diff_tail(n11, n21, l), tail(n12, l)) for l in layers), F(0))
+        return (1 - omega) * e11 + omega * e21 + kinks + omega * cross
+    top = sum((max(mu * tail(n11, l), omega * tail(n12, l)) for l in layers), F(0))
+    return e11 + omega * lift + kinks + top
+
+
+def ratios(spec, user):
+    """Every kink ratio of the user's three sweeps that lies in [0, 1]."""
+    sp = spec if user == 1 else swap_users(spec)
+    out = set()
+    for l in range(1, sp.q + 1):
+        clear = diff_tail(sp.n21, sp.n11, l)
+        alpha = tail(sp.n21, l) - clear
+        for g in (tail(sp.n22, l) - clear, diff_tail(sp.n22, sp.n12, l) - clear):
+            if g > 0 and alpha <= g:
+                out.add(alpha / g)
+        t11, t12 = tail(sp.n11, l), tail(sp.n12, l)
+        if t11 > 0 and t12 <= t11:
+            out.add(t12 / t11)
+    return sorted(out)
+
+
+@st.composite
+def pmfs(draw, q):
+    # small integer weights: zero masses and equal tails, hence ties, are common
+    weights = draw(st.lists(st.integers(0, 4), min_size=q + 1, max_size=q + 1))
+    if sum(weights) == 0:
+        weights[draw(st.integers(0, q))] = 1
+    total = sum(weights)
+    return FadingPmf([F(w, total) for w in weights])
+
+
+@st.composite
+def specs(draw):
+    q = draw(st.integers(1, 8))
+    return ChannelSpec(*(draw(pmfs(q)) for _ in range(4)))
+
+
+def unit_rationals():
+    return st.builds(lambda n, d: F(min(n, d), d), st.integers(0, 97), st.integers(1, 97))
+
+
+@settings(max_examples=500, deadline=None)
+@given(spec=specs(), user=st.sampled_from((1, 2)), data=st.data())
+def test_bounds_match_reference(spec, user, data):
+    kinks = ratios(spec, user)
+    weight = st.one_of(st.sampled_from((F(0), F(1))), unit_rationals(),
+                       *([st.sampled_from(kinks)] if kinks else []))
+    omega = data.draw(weight, label="omega")
+    # mu = omega * ratio lands on the c-family top-term boundary when the
+    # ratio is one of the spec's own
+    mu = omega * data.draw(weight, label="mu/omega")
+    for family, fn, args in (("a", bound_a, (omega,)), ("b", bound_b, (omega,)),
+                             ("c", bound_c, (omega, mu))):
+        got = fn(spec, user, *args)
+        assert isinstance(got, Fraction)
+        assert got == reference(spec, user, family, *args)
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=specs())
+def test_outer_halfplanes_order_and_values(spec):
+    bounds = outer_halfplanes(spec)
+    tags = [wb.family for wb in bounds]
+    assert tags == sorted(tags, key=FAMILIES.index)
+    for tag in FAMILIES:
+        user, family = int(tag[0]), tag[1]
+        mine = [wb for wb in bounds if wb.family == tag]
+        weights = [wb.omega if family != "c" else (wb.omega, wb.mu) for wb in mine]
+        assert tuple(weights) == critical_weights(spec, user, family)
+        assert weights == sorted(weights)
+        for wb in mine:
+            assert wb.value == reference(spec, user, family, wb.omega, wb.mu)

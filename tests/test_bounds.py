@@ -16,6 +16,7 @@ from layercap import (
     family_bounds,
     family_region,
     grid_bounds,
+    outer_halfplanes,
     outer_region,
     random_spec,
     subset,
@@ -23,7 +24,6 @@ from layercap import (
     swap_users,
     symmetric_bernoulli,
 )
-from layercap.cli import _all_bounds
 
 F = Fraction
 
@@ -134,7 +134,7 @@ def test_finite_constraints_imply_continuum():
 
 
 def test_active_bounds_strong_example():
-    bounds = _all_bounds(STRONG1)
+    bounds = outer_halfplanes(STRONG1)
     region = outer_region(STRONG1)
     active = active_bounds(bounds, region)
     assert {(b.family, b.omega) for b in active} == {

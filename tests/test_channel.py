@@ -69,6 +69,31 @@ def test_tail_range_checks():
         tail(u, 4)
 
 
+def test_cached_tails_match_mass_sums():
+    rng = random.Random(7)
+    for _ in range(40):
+        pmf = random_spec(rng, rng.randint(0, 6)).n12
+        for l in range(pmf.q + 2):
+            assert tail(pmf, l) == sum(pmf.masses[l:], F(0))
+            assert isinstance(tail(pmf, l), Fraction)
+        assert expect(pmf) == sum((n * m for n, m in enumerate(pmf.masses)), F(0))
+
+
+def test_value_equal_pmfs_hash_and_compare_equal():
+    built = [
+        FadingPmf(["1/4", "1/2", "1/4"]),
+        FadingPmf([F(2, 8), F(4, 8), F(2, 8)]),
+        FadingPmf(["0.25", F(1, 2), 1 - F(3, 4)]),
+        FadingPmf.from_tails([F(3, 4), F(1, 4)]),
+    ]
+    for pmf in built[1:]:
+        assert pmf is not built[0]
+        assert pmf == built[0]
+        assert hash(pmf) == hash(built[0])
+    assert len(set(built)) == 1
+    assert FadingPmf.uniform(2) != built[0]
+
+
 def test_diff_tail_pinned_values():
     # P(U - 1 >= 1) for U uniform on {0,1,2} is P(U = 2) = 1/3
     u = FadingPmf.uniform(2)

@@ -186,6 +186,25 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert main(["classify", "--spec", str(tmp_path / "missing.json")]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["region", "--mode", "grid", "--grid-steps", "0"], "--grid-steps"),
+        (["verify", "montecarlo", "--samples", "0"], "--samples"),
+        (["verify", "montecarlo", "--samples", "-5"], "--samples"),
+    ],
+)
+def test_nonpositive_counts_are_usage_errors(tmp_path, capsys, argv, flag):
+    if argv[0] == "region":
+        argv = argv + ["--spec", write(tmp_path, "weak.json", WEAK_SPEC)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == cli.EXIT_PARSE
+    err = capsys.readouterr().err
+    assert f"argument {flag}: must be at least 1" in err
+    assert "Traceback" not in err
+
+
 def test_unbounded_exit_code(tmp_path, capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise UnboundedRegionError("no constraint bounds R1")
