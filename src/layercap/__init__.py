@@ -49,11 +49,7 @@ from .geometry import (
     HalfPlane,
     RegionPolytope,
     UnboundedRegionError,
-    contains,
-    equals,
     intersect,
-    subset,
-    support,
 )
 from .oracles import (
     CouplingReport,
@@ -82,72 +78,3 @@ from .regimes import (
 from .verification import SUITES, SuiteResult
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "FAMILIES",
-    "WeightedBound",
-    "active_bounds",
-    "bound_a",
-    "bound_b",
-    "bound_c",
-    "critical_weights",
-    "family_bounds",
-    "family_region",
-    "grid_bounds",
-    "outer_halfplanes",
-    "outer_region",
-    "ChannelSpec",
-    "FadingPmf",
-    "LayerCoefficients",
-    "as_fraction",
-    "diff_tail",
-    "expect",
-    "expect_max",
-    "expect_pos_diff",
-    "layer_coefficients",
-    "pos_diff_pmf",
-    "swap_users",
-    "tail",
-    "examples",
-    "mixed_example",
-    "random_moderate_spec",
-    "random_pmf",
-    "random_spec",
-    "random_strong_spec",
-    "random_weak_spec",
-    "symmetric_bernoulli",
-    "DetChannel",
-    "RecoveryReport",
-    "det_region",
-    "verify_recovery",
-    "HalfPlane",
-    "RegionPolytope",
-    "UnboundedRegionError",
-    "contains",
-    "equals",
-    "intersect",
-    "subset",
-    "support",
-    "CouplingReport",
-    "CouplingTriple",
-    "GridReport",
-    "MCStatsReport",
-    "SimConfig",
-    "coupling_check",
-    "exact_stats",
-    "grid_cross_check",
-    "mc_estimate_stats",
-    "simulate_channel",
-    "CornerAllocation",
-    "RegimeReport",
-    "SymmetricQ1Report",
-    "classify",
-    "moderate_bounds",
-    "strong_region",
-    "symmetric_q1_region",
-    "weak_corner",
-    "weak_region",
-    "weak_sum_capacity",
-    "SUITES",
-    "SuiteResult",
-]

@@ -95,12 +95,6 @@ class FadingPmf:
             raise ValueError(f"level {n} outside {{0..{self.q}}}")
         return self._masses[n]
 
-    def tail(self, l: int) -> Fraction:
-        return tail(self, l)
-
-    def expect(self) -> Fraction:
-        return expect(self)
-
     def __eq__(self, other):
         if not isinstance(other, FadingPmf):
             return NotImplemented

@@ -5,8 +5,7 @@ for one channel, ``classify`` reports the interference regime, and ``verify``
 runs one of the batch verification suites.  Machine-readable outputs are
 deterministic: the same input file and flags produce byte-identical bytes.
 
-Exit codes: 0 success, 2 spec-file or usage error, 3 unbounded region,
-4 verification failure.
+Exit codes: 0 success, 2 spec-file or usage error, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -18,15 +17,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .bounds import WeightedBound, active_bounds, grid_bounds, outer_halfplanes
+from .bounds import (
+    WeightedBound,
+    active_bounds,
+    grid_bounds,
+    outer_halfplanes,
+    outer_region,
+)
 from .channel import ChannelSpec, FadingPmf, expect, expect_pos_diff
-from .geometry import RegionPolytope, UnboundedRegionError, intersect, support
+from .geometry import RegionPolytope, intersect
 from .regimes import classify, weak_sum_capacity
 from .verification import SUITES, verify_inclusions, verify_montecarlo
 
 EXIT_OK = 0
 EXIT_PARSE = 2
-EXIT_UNBOUNDED = 3
 EXIT_VERIFY = 4
 
 _LINK_KEYS = ("n11", "n12", "n21", "n22")
@@ -130,7 +134,10 @@ def _constraint_entry(bound: WeightedBound) -> dict:
     }
 
 
-def region_document(spec_file: ChannelSpecFile, mode: str, grid_steps: int) -> dict:
+def region_document(
+    spec_file: ChannelSpecFile, mode: str, grid_steps: int
+) -> tuple[dict, RegionPolytope]:
+    """The region's JSON document, and the region itself for csv/svg rendering."""
     spec = spec_file.spec
     if mode == "grid":
         bounds = grid_bounds(spec, grid_steps)
@@ -138,19 +145,20 @@ def region_document(spec_file: ChannelSpecFile, mode: str, grid_steps: int) -> d
         bounds = outer_halfplanes(spec)
     region = intersect([b.halfplane() for b in bounds])
     active = active_bounds(bounds, region)
-    return {
+    doc = {
         "label": spec_file.label,
         "q": spec_file.q,
         "mode": mode,
         "vertices": [[str(r1), str(r2)] for r1, r2 in region.vertices],
         "constraints": [_constraint_entry(b) for b in active],
     }
+    return doc, region
 
 
 def classify_document(spec_file: ChannelSpecFile) -> dict:
     spec = spec_file.spec
     report = classify(spec)
-    region = intersect([b.halfplane() for b in outer_halfplanes(spec)])
+    region = outer_region(spec)
     exact = report.regime in ("strong", "weak")
     doc = {
         "label": spec_file.label,
@@ -171,7 +179,7 @@ def classify_document(spec_file: ChannelSpecFile) -> dict:
     if report.regime == "weak":
         doc["sum_capacity"] = str(weak_sum_capacity(spec))
     elif report.regime == "strong":
-        doc["sum_capacity"] = str(support(region, Fraction(1), Fraction(1)))
+        doc["sum_capacity"] = str(region.support(1, 1))
     return doc
 
 
@@ -309,21 +317,13 @@ def cmd_region(args) -> int:
     except SpecFileError as exc:
         print(f"error: {args.spec}: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    try:
-        doc = region_document(spec_file, args.mode, args.grid_steps)
-        if args.format == "json":
-            text = render_json(doc)
-        else:
-            region = RegionPolytope.from_vertices(
-                [(Fraction(a), Fraction(b)) for a, b in doc["vertices"]]
-            )
-            if args.format == "csv":
-                text = render_csv(region)
-            else:
-                text = render_svg(spec_file, region)
-    except UnboundedRegionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNBOUNDED
+    doc, region = region_document(spec_file, args.mode, args.grid_steps)
+    if args.format == "json":
+        text = render_json(doc)
+    elif args.format == "csv":
+        text = render_csv(region)
+    else:
+        text = render_svg(spec_file, region)
     _emit(text, args.out)
     return EXIT_OK
 
@@ -334,12 +334,7 @@ def cmd_classify(args) -> int:
     except SpecFileError as exc:
         print(f"error: {args.spec}: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    try:
-        doc = classify_document(spec_file)
-    except UnboundedRegionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNBOUNDED
-    _emit(render_json(doc), args.out)
+    _emit(render_json(classify_document(spec_file)), args.out)
     return EXIT_OK
 
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .channel import ChannelSpec, FadingPmf
 from .bounds import bound_a, bound_b, bound_c, outer_region
-from .geometry import HalfPlane, RegionPolytope, equals, intersect
+from .geometry import HalfPlane, RegionPolytope, intersect
 
 
 def _pos(v: int) -> int:
@@ -122,5 +122,5 @@ def verify_recovery(ch: DetChannel) -> RecoveryReport:
         RecoveryCheck(family, om, mu, value, target, value == target)
         for family, om, mu, value, target in pairs
     )
-    region_match = equals(outer_region(spec), det_region(ch))
+    region_match = outer_region(spec) == det_region(ch)
     return RecoveryReport(channel=ch, checks=checks, region_match=region_match)

@@ -109,10 +109,6 @@ class RegionPolytope:
         i = hull.index(origin)
         self._vertices = tuple(hull[i:] + hull[:i])
 
-    @classmethod
-    def from_vertices(cls, points) -> "RegionPolytope":
-        return cls(points)
-
     @property
     def vertices(self) -> tuple:
         return self._vertices
@@ -140,7 +136,8 @@ class RegionPolytope:
         return max(w1 * x + w2 * y for x, y in self._vertices)
 
     def subset_of(self, other: "RegionPolytope") -> bool:
-        return subset(self, other)
+        """True iff self is contained in other (vertex test; both are convex)."""
+        return all(other.contains(v) for v in self._vertices)
 
     def __eq__(self, other):
         if not isinstance(other, RegionPolytope):
@@ -201,21 +198,4 @@ def intersect(planes) -> RegionPolytope:
     for plane in planes:
         poly = _clip(poly, plane)
     return RegionPolytope(poly)
-
-
-def contains(p: RegionPolytope, point) -> bool:
-    return p.contains(point)
-
-
-def subset(p: RegionPolytope, q: RegionPolytope) -> bool:
-    """True iff p is contained in q (vertex test; both are convex)."""
-    return all(q.contains(v) for v in p.vertices)
-
-
-def equals(p: RegionPolytope, q: RegionPolytope) -> bool:
-    return subset(p, q) and subset(q, p)
-
-
-def support(p: RegionPolytope, w1, w2) -> Fraction:
-    return p.support(w1, w2)
 

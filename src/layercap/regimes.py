@@ -28,7 +28,7 @@ from .channel import (
     layer_coefficients,
 )
 from .bounds import _check_omega, bound_b, bound_kernel, critical_weights, family_bounds
-from .geometry import HalfPlane, RegionPolytope, equals, intersect
+from .geometry import HalfPlane, RegionPolytope, intersect
 
 
 @dataclass(frozen=True)
@@ -98,8 +98,10 @@ def classify(spec: ChannelSpec) -> RegimeReport:
     )
 
 
-def _require(flag: bool, what: str):
-    if not flag:
+def _require(spec: ChannelSpec, what: str):
+    """Raise unless both users' per-layer `what` flags hold at every layer."""
+    rep = classify(spec)
+    if not (all(getattr(rep, f"{what}_1")) and all(getattr(rep, f"{what}_2"))):
         raise ValueError(f"channel is not stochastically {what} at every layer")
 
 
@@ -110,8 +112,7 @@ def strong_region(spec: ChannelSpec) -> RegionPolytope:
     intersection of the two multiple-access regions and the sum rate is
     capped by the smaller of the two per-receiver sum rates.
     """
-    rep = classify(spec)
-    _require(all(rep.strong_1) and all(rep.strong_2), "strong")
+    _require(spec, "strong")
     sum_cap = min(expect_max(spec.n11, spec.n21), expect_max(spec.n22, spec.n12))
     return intersect([
         HalfPlane(1, 0, expect(spec.n11)),
@@ -122,23 +123,20 @@ def strong_region(spec: ChannelSpec) -> RegionPolytope:
 
 def weak_region(spec: ChannelSpec) -> RegionPolytope:
     """Capacity region under weak interference: the two b-family regions meet."""
-    rep = classify(spec)
-    _require(all(rep.weak_1) and all(rep.weak_2), "weak")
+    _require(spec, "weak")
     planes = [wb.halfplane() for user in (1, 2) for wb in family_bounds(spec, user, "b")]
     return intersect(planes)
 
 
 def weak_sum_capacity(spec: ChannelSpec) -> Fraction:
     """E[(N22-N12)^+] + E[(N11-N21)^+], the weak-regime sum capacity."""
-    rep = classify(spec)
-    _require(all(rep.weak_1) and all(rep.weak_2), "weak")
+    _require(spec, "weak")
     return expect_pos_diff(spec.n22, spec.n12) + expect_pos_diff(spec.n11, spec.n21)
 
 
 def weak_corner(spec: ChannelSpec, omega_A) -> CornerAllocation:
     """Layer split and corner point on the omega_A-weighted face of user 1's b-region."""
-    rep = classify(spec)
-    _require(all(rep.weak_1) and all(rep.weak_2), "weak")
+    _require(spec, "weak")
     omega_A = as_fraction(omega_A)
     if not 0 < omega_A <= 1:
         raise ValueError(f"omega_A must lie in (0, 1], got {omega_A}")
@@ -180,8 +178,7 @@ def moderate_bounds(spec: ChannelSpec, user, family, omega, mu=None) -> Fraction
     drops its kink sum entirely.  The a-form equals the general bound only
     from the largest kink ratio onward; b and c agree everywhere.
     """
-    rep = classify(spec)
-    _require(all(rep.moderate_1) and all(rep.moderate_2), "moderate")
+    _require(spec, "moderate")
     if family not in _MODERATE_FAMILIES:
         raise ValueError(f"family must be one of {_MODERATE_FAMILIES}, got {family!r}")
     kernel = bound_kernel(spec, user)
@@ -260,6 +257,6 @@ def symmetric_q1_region(p_d, p_c) -> SymmetricQ1Report:
         cap_planes=cap, a_planes=a_pl, sum_plane=sum_pl, c_planes=c_pl,
         weight_a=w_a, weight_c=w_c,
         region=region,
-        a_redundant=equals(region, without_a),
+        a_redundant=region == without_a,
         crossing=(p_d, lift),
     )

@@ -15,7 +15,6 @@ from layercap import (
     bound_b,
     bound_c,
     critical_weights,
-    equals,
     family_region,
     layer_coefficients,
     moderate_bounds,
@@ -25,7 +24,6 @@ from layercap import (
     random_strong_spec,
     random_weak_spec,
     strong_region,
-    support,
     symmetric_q1_region,
     verify_recovery,
 )
@@ -66,7 +64,7 @@ def test_criterion_2_strong_equals_compound_mac(capsys):
     bad = 0
     for _ in range(100):
         spec = random_strong_spec(rng, rng.randint(0, 3))
-        if not equals(outer_region(spec), strong_region(spec)):
+        if outer_region(spec) != strong_region(spec):
             bad += 1
     banner(
         capsys, 2, "strong regime",
@@ -198,7 +196,7 @@ def test_criterion_8_continuum_equivalence(capsys):
                         value = evaluator[family](spec, user, omega)
                         w_own, w_peer = F(1), omega
                     w1, w2 = (w_own, w_peer) if user == 1 else (w_peer, w_own)
-                    if support(region, w1, w2) > value:
+                    if region.support(w1, w2) > value:
                         cuts += 1
     banner(
         capsys, 8, "continuum equivalence",
@@ -219,4 +217,4 @@ def test_critical_weight_sets_are_sufficient_spotcheck():
             region = family_region(spec, user, "b")
             for omega in critical_weights(spec, user, "b"):
                 w = (F(1), omega) if user == 1 else (omega, F(1))
-                assert support(region, *w) == bound_b(spec, user, omega)
+                assert region.support(*w) == bound_b(spec, user, omega)

@@ -4,23 +4,27 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from layercap import (
     FAMILIES,
+    ChannelSpec,
+    FadingPmf,
+    HalfPlane,
     WeightedBound,
     active_bounds,
     bound_a,
     bound_b,
     bound_c,
     critical_weights,
+    expect,
     family_bounds,
     family_region,
     grid_bounds,
+    intersect,
     outer_halfplanes,
     outer_region,
     random_spec,
-    subset,
-    support,
     swap_users,
     symmetric_bernoulli,
 )
@@ -126,11 +130,11 @@ def test_finite_constraints_imply_continuum():
             for _ in range(20):
                 omega = F(rng.randint(0, 64), 64)
                 w1, w2 = (F(1), omega) if user == 1 else (omega, F(1))
-                assert support(ra, w1, w2) <= bound_a(spec, user, omega)
-                assert support(rb, w1, w2) <= bound_b(spec, user, omega)
+                assert ra.support(w1, w2) <= bound_a(spec, user, omega)
+                assert rb.support(w1, w2) <= bound_b(spec, user, omega)
                 mu = omega * F(rng.randint(0, 8), 8)
                 wc1, wc2 = (1 + mu, omega) if user == 1 else (omega, 1 + mu)
-                assert support(rc, wc1, wc2) <= bound_c(spec, user, omega, mu)
+                assert rc.support(wc1, wc2) <= bound_c(spec, user, omega, mu)
 
 
 def test_active_bounds_strong_example():
@@ -150,7 +154,7 @@ def test_grid_region_contains_exact_region():
         coarse = [b.halfplane() for b in grid_bounds(spec, 8)]
         from layercap import intersect
 
-        assert subset(exact, intersect(coarse))
+        assert exact.subset_of(intersect(coarse))
 
 
 def test_weighted_bound_validation():
@@ -192,3 +196,23 @@ def test_bound_argument_validation():
 
 def test_families_constant():
     assert FAMILIES == ("1a", "1b", "1c", "2a", "2b", "2c")
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), q=st.integers(1, 4),
+       mute_1=st.booleans(), mute_2=st.booleans())
+def test_every_plane_set_caps_both_rates(seed, q, mute_1, mute_2):
+    # 1a and 2a at omega = 0 are R1 <= E[N11] and R2 <= E[N22], and omega = 0
+    # is always a critical weight and a grid weight, so intersect never
+    # meets an unbounded plane set, even with a direct link that is always 0
+    n11, n12, n21, n22 = random_spec(random.Random(seed), q).links().values()
+    zero = FadingPmf.point(0, q)
+    spec = ChannelSpec(n11=zero if mute_1 else n11, n12=n12, n21=n21,
+                       n22=zero if mute_2 else n22)
+    caps = {HalfPlane(1, 0, expect(spec.n11)), HalfPlane(0, 1, expect(spec.n22))}
+    for bounds in (outer_halfplanes(spec), grid_bounds(spec, 3)):
+        planes = [wb.halfplane() for wb in bounds]
+        assert caps <= set(planes)
+        region = intersect(planes)
+        assert region.support(1, 0) <= expect(spec.n11)
+        assert region.support(0, 1) <= expect(spec.n22)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from layercap import RegionPolytope, UnboundedRegionError, equals, outer_region
+from layercap import RegionPolytope, outer_region
 from layercap.cli import ChannelSpecFile, SpecFileError, main
 import layercap.cli as cli
 import layercap.verification as verification
@@ -98,9 +98,9 @@ def test_region_round_trip(tmp_path, capsys):
     assert main(["region", "--spec", path]) == 0
     doc = json.loads(capsys.readouterr().out)
     verts = [(F(a), F(b)) for a, b in doc["vertices"]]
-    rebuilt = RegionPolytope.from_vertices(verts)
+    rebuilt = RegionPolytope(verts)
     spec = ChannelSpecFile.parse(WEAK_SPEC).spec
-    assert equals(rebuilt, outer_region(spec))
+    assert rebuilt == outer_region(spec)
 
 
 def test_region_active_constraints_strong(tmp_path, capsys):
@@ -205,14 +205,26 @@ def test_nonpositive_counts_are_usage_errors(tmp_path, capsys, argv, flag):
     assert "Traceback" not in err
 
 
-def test_unbounded_exit_code(tmp_path, capsys, monkeypatch):
-    def boom(*args, **kwargs):
-        raise UnboundedRegionError("no constraint bounds R1")
+MUTE_SPEC = """{
+  "q": 1,
+  "n11": [1, 0],
+  "n12": ["1/2", "1/2"],
+  "n21": ["1/3", "2/3"],
+  "n22": [1, 0]
+}
+"""
 
-    monkeypatch.setattr(cli, "region_document", boom)
-    path = write(tmp_path, "weak.json", WEAK_SPEC)
-    assert main(["region", "--spec", path]) == 3
-    assert "bounds R1" in capsys.readouterr().err
+
+@pytest.mark.parametrize(
+    "argv",
+    [["region"], ["region", "--mode", "grid", "--grid-steps", "4"], ["classify"]],
+)
+def test_zero_mean_direct_links_give_the_origin(tmp_path, capsys, argv):
+    # E[N11] = E[N22] = 0: the region is the origin alone, and still bounded
+    path = write(tmp_path, "mute.json", MUTE_SPEC)
+    assert main(argv + ["--spec", path]) == cli.EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["vertices"] == [["0", "0"]]
 
 
 def test_verify_passing_suite(capsys):
@@ -220,6 +232,14 @@ def test_verify_passing_suite(capsys):
     out = capsys.readouterr().out
     assert "256/256" in out
     assert "[deterministic] PASS" in out
+
+
+def test_verify_montecarlo_few_samples(capsys):
+    # the gate widens as 5e-3 * sqrt(1e6 / n), so a correct model passes at n = 1000
+    assert main(["verify", "montecarlo", "--samples", "1000"]) == cli.EXIT_OK
+    out = capsys.readouterr().out
+    assert "(tolerance 2e-01)" in out
+    assert "[montecarlo] PASS" in out
 
 
 def test_verify_failing_suite(capsys, monkeypatch):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from layercap import DetChannel, det_region, equals, outer_region, verify_recovery
+from layercap import DetChannel, det_region, outer_region, verify_recovery
 
 F = Fraction
 
@@ -58,7 +58,7 @@ def test_spot_recovery(levels):
 def test_region_equals_general_outer_bound_small_sweep():
     for levels in itertools.product(range(3), repeat=4):
         ch = DetChannel(*levels)
-        assert equals(det_region(ch), outer_region(ch.to_spec())), levels
+        assert det_region(ch) == outer_region(ch.to_spec()), levels
 
 
 def test_to_spec_round_trip():

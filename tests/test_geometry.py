@@ -4,15 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from layercap import (
     HalfPlane,
     RegionPolytope,
     UnboundedRegionError,
-    equals,
     intersect,
-    subset,
-    support,
 )
 
 F = Fraction
@@ -110,7 +108,7 @@ def test_intersect_matches_brute_force():
                 continue
             planes.append(HalfPlane(a, b, F(rng.randint(0, 24), rng.randint(1, 4))))
         region = intersect(planes)
-        expected = RegionPolytope.from_vertices(brute_vertices(planes))
+        expected = RegionPolytope(brute_vertices(planes))
         assert region == expected, f"trial {trial}"
 
 
@@ -130,33 +128,65 @@ def test_vertices_satisfy_all_planes():
 
 def test_support_pinned_and_properties():
     region = intersect([HalfPlane(1, 0, 3), HalfPlane(0, 1, 3), HalfPlane(1, 1, 4)])
-    assert support(region, F(1), F(1)) == 4
-    assert support(region, F(1), F(0)) == 3
-    assert support(region, F(2), F(1)) == 7
+    assert region.support(F(1), F(1)) == 4
+    assert region.support(F(1), F(0)) == 3
+    assert region.support(F(2), F(1)) == 7
     with pytest.raises(ValueError):
-        support(region, F(0), F(0))
+        region.support(F(0), F(0))
     with pytest.raises(ValueError):
-        support(region, F(-1), F(1))
+        region.support(F(-1), F(1))
 
 
 def test_subset_and_equality():
     inner = intersect([HalfPlane(1, 0, 1), HalfPlane(0, 1, 1), HalfPlane(1, 1, 1)])
     outer = intersect([HalfPlane(1, 0, 2), HalfPlane(0, 1, 2)])
-    assert subset(inner, outer)
-    assert not subset(outer, inner)
-    assert subset(inner, inner)
+    assert inner.subset_of(outer)
+    assert not outer.subset_of(inner)
+    assert inner.subset_of(inner)
     # same region described two ways compares equal, with equal hashes
     a = intersect([HalfPlane(1, 0, 2), HalfPlane(0, 1, 2), HalfPlane(1, 1, 5)])
     b = intersect([HalfPlane(2, 0, 4), HalfPlane(0, 3, 6)])
-    assert equals(a, b)
     assert a == b
     assert hash(a) == hash(b)
 
 
 def test_region_requires_origin():
     with pytest.raises(ValueError):
-        RegionPolytope.from_vertices([(F(1), F(1)), (F(2), F(1))])
+        RegionPolytope([(F(1), F(1)), (F(2), F(1))])
     with pytest.raises(ValueError):
-        RegionPolytope.from_vertices([(F(-1), F(0)), (F(0), F(0))])
+        RegionPolytope([(F(-1), F(0)), (F(0), F(0))])
     with pytest.raises(ValueError):
-        RegionPolytope.from_vertices([])
+        RegionPolytope([])
+
+
+def planes():
+    """Small random plane sets with both rate caps, so intersect never raises."""
+    rhs = st.builds(F, st.integers(0, 12), st.integers(1, 3))
+    slopes = st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(lambda ab: ab != (0, 0))
+    extra = st.lists(st.builds(lambda ab, c: HalfPlane(*ab, c), slopes, rhs), max_size=4)
+    caps = st.tuples(rhs, rhs).map(lambda c: [HalfPlane(1, 0, c[0]), HalfPlane(0, 1, c[1])])
+    return st.builds(lambda c, e: c + e, caps, extra)
+
+
+@settings(max_examples=300, deadline=None)
+@given(planes=planes(), data=st.data())
+def test_region_is_its_canonical_vertex_tuple(planes, data):
+    # any point set with the same hull rebuilds an == region with an equal hash
+    region = intersect(planes)
+    v = list(region.vertices)
+    midpoints = [((p[0] + q[0]) / 2, (p[1] + q[1]) / 2) for p, q in zip(v, v[1:] + v[:1])]
+    dups = data.draw(st.lists(st.sampled_from(v), max_size=4), label="duplicates")
+    points = data.draw(st.permutations(v + midpoints + dups), label="points")
+    rebuilt = RegionPolytope(points)
+    assert rebuilt == region
+    assert hash(rebuilt) == hash(region)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p_planes=planes(), q_planes=planes(), nested=st.booleans())
+def test_equality_is_mutual_inclusion(p_planes, q_planes, nested):
+    # nested pairs add planes to p's own, so equal (redundant extras) and
+    # strictly nested pairs are both common
+    p = intersect(p_planes)
+    q = intersect(p_planes + q_planes if nested else q_planes)
+    assert (p == q) == (p.subset_of(q) and q.subset_of(p))

@@ -21,6 +21,7 @@ from layercap import (
     simulate_channel,
     symmetric_bernoulli,
 )
+from layercap.verification import mc_within_tolerance
 
 F = Fraction
 
@@ -163,3 +164,15 @@ def test_grid_cross_check_agrees():
         assert report.points == 24 * 24
     with pytest.raises(ValueError):
         grid_cross_check(examples()["det"], 1)
+
+
+def test_mc_tolerance_scales_with_samples():
+    # exactly 1/200 at the default 10^6 samples, halved at four times as many
+    tiny = F(1, 10 ** 12)
+    assert mc_within_tolerance(F(1, 200), 10 ** 6)
+    assert not mc_within_tolerance(F(1, 200) + tiny, 10 ** 6)
+    assert mc_within_tolerance(F(1, 400), 4 * 10 ** 6)
+    assert not mc_within_tolerance(F(1, 400) + tiny, 4 * 10 ** 6)
+    assert not mc_within_tolerance(F(1, 200), 4 * 10 ** 6)
+    assert mc_within_tolerance(F(5, 100), 10 ** 4)
+    assert not mc_within_tolerance(F(5, 100) + tiny, 10 ** 4)

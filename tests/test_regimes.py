@@ -12,7 +12,6 @@ from layercap import (
     bound_b,
     bound_c,
     classify,
-    equals,
     examples,
     expect_pos_diff,
     mixed_example,
@@ -22,7 +21,6 @@ from layercap import (
     random_strong_spec,
     random_weak_spec,
     strong_region,
-    support,
     swap_users,
     symmetric_bernoulli,
     symmetric_q1_region,
@@ -75,15 +73,15 @@ def test_strong_region_pinned():
         (F(2, 5), F(1, 2)),
         (F(0), F(1, 2)),
     )
-    assert support(region, F(1), F(1)) == F(9, 10)
-    assert equals(region, outer_region(STRONG1))
+    assert region.support(F(1), F(1)) == F(9, 10)
+    assert region == outer_region(STRONG1)
 
 
 def test_strong_region_matches_outer_randomized():
     rng = random.Random(211)
     for _ in range(30):
         spec = random_strong_spec(rng, rng.randint(0, 3))
-        assert equals(strong_region(spec), outer_region(spec))
+        assert strong_region(spec) == outer_region(spec)
 
 
 def test_weak_region_pinned():
@@ -97,7 +95,7 @@ def test_weak_region_pinned():
         (F(0), F(9, 10)),
     )
     assert weak_sum_capacity(WEAK1) == F(63, 50)
-    assert equals(region, outer_region(WEAK1))
+    assert region == outer_region(WEAK1)
 
 
 def test_weak_sum_capacity_is_support_value():
@@ -108,7 +106,7 @@ def test_weak_sum_capacity_is_support_value():
         assert c_sum == expect_pos_diff(spec.n22, spec.n12) + expect_pos_diff(
             spec.n11, spec.n21
         )
-        assert support(outer_region(spec), F(1), F(1)) == c_sum
+        assert outer_region(spec).support(F(1), F(1)) == c_sum
         assert bound_b(spec, 1, F(1)) == c_sum
         assert bound_b(spec, 2, F(1)) == c_sum
 
@@ -225,7 +223,7 @@ def test_symmetric_q1_pinned():
     # R1 + (8/13) R2 <= 56/65 clears denominators to 65 R1 + 40 R2 <= 56
     e_plane = [p for p in rep.c_planes if p.a < p.b * 2][0]
     assert (e_plane.a, e_plane.b, e_plane.c) == (65, 40, 56)
-    assert equals(rep.region, outer_region(symmetric_bernoulli(F(4, 5), F(1, 2))))
+    assert rep.region == outer_region(symmetric_bernoulli(F(4, 5), F(1, 2)))
 
 
 def test_symmetric_q1_crossing_on_both_lines():
