@@ -41,7 +41,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional
 
 from .channel import ChannelSpec, as_fraction, layer_coefficients
@@ -89,6 +89,11 @@ class WeightedBound:
             raise ValueError(f"bound value must be nonnegative, got {self.value}")
 
     def halfplane(self) -> HalfPlane:
+        return self._plane
+
+    @cached_property
+    def _plane(self) -> HalfPlane:
+        # built once per bound: intersect and the active selection both read it
         own = 1 if self.mu is None else 1 + self.mu
         if self.family[0] == "1":
             return HalfPlane(own, self.omega, self.value)
@@ -297,11 +302,25 @@ def grid_bounds(spec: ChannelSpec, steps: int) -> list:
 def active_bounds(bounds, region: RegionPolytope) -> list:
     """Bounds whose half-planes support the region along an edge.
 
-    Identical half-planes keep only the first occurrence, so the family
-    order of outer_halfplanes decides the reported provenance.  Degenerate
-    regions (< 3 vertices) only require tightness at one vertex.
+    The bounds' half-planes must hold on the region, as they do for a region
+    intersected from them.  With 3 or more vertices such a plane is tight at
+    two vertices exactly when it is the line of an edge, so the bounds are
+    looked up in the set of edge lines.  Identical half-planes keep only the
+    first occurrence, so the family order of outer_halfplanes decides the
+    reported provenance.  Degenerate regions (< 3 vertices) only require
+    tightness at one vertex.
     """
-    needed = 2 if len(region.vertices) >= 3 else 1
+    v = region.vertices
+    if len(v) >= 3:
+        edges = set()
+        for (x1, y1), (x2, y2) in zip(v, v[1:] + v[:1]):
+            a, b = y2 - y1, x1 - x2
+            if a >= 0 and b >= 0:  # else no HalfPlane: the two axis edges
+                edges.add(HalfPlane(a, b, a * x1 + b * y1))
+        supports = edges.__contains__
+    else:
+        def supports(plane):
+            return any(plane.tight(p) for p in v)
     seen = set()
     out = []
     for wb in bounds:
@@ -309,6 +328,6 @@ def active_bounds(bounds, region: RegionPolytope) -> list:
         if plane in seen:
             continue
         seen.add(plane)
-        if sum(1 for v in region.vertices if plane.tight(v)) >= needed:
+        if supports(plane):
             out.append(wb)
     return out

@@ -19,6 +19,8 @@ from functools import lru_cache
 
 def as_fraction(value) -> Fraction:
     """Convert to Fraction, rejecting floats (silent rounding is never wanted here)."""
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise TypeError(f"refusing float {value!r}; pass a string, int or Fraction")
     return Fraction(value)

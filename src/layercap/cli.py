@@ -384,6 +384,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # exact outputs of q >= 8 specs pass Python's default 4300-digit limit on
+    # int <-> str conversion, and spec masses may too
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     args = build_parser().parse_args(argv)
     return args.func(args)
 

@@ -4,11 +4,18 @@ Regions are intersections of half-planes a*R1 + b*R2 <= c with nonnegative
 coefficients, so they always contain the origin.  Vertices are kept
 counterclockwise starting at the origin; degenerate regions (a segment or
 the origin alone) use 2 or 1 vertices.  No floating point anywhere.
+
+Intersection works in the polar dual: a plane with c > 0 is the point
+(a/c, b/c), and the region's non-redundant planes are the hull chain of
+those points between the two axes.  The hull is scanned on the integer
+triples (a, b, c), with a 3x3 integer determinant as orientation test, in
+O(P log P) for P planes; a Fraction is built only per vertex coordinate.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cmp_to_key
 from math import gcd, lcm
 
 from .channel import as_fraction
@@ -36,7 +43,7 @@ class HalfPlane:
         if c < 0:
             raise ValueError(f"right-hand side must be nonnegative, got c={c}")
         den = lcm(a.denominator, b.denominator, c.denominator)
-        na, nb, nc = int(a * den), int(b * den), int(c * den)
+        na, nb, nc = (x.numerator * (den // x.denominator) for x in (a, b, c))
         g = gcd(na, nb, nc)
         self.a, self.b, self.c = na // g, nb // g, nc // g
 
@@ -152,50 +159,60 @@ class RegionPolytope:
         return f"RegionPolytope([{pts}])"
 
 
-def _edge_hit(s, e, plane: HalfPlane):
-    # intersection of segment s-e with the plane's boundary line; callers
-    # guarantee the endpoints straddle it, so the denominator is nonzero
-    dx, dy = e[0] - s[0], e[1] - s[1]
-    den = plane.a * dx + plane.b * dy
-    t = Fraction(plane.c - plane.a * s[0] - plane.b * s[1], den)
-    return (s[0] + t * dx, s[1] + t * dy)
+def _det(u, v, w) -> int:
+    # 3x3 determinant of three (a, b, c) rows; for c > 0 its sign is the
+    # orientation of the dual points (a/c, b/c)
+    return (u[0] * (v[1] * w[2] - v[2] * w[1])
+            - u[1] * (v[0] * w[2] - v[2] * w[0])
+            + u[2] * (v[0] * w[1] - v[1] * w[0]))
 
 
-def _clip(pts: list, plane: HalfPlane) -> list:
-    if len(pts) == 1:
-        return pts if plane.holds(pts[0]) else []
-    out = []
-    n = len(pts)
-    for i in range(n):
-        s, e = pts[i], pts[(i + 1) % n]
-        s_in, e_in = plane.holds(s), plane.holds(e)
-        if s_in:
-            out.append(s)
-            if not e_in:
-                out.append(_edge_hit(s, e, plane))
-        elif e_in:
-            out.append(_edge_hit(s, e, plane))
-    return out
+def _axis_cap(rows, axis) -> tuple:
+    # the plane (A, 0, C) or (0, B, C) that caps one rate at its axis
+    # intercept: A/C is the largest a/c over the rows with a > 0 (B/C the
+    # largest b/c), so a row with c = 0, which pins the rate to 0, wins.
+    # Left unreduced: the orientation test and Cramer's rule are both blind
+    # to a positive scale
+    best = max((r for r in rows if r[axis]),
+               key=cmp_to_key(lambda u, v: u[axis] * v[2] - v[axis] * u[2]))
+    return (best[0], 0, best[2]) if axis == 0 else (0, best[1], best[2])
 
 
 def intersect(planes) -> RegionPolytope:
     """Polytope of all (R1, R2) >= 0 satisfying every half-plane.
 
-    Starts from the bounding rectangle implied by the single-rate caps and
-    clips by each plane in turn (exact Sutherland-Hodgman).  Raises
+    A plane with c = 0 pins each rate it involves to 0, which leaves a
+    segment on an axis or the origin.  Otherwise each plane is
+    <(a/c, b/c), z> <= 1, so the region is the polar of the down-closed hull
+    of those dual points.  That hull's chain from (A, 0) to (0, B), A and B
+    the largest a/c and b/c, is exactly the set of non-redundant planes, and
+    each pair of neighbours on it meets in one region vertex.  The chain is
+    one scan over the planes sorted by the direction of (a, b), with a 3x3
+    integer determinant as the orientation test: O(P log P) integer
+    operations, and one Fraction per vertex coordinate.  Raises
     UnboundedRegionError when no plane bounds R1 or none bounds R2.
     """
-    planes = list(planes)
-    xs = [Fraction(p.c, p.a) for p in planes if p.a > 0]
-    ys = [Fraction(p.c, p.b) for p in planes if p.b > 0]
-    if not xs:
+    rows = {(p.a, p.b, p.c) for p in planes}
+    if not any(a for a, _, _ in rows):
         raise UnboundedRegionError("no constraint bounds R1")
-    if not ys:
+    if not any(b for _, b, _ in rows):
         raise UnboundedRegionError("no constraint bounds R2")
-    u1, u2 = min(xs), min(ys)
+    cap1, cap2 = _axis_cap(rows, 0), _axis_cap(rows, 1)
     zero = Fraction(0)
-    poly = list(dict.fromkeys([(zero, zero), (u1, zero), (u1, u2), (zero, u2)]))
-    for plane in planes:
-        poly = _clip(poly, plane)
-    return RegionPolytope(poly)
-
+    points = [(zero, zero), (Fraction(cap1[2], cap1[0]), zero),
+              (zero, Fraction(cap2[2], cap2[1]))]
+    if cap1[2] and cap2[2]:  # no rate pinned, so every row has c > 0
+        # planes by the angle of (a, b); a plane looser than another of its
+        # direction, or than a cap, lies inside the hull and the scan pops it
+        by_angle = sorted(rows, key=cmp_to_key(lambda u, v: u[1] * v[0] - v[1] * u[0]))
+        chain = [cap1]
+        for row in by_angle + [cap2]:
+            while len(chain) >= 2 and _det(chain[-2], chain[-1], row) <= 0:
+                chain.pop()
+            chain.append(row)
+        # each neighbour pair's crossing, by Cramer's rule
+        for (a1, b1, c1), (a2, b2, c2) in zip(chain, chain[1:]):
+            det = a1 * b2 - a2 * b1
+            points.append((Fraction(c1 * b2 - c2 * b1, det),
+                           Fraction(a1 * c2 - a2 * c1, det)))
+    return RegionPolytope(points)

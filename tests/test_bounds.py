@@ -216,3 +216,16 @@ def test_every_plane_set_caps_both_rates(seed, q, mute_1, mute_2):
         region = intersect(planes)
         assert region.support(1, 0) <= expect(spec.n11)
         assert region.support(0, 1) <= expect(spec.n22)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), q=st.integers(1, 4), steps=st.integers(1, 6))
+def test_user_swap_mirrors_region_and_grid_contains_exact(seed, q, steps):
+    # the intersection sorts planes by direction, so an R1/R2 mix-up there
+    # would break the mirror image
+    spec = random_spec(random.Random(seed), q)
+    region = outer_region(spec)
+    mirrored = outer_region(swap_users(spec))
+    assert set(mirrored.vertices) == {(y, x) for x, y in region.vertices}
+    grid = intersect([wb.halfplane() for wb in grid_bounds(spec, steps)])
+    assert region.subset_of(grid)

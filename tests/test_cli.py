@@ -1,11 +1,12 @@
 """End-to-end command-line behavior: parsing, exports, exit codes."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
-from layercap import RegionPolytope, outer_region
+from layercap import RegionPolytope, outer_region, random_moderate_spec
 from layercap.cli import ChannelSpecFile, SpecFileError, main
 import layercap.cli as cli
 import layercap.verification as verification
@@ -254,3 +255,16 @@ def test_verify_failing_suite(capsys, monkeypatch):
 def test_verify_inclusions_seeded(capsys):
     assert main(["verify", "inclusions", "--seed", "3"]) == 0
     assert "[inclusions] PASS" in capsys.readouterr().out
+
+
+def test_region_prints_numbers_past_the_int_str_digit_limit(tmp_path, capsys):
+    # a q = 9 moderate spec whose exact vertices have more than 4300 digits,
+    # Python's default limit on int -> str conversion
+    spec = random_moderate_spec(random.Random("digit_limit_probe:2:1"), 9)
+    links = {k: [str(m) for m in pmf.masses] for k, pmf in spec.links().items()}
+    path = write(tmp_path, "deep.json", json.dumps({"q": 9, **links}))
+    assert main(["region", "--spec", path]) == cli.EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert max(len(x) for pair in doc["vertices"] for x in pair) > 4300
+    assert [(Fraction(x), Fraction(y)) for x, y in doc["vertices"]] == list(
+        outer_region(spec).vertices)

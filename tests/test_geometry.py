@@ -1,4 +1,4 @@
-"""Exact half-plane intersection against a brute-force vertex oracle."""
+"""Exact half-plane intersection and active-bound selection against brute-force oracles."""
 
 import random
 from fractions import Fraction
@@ -7,10 +7,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from layercap import (
+    FAMILIES,
     HalfPlane,
     RegionPolytope,
     UnboundedRegionError,
+    WeightedBound,
+    active_bounds,
+    grid_bounds,
     intersect,
+    outer_halfplanes,
+    random_spec,
 )
 
 F = Fraction
@@ -190,3 +196,88 @@ def test_equality_is_mutual_inclusion(p_planes, q_planes, nested):
     p = intersect(p_planes)
     q = intersect(p_planes + q_planes if nested else q_planes)
     assert (p == q) == (p.subset_of(q) and q.subset_of(p))
+
+
+def slanted_planes():
+    """Plane sets with no axis-parallel cap (a, b > 0 whenever c > 0).
+
+    They mix coefficients of 1 digit and of 100 or more digits, and add
+    planes with c = 0 (which pin an axis), exact and scaled duplicates, and
+    planes that share a direction with a different right-hand side.
+    """
+    coeff = st.one_of(st.integers(1, 6), st.integers(10 ** 100, 10 ** 120))
+    rhs = st.builds(F, st.one_of(st.integers(1, 30), st.integers(10 ** 100, 10 ** 130)),
+                    st.integers(1, 4))
+    slanted = st.builds(HalfPlane, coeff, coeff, rhs)
+    pin = st.tuples(st.integers(0, 2), st.integers(0, 2)).filter(any).map(
+        lambda ab: HalfPlane(*ab, 0))
+
+    @st.composite
+    def family(draw):
+        planes = draw(st.lists(slanted, min_size=1, max_size=6))
+        for p in draw(st.lists(st.sampled_from(planes), max_size=3)):
+            k = draw(st.integers(1, 5))
+            shift = draw(st.sampled_from([F(0), F(1, 3), F(-1, 2), F(2)]))
+            planes.append(HalfPlane(k * p.a, k * p.b, k * p.c + max(shift, -p.c)))
+        planes += draw(st.lists(pin, max_size=1 if draw(st.booleans()) else 0))
+        return draw(st.permutations(planes))
+
+    return family()
+
+
+@settings(max_examples=400, deadline=None)
+@given(planes=slanted_planes())
+def test_intersect_matches_brute_force_without_caps(planes):
+    # a slanted plane, not a cap, sets each axis intercept here
+    assert intersect(planes) == RegionPolytope(brute_vertices(planes))
+
+
+def reference_active_bounds(bounds, region):
+    """The tight-vertex scan that active_bounds replaces."""
+    needed = 2 if len(region.vertices) >= 3 else 1
+    seen = set()
+    out = []
+    for wb in bounds:
+        plane = wb.halfplane()
+        if plane in seen:
+            continue
+        seen.add(plane)
+        if sum(1 for v in region.vertices if plane.tight(v)) >= needed:
+            out.append(wb)
+    return out
+
+
+@st.composite
+def bound_sets(draw):
+    """WeightedBounds on a small weight grid, with repeats and zero values.
+
+    The two omega = 0 a-bounds cap both rates, as in every set the library
+    builds; a zero value there gives a segment or the origin.
+    """
+    quarter = st.integers(0, 4).map(lambda k: F(k, 4))
+    cap = st.builds(F, st.integers(0, 12), st.integers(1, 4))
+    value = st.builds(F, st.integers(1, 24), st.integers(1, 4))
+    bounds = [WeightedBound("1a", F(0), None, draw(cap)),
+              WeightedBound("2a", F(0), None, draw(cap))]
+    for _ in range(draw(st.integers(0, 8))):
+        family, omega = draw(st.sampled_from(FAMILIES)), draw(quarter)
+        mu = omega * draw(quarter) if family.endswith("c") else None
+        bounds.append(WeightedBound(family, omega, mu, draw(value)))
+    bounds += draw(st.lists(st.sampled_from(bounds), max_size=3))
+    return draw(st.permutations(bounds))
+
+
+@settings(max_examples=400, deadline=None)
+@given(bounds=bound_sets())
+def test_active_bounds_matches_tight_vertex_scan(bounds):
+    region = intersect([wb.halfplane() for wb in bounds])
+    assert active_bounds(bounds, region) == reference_active_bounds(bounds, region)
+
+
+def test_active_bounds_matches_tight_vertex_scan_on_specs():
+    rng = random.Random(11)
+    for q in (1, 2, 3, 4):
+        spec = random_spec(rng, q)
+        for bounds in (outer_halfplanes(spec), grid_bounds(spec, 6)):
+            region = intersect([wb.halfplane() for wb in bounds])
+            assert active_bounds(bounds, region) == reference_active_bounds(bounds, region)
