@@ -19,8 +19,10 @@ region; that critical-weight enumeration is the primary mode, with a dense
 weight grid available as a cross-checking fallback.
 
 Evaluation goes through one BoundKernel per (spec, user), built once from
-layer_coefficients in O(q log q) after the O(q^2) coefficient setup.  Since
-alpha(l) >= 0, a kink sum is
+layer_coefficients.  It holds every quantity the bounds read as an integer
+numerator over one common denominator D, the lcm of the denominators of
+that user's tails, difference tails and coefficients.  Since alpha(l) >= 0,
+a kink sum is
 
     sum_l [omega*g(l) - alpha(l)]^+ = omega*G(omega) - A(omega),
 
@@ -28,20 +30,28 @@ G and A summing g and alpha over the layers with g(l) > 0 and
 alpha(l)/g(l) < omega; likewise, for omega > 0,
 
     sum_l max(mu*P(N11 >= l), omega*P(N12 >= l)) = mu*X(mu/omega)
-                                  + omega*(sum_l P(N12 >= l) - Y(mu/omega)),
+                                  + omega*(E[N12] - Y(mu/omega)),
 
 X and Y summing P(N11 >= l) and P(N12 >= l) over the layers with
-P(N12 >= l) < (mu/omega)*P(N11 >= l).  Layers sorted by their ratio with
-prefix sums turn each of these into one bisection, so a bound costs
-O(log q) exact operations.
+P(N12 >= l) < (mu/omega)*P(N11 >= l).  Each sweep keeps its layers sorted
+by ratio, as integer pairs (num, den) with integer prefix sums, and finds
+the layers below a weight p/r by bisection on the cross-multiplied test
+num*r < p*den.  With omega = p/r and mu = m/r over one denominator r, a
+bound is then one integer expression over r*D, for example
+
+    r*D * c(p/r, m/r) = r*(E11 - A) + p*(LIFT + G) + m*X + p*(E12 - Y),
+
+and one Fraction is built per value.  The bound's half-plane comes from the
+same integers: for 1c it is (r+m)*D*R1 + p*D*R2 <= r*D*c.  A bound costs
+O(log q) integer operations on numbers the size of r*D.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, cmp_to_key, lru_cache
+from math import lcm
 from typing import Optional
 
 from .channel import ChannelSpec, as_fraction, layer_coefficients
@@ -53,6 +63,11 @@ FAMILIES = ("1a", "1b", "1c", "2a", "2b", "2c")
 def _check_user(user):
     if user not in (1, 2):
         raise ValueError(f"user must be 1 or 2, got {user!r}")
+
+
+def _check_family(family):
+    if family not in ("a", "b", "c"):
+        raise ValueError(f"family must be 'a', 'b' or 'c', got {family!r}")
 
 
 def _check_omega(omega) -> Fraction:
@@ -101,70 +116,123 @@ class WeightedBound:
 
 
 class _Sweep:
-    """Layers with den > 0 sorted by num/den, with prefix sums of den and num."""
+    """Layers with den > 0 sorted by num/den, with prefix sums of den and num.
+
+    num and den are integer numerators over the kernel's denominator, so a
+    key is the pair (num, den) and keys are compared by cross-multiplying.
+    """
 
     __slots__ = ("keys", "dens", "nums")
 
     def __init__(self, nums, dens):
-        rows = sorted(((n / d, d, n) for n, d in zip(nums, dens) if d > 0),
-                      key=lambda row: row[0])
-        self.keys = [key for key, _, _ in rows]
-        self.dens = [Fraction(0)]
-        self.nums = [Fraction(0)]
-        for _, d, n in rows:
+        self.keys = sorted(((n, d) for n, d in zip(nums, dens) if d > 0),
+                           key=cmp_to_key(lambda x, y: x[0] * y[1] - y[0] * x[1]))
+        self.dens, self.nums = [0], [0]
+        for n, d in self.keys:
             self.dens.append(self.dens[-1] + d)
             self.nums.append(self.nums[-1] + n)
 
-    def below(self, x) -> tuple:
-        """(sum of den, sum of num) over the layers whose key is < x."""
-        i = bisect_left(self.keys, x)
-        return self.dens[i], self.nums[i]
-
-    def kinks(self, omega) -> Fraction:
-        """sum_l [omega*den(l) - num(l)]^+, given num >= 0."""
-        dens, nums = self.below(omega)
-        return omega * dens - nums
+    def below(self, p, r) -> int:
+        """How many keys are < p/r, for r > 0; none for p = r = 0."""
+        keys = self.keys
+        lo, hi = 0, len(keys)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            n, d = keys[mid]
+            if n * r < p * d:
+                lo = mid + 1
+            else:
+                hi = mid
+        return lo
 
     def ratios(self) -> set:
         """{0, 1} plus every key in [0, 1]: the kinks inside the weight range."""
-        return {Fraction(0), Fraction(1), *self.keys[:bisect_right(self.keys, 1)]}
+        return {Fraction(0), Fraction(1), *(Fraction(n, d) for n, d in self.keys if n <= d)}
 
 
-@dataclass(frozen=True)
+def _over_one_denominator(omega: Fraction, mu: Fraction) -> tuple:
+    """(p, m, r) with omega = p/r and mu = m/r."""
+    r = lcm(omega.denominator, mu.denominator)
+    return omega.numerator * (r // omega.denominator), mu.numerator * (r // mu.denominator), r
+
+
+def _sum_property(index, doc):
+    return property(lambda kernel: Fraction(kernel._sums[index], kernel.den), doc=doc)
+
+
 class BoundKernel:
-    """Everything one user's three bound families need, in that user's frame.
+    """One user's three bound families as integers over one denominator D.
 
     For user 2 the links are renamed n11<->n22, n12<->n21 first.  The sweeps
     are alpha/beta (a-family kinks), alpha/gamma (b- and c-family kinks) and
-    P(N12 >= l)/P(N11 >= l) (the c-family top term).
+    P(N12 >= l)/P(N11 >= l) (the c-family top term).  Between two kinks of
+    its sweep a bound is affine in omega: with the layers below omega = p/r
+    counted by the sweep, r*D times the a- or b-bound is r*const + p*slope
+    for the (const, slope) that _a or _b holds at that count; _c and _top
+    do the same for the c-family's two sums.  D stays inside this module:
+    the sum properties and top_sum return Fractions.
     """
 
-    e11: Fraction    # E[N11]
-    e21: Fraction    # E[N21]
-    e12: Fraction    # E[N12] = sum_l P(N12 >= l)
-    lift: Fraction   # E[(N21-N11)^+]
-    cross: Fraction  # sum_l max(P(N11-N21 >= l), P(N12 >= l))
-    alpha_sum: Fraction
-    beta: _Sweep
-    gamma: _Sweep
-    top: _Sweep
+    __slots__ = ("den", "_sums", "beta", "gamma", "top", "_a", "_b", "_c", "_top")
 
-    def a(self, omega) -> Fraction:
-        return self.e11 + omega * self.lift + self.beta.kinks(omega)
+    def __init__(self, den, t11, t21, t12, clear, cross, alpha, beta, gamma):
+        # t11, t21, t12: tails; clear: P(N21 - N11 >= l); cross:
+        # max(P(N11 - N21 >= l), P(N12 >= l)); all numerators over den
+        e11, e21, e12, lift = sum(t11), sum(t21), sum(t12), sum(clear)
+        self.den = den
+        self._sums = (e11, e21, e12, lift, sum(alpha), sum(beta))
+        self.beta = _Sweep(alpha, beta)
+        self.gamma = _Sweep(alpha, gamma)
+        self.top = _Sweep(t12, t11)
+        b_slope = e21 + sum(cross) - e11
+        self._a = [(e11 - n, lift + d) for n, d in zip(self.beta.nums, self.beta.dens)]
+        self._b = [(e11 - n, b_slope + d) for n, d in zip(self.gamma.nums, self.gamma.dens)]
+        self._c = [(e11 - n, lift + d) for n, d in zip(self.gamma.nums, self.gamma.dens)]
+        # top term mu*X + omega*(E12 - Y): (X, E12 - Y) per piece
+        self._top = [(x, e12 - y) for x, y in zip(self.top.dens, self.top.nums)]
 
-    def b(self, omega) -> Fraction:
-        return ((1 - omega) * self.e11 + omega * self.e21
-                + self.gamma.kinks(omega) + omega * self.cross)
+    def a(self, p, r) -> int:
+        """r*D times the a-family bound at omega = p/r."""
+        const, slope = self._a[self.beta.below(p, r)]
+        return r * const + p * slope
 
-    def c(self, omega, mu) -> Fraction:
-        return self.e11 + omega * self.lift + self.gamma.kinks(omega) + self.top_sum(omega, mu)
+    def b(self, p, r) -> int:
+        """r*D times the b-family bound at omega = p/r."""
+        const, slope = self._b[self.gamma.below(p, r)]
+        return r * const + p * slope
+
+    def c(self, p, m, r) -> int:
+        """r*D times the c-family bound at omega = p/r, mu = m/r <= omega."""
+        const, slope = self._c[self.gamma.below(p, r)]
+        own, rest = self._top[self.top.below(m, p)]
+        return r * const + p * (slope + rest) + m * own
+
+    def value(self, num, r) -> Fraction:
+        """The bound whose numerator over r*D is num."""
+        return Fraction(num, r * self.den)
+
+    def bound(self, tag, omega, mu, num, p, m, r) -> WeightedBound:
+        """The WeightedBound at omega = p/r (mu = m/r, m = 0 without mu) with
+        numerator num, its half-plane built from the same integers."""
+        own, cross = (r + m) * self.den, p * self.den
+        plane = HalfPlane(own, cross, num) if tag[0] == "1" else HalfPlane(cross, own, num)
+        wb = WeightedBound(tag, omega, mu, self.value(num, r))
+        # fills the cached _plane: the same half-plane, without Fractions
+        wb.__dict__["_plane"] = plane
+        return wb
 
     def top_sum(self, omega, mu) -> Fraction:
         """sum_l max(mu*P(N11 >= l), omega*P(N12 >= l)) for 0 <= mu <= omega."""
-        if omega == 0:
-            return Fraction(0)
-        own, cross = self.top.below(mu / omega)
-        return mu * own + omega * (self.e12 - cross)
+        p, m, r = _over_one_denominator(omega, mu)
+        own, rest = self._top[self.top.below(m, p)]
+        return Fraction(m * own + p * rest, r * self.den)
+
+    e11 = _sum_property(0, "E[N11]")
+    e21 = _sum_property(1, "E[N21]")
+    e12 = _sum_property(2, "E[N12] = sum_l P(N12 >= l)")
+    lift = _sum_property(3, "E[(N21-N11)^+]")
+    alpha_sum = _sum_property(4, "sum_l alpha(l)")
+    beta_sum = _sum_property(5, "sum_l beta(l)")
 
 
 # link names of (N11, N12, N21) in each user's frame
@@ -177,35 +245,30 @@ def bound_kernel(spec: ChannelSpec, user) -> BoundKernel:
     _check_user(user)
     co = layer_coefficients(spec)
     n11, n12, n21 = _FRAMES[user]
-    alpha, beta, gamma = (
+    coefficients = (
         (co.alpha1, co.beta1, co.gamma1) if user == 1
         else (co.alpha2, co.beta2, co.gamma2)
     )
-    t11, t12 = co.tails[n11], co.tails[n12]
-    zero = Fraction(0)
-    return BoundKernel(
-        e11=sum(t11, zero),
-        e21=sum(co.tails[n21], zero),
-        e12=sum(t12, zero),
-        lift=sum(co.diff_tails[f"{n21}-{n11}"], zero),
-        cross=sum(map(max, co.diff_tails[f"{n11}-{n21}"], t12), zero),
-        alpha_sum=sum(alpha, zero),
-        beta=_Sweep(alpha, beta),
-        gamma=_Sweep(alpha, gamma),
-        top=_Sweep(t12, t11),
-    )
+    t12 = co.tails[n12]
+    vectors = (co.tails[n11], co.tails[n21], t12, co.diff_tails[f"{n21}-{n11}"],
+               tuple(map(max, co.diff_tails[f"{n11}-{n21}"], t12))) + coefficients
+    den = lcm(*{x.denominator for v in vectors for x in v})
+    return BoundKernel(den, *([x.numerator * (den // x.denominator) for x in v]
+                              for v in vectors))
 
 
 def bound_a(spec: ChannelSpec, user, omega) -> Fraction:
     """Right-hand side of the a-family bound at weight omega."""
     kernel = bound_kernel(spec, user)
-    return kernel.a(_check_omega(omega))
+    omega = _check_omega(omega)
+    return kernel.value(kernel.a(omega.numerator, omega.denominator), omega.denominator)
 
 
 def bound_b(spec: ChannelSpec, user, omega) -> Fraction:
     """Right-hand side of the b-family bound at weight omega."""
     kernel = bound_kernel(spec, user)
-    return kernel.b(_check_omega(omega))
+    omega = _check_omega(omega)
+    return kernel.value(kernel.b(omega.numerator, omega.denominator), omega.denominator)
 
 
 def bound_c(spec: ChannelSpec, user, omega, mu) -> Fraction:
@@ -215,7 +278,8 @@ def bound_c(spec: ChannelSpec, user, omega, mu) -> Fraction:
     mu = as_fraction(mu)
     if not 0 <= mu <= omega:
         raise ValueError(f"mu must lie in [0, omega], got mu={mu}, omega={omega}")
-    return kernel.c(omega, mu)
+    p, m, r = _over_one_denominator(omega, mu)
+    return kernel.value(kernel.c(p, m, r), r)
 
 
 def critical_weights(spec: ChannelSpec, user, family):
@@ -228,8 +292,7 @@ def critical_weights(spec: ChannelSpec, user, family):
     dropped.
     """
     _check_user(user)
-    if family not in ("a", "b", "c"):
-        raise ValueError(f"family must be 'a', 'b' or 'c', got {family!r}")
+    _check_family(family)
     kernel = bound_kernel(spec, user)
     if family == "a":
         return tuple(sorted(kernel.beta.ratios()))
@@ -245,20 +308,20 @@ def critical_weights(spec: ChannelSpec, user, family):
 
 def family_bounds(spec: ChannelSpec, user, family) -> list:
     """WeightedBounds of one family at its critical weights, omega ascending."""
+    weights = critical_weights(spec, user, family)
+    kernel = bound_kernel(spec, user)
     tag = f"{user}{family}"
-    if family == "a":
-        return [
-            WeightedBound(tag, om, None, bound_a(spec, user, om))
-            for om in critical_weights(spec, user, "a")
-        ]
-    if family == "b":
-        return [
-            WeightedBound(tag, om, None, bound_b(spec, user, om))
-            for om in critical_weights(spec, user, "b")
-        ]
+    if family == "c":
+        out = []
+        for om, mu in weights:
+            p, m, r = _over_one_denominator(om, mu)
+            out.append(kernel.bound(tag, om, mu, kernel.c(p, m, r), p, m, r))
+        return out
+    evaluate = kernel.a if family == "a" else kernel.b
     return [
-        WeightedBound(tag, om, mu, bound_c(spec, user, om, mu))
-        for om, mu in critical_weights(spec, user, "c")
+        kernel.bound(tag, om, None, evaluate(om.numerator, om.denominator),
+                     om.numerator, 0, om.denominator)
+        for om in weights
     ]
 
 
@@ -285,17 +348,17 @@ def grid_bounds(spec: ChannelSpec, steps: int) -> list:
     """Dense-grid fallback: every family at omega = k/steps, mu = j/steps <= omega."""
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
+    weights = [Fraction(k, steps) for k in range(steps + 1)]
     out = []
-    omegas = [Fraction(k, steps) for k in range(steps + 1)]
     for user in (1, 2):
-        for om in omegas:
-            out.append(WeightedBound(f"{user}a", om, None, bound_a(spec, user, om)))
-        for om in omegas:
-            out.append(WeightedBound(f"{user}b", om, None, bound_b(spec, user, om)))
-        for k, om in enumerate(omegas):
-            for j in range(k + 1):
-                mu = Fraction(j, steps)
-                out.append(WeightedBound(f"{user}c", om, mu, bound_c(spec, user, om, mu)))
+        kernel = bound_kernel(spec, user)
+        bound = kernel.bound
+        for tag, evaluate in ((f"{user}a", kernel.a), (f"{user}b", kernel.b)):
+            out += [bound(tag, om, None, evaluate(k, steps), k, 0, steps)
+                    for k, om in enumerate(weights)]
+        tag, c = f"{user}c", kernel.c
+        out += [bound(tag, om, weights[j], c(k, j, steps), k, j, steps)
+                for k, om in enumerate(weights) for j in range(k + 1)]
     return out
 
 

@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
+from operator import mul
 
 
 def as_fraction(value) -> Fraction:
@@ -26,10 +28,6 @@ def as_fraction(value) -> Fraction:
     return Fraction(value)
 
 
-def _pos(x: Fraction) -> Fraction:
-    return x if x > 0 else Fraction(0)
-
-
 class FadingPmf:
     """Exact pmf of a fading level on {0, ..., q}.
 
@@ -38,7 +36,7 @@ class FadingPmf:
     computed once, so tail lookups and cache keys cost O(1).
     """
 
-    __slots__ = ("_masses", "_tails", "_hash")
+    __slots__ = ("_masses", "_tails", "_hash", "_ints")
 
     def __init__(self, masses):
         entries = tuple(as_fraction(m) for m in masses)
@@ -56,6 +54,7 @@ class FadingPmf:
         self._masses = entries
         self._tails = tuple(tails)
         self._hash = hash(entries)
+        self._ints = None
 
     @classmethod
     def point(cls, level: int, q: int) -> "FadingPmf":
@@ -96,6 +95,15 @@ class FadingPmf:
         if not 0 <= n <= self.q:
             raise ValueError(f"level {n} outside {{0..{self.q}}}")
         return self._masses[n]
+
+    def _lattice(self) -> tuple:
+        """(L, tails) with L the lcm of the mass denominators and integer
+        tails[l] = L * P(N >= l) for l in 0..q+1; computed once."""
+        if self._ints is None:
+            den = lcm(*(m.denominator for m in self._masses))
+            self._ints = (den, tuple(t.numerator * (den // t.denominator)
+                                     for t in self._tails))
+        return self._ints
 
     def __eq__(self, other):
         if not isinstance(other, FadingPmf):
@@ -174,16 +182,28 @@ def tail(pmf: FadingPmf, l: int) -> Fraction:
 
 
 @lru_cache(maxsize=8192)
+def _diff_numerators(a: FadingPmf, b: FadingPmf) -> tuple:
+    """L_a*L_b * P(N_a - N_b >= l) for l = 1..q, as integers.
+
+    P(N_a - N_b >= l) = sum_m P(N_b = m) P(N_a >= l+m), and with the masses
+    and tails of both pmfs over their lattice denominators every term is an
+    integer product.
+    """
+    _same_q(a, b)
+    q = a.q
+    _, at = a._lattice()
+    _, bt = b._lattice()
+    bm = [bt[m] - bt[m + 1] for m in range(q + 1)]
+    return tuple(sum(map(mul, bm, at[l:q + 1])) for l in range(1, q + 1))
+
+
+@lru_cache(maxsize=8192)
 def diff_tail(a: FadingPmf, b: FadingPmf, l: int) -> Fraction:
     """P(N_a - N_b >= l) for independent levels, 1 <= l <= q."""
     _same_q(a, b)
     if not 1 <= l <= a.q:
         raise ValueError(f"l={l} outside {{1..{a.q}}}")
-    q = a.q
-    return sum(
-        (b.masses[m] * a._tails[min(l + m, q + 1)] for m in range(q + 1)),
-        Fraction(0),
-    )
+    return Fraction(_diff_numerators(a, b)[l - 1], a._lattice()[0] * b._lattice()[0])
 
 
 def expect(pmf: FadingPmf) -> Fraction:
@@ -194,7 +214,7 @@ def expect(pmf: FadingPmf) -> Fraction:
 def expect_pos_diff(a: FadingPmf, b: FadingPmf) -> Fraction:
     """E[(N_a - N_b)^+] for independent levels."""
     _same_q(a, b)
-    return sum((diff_tail(a, b, l) for l in range(1, a.q + 1)), Fraction(0))
+    return Fraction(sum(_diff_numerators(a, b)), a._lattice()[0] * b._lattice()[0])
 
 
 def expect_max(a: FadingPmf, b: FadingPmf) -> Fraction:
@@ -220,40 +240,50 @@ def pos_diff_pmf(a: FadingPmf, b: FadingPmf) -> FadingPmf:
     return FadingPmf(masses)
 
 
-def _user_coefficients(own_direct, own_cross, in_cross, other_direct):
-    # own_cross is this user's signal at the other receiver; in_cross is the
-    # interference arriving at this user's receiver.
-    q = own_direct.q
-    alpha, beta, gamma = [], [], []
-    for l in range(1, q + 1):
-        clear = diff_tail(in_cross, own_direct, l)
-        alpha.append(tail(in_cross, l) - clear)
-        beta.append(_pos(tail(other_direct, l) - clear))
-        gamma.append(_pos(diff_tail(other_direct, own_cross, l) - clear))
-    return tuple(alpha), tuple(beta), tuple(gamma)
+# the difference tails "x-y" that the coefficients of both users read
+_PAIRS = (("n11", "n21"), ("n21", "n11"), ("n22", "n12"), ("n12", "n22"))
 
 
 @lru_cache(maxsize=4096)
 def layer_coefficients(spec: ChannelSpec) -> LayerCoefficients:
-    """All six coefficient vectors and the tail tables they are built from."""
-    a1, b1, g1 = _user_coefficients(spec.n11, spec.n12, spec.n21, spec.n22)
-    a2, b2, g2 = _user_coefficients(spec.n22, spec.n21, spec.n12, spec.n11)
-    q = spec.q
-    tails = {
-        name: tuple(tail(pmf, l) for l in range(1, q + 1))
-        for name, pmf in spec.links().items()
-    }
-    pairs = (("n11", "n21"), ("n21", "n11"), ("n22", "n12"), ("n12", "n22"))
-    diff_tails = {
-        f"{x}-{y}": tuple(
-            diff_tail(spec.links()[x], spec.links()[y], l) for l in range(1, q + 1)
+    """All six coefficient vectors and the tail tables they are built from.
+
+    Everything is computed on integers over the common denominator
+    M = lcm(L11*L21, L22*L12) of the links' lattice denominators, and each
+    entry becomes a Fraction once, here.
+    """
+    links = spec.links()
+    dens = {name: pmf._lattice()[0] for name, pmf in links.items()}
+    common = lcm(dens["n11"] * dens["n21"], dens["n22"] * dens["n12"])
+
+    def scaled(nums, den):
+        scale = common // den
+        return [n * scale for n in nums]
+
+    t = {name: scaled(pmf._lattice()[1][1:-1], dens[name]) for name, pmf in links.items()}
+    diff_nums = {(x, y): _diff_numerators(links[x], links[y]) for x, y in _PAIRS}
+    d = {f"{x}-{y}": scaled(nums, dens[x] * dens[y]) for (x, y), nums in diff_nums.items()}
+
+    def user(t21, t22, d2111, d2212):
+        # alpha, beta, gamma as in the class docstring; user 2 passes the
+        # vectors of the swapped links
+        return (
+            [x - c for x, c in zip(t21, d2111)],
+            [max(x - c, 0) for x, c in zip(t22, d2111)],
+            [max(x - c, 0) for x, c in zip(d2212, d2111)],
         )
-        for x, y in pairs
-    }
+
+    vectors = (user(t["n21"], t["n22"], d["n21-n11"], d["n22-n12"])
+               + user(t["n12"], t["n11"], d["n12-n22"], d["n11-n21"]))
+    a1, b1, g1, a2, b2, g2 = (tuple(Fraction(n, common) for n in v) for v in vectors)
     return LayerCoefficients(
         alpha1=a1, beta1=b1, gamma1=g1,
         alpha2=a2, beta2=b2, gamma2=g2,
-        tails=tails, diff_tails=diff_tails,
+        tails={name: pmf._tails[1:-1] for name, pmf in links.items()},
+        diff_tails={
+            f"{x}-{y}": tuple(Fraction(n, dens[x] * dens[y]) for n in nums)
+            for (x, y), nums in diff_nums.items()
+        },
     )
 
 

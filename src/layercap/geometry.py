@@ -35,7 +35,8 @@ class HalfPlane:
     __slots__ = ("a", "b", "c")
 
     def __init__(self, a, b, c):
-        a, b, c = as_fraction(a), as_fraction(b), as_fraction(c)
+        # ints are taken as they are: they are rationals with denominator 1
+        a, b, c = (x if type(x) is int else as_fraction(x) for x in (a, b, c))
         if a < 0 or b < 0:
             raise ValueError(f"coefficients must be nonnegative, got a={a}, b={b}")
         if a == 0 and b == 0:

@@ -27,7 +27,14 @@ from .channel import (
     expect_pos_diff,
     layer_coefficients,
 )
-from .bounds import _check_omega, bound_b, bound_kernel, critical_weights, family_bounds
+from .bounds import (
+    _check_family,
+    _check_omega,
+    bound_b,
+    bound_kernel,
+    critical_weights,
+    family_bounds,
+)
 from .geometry import HalfPlane, RegionPolytope, intersect
 
 
@@ -167,9 +174,6 @@ def weak_corner(spec: ChannelSpec, omega_A) -> CornerAllocation:
     )
 
 
-_MODERATE_FAMILIES = ("a", "b", "c")
-
-
 def moderate_bounds(spec: ChannelSpec, user, family, omega, mu=None) -> Fraction:
     """Simplified weighted bounds valid under (strict) moderate interference.
 
@@ -179,15 +183,12 @@ def moderate_bounds(spec: ChannelSpec, user, family, omega, mu=None) -> Fraction
     from the largest kink ratio onward; b and c agree everywhere.
     """
     _require(spec, "moderate")
-    if family not in _MODERATE_FAMILIES:
-        raise ValueError(f"family must be one of {_MODERATE_FAMILIES}, got {family!r}")
+    _check_family(family)
     kernel = bound_kernel(spec, user)
     omega = _check_omega(omega)
     if family == "a":
-        # sum_l (omega*beta(l) - alpha(l)); beta >= 0, so the sweep's total
-        # over the layers with beta > 0 is the sum over all layers
-        slack = omega * kernel.beta.dens[-1] - kernel.alpha_sum
-        return kernel.e11 + omega * kernel.lift + slack
+        # the kink sum without its clamp: sum_l (omega*beta(l) - alpha(l))
+        return kernel.e11 + omega * (kernel.lift + kernel.beta_sum) - kernel.alpha_sum
     if family == "b":
         return (1 - omega) * kernel.e11 + omega * (kernel.e21 + kernel.e12)
     mu = as_fraction(mu) if mu is not None else None

@@ -1,8 +1,11 @@
-"""The bisection kernel against a direct per-layer reference of the bounds.
+"""The integer bound kernel against a direct per-layer reference of the bounds.
 
 The reference evaluates the three formulas of the bounds module docstring
 layer by layer, with plain Fraction sums, [.]^+ and max, from tails and
-difference tails alone; user 2 goes through swap_users.
+difference tails alone; user 2 goes through swap_users.  Every path into
+the kernel is checked against it: bound_a/b/c, the critical-weight bounds
+of outer_halfplanes and the weight grid of grid_bounds, including the
+half-plane each bound builds from the kernel's integers.
 """
 
 from fractions import Fraction
@@ -11,17 +14,18 @@ from hypothesis import given, settings, strategies as st
 
 from layercap import (
     FAMILIES,
-    ChannelSpec,
-    FadingPmf,
+    HalfPlane,
     bound_a,
     bound_b,
     bound_c,
     critical_weights,
     diff_tail,
+    grid_bounds,
     outer_halfplanes,
     swap_users,
     tail,
 )
+from strategies import specs, unit_rationals
 
 F = Fraction
 
@@ -52,6 +56,14 @@ def reference(spec, user, family, omega, mu=None):
     return e11 + omega * lift + kinks + top
 
 
+def plane_of(wb):
+    """The bound's half-plane built from its Fraction weights and value."""
+    own = 1 if wb.mu is None else 1 + wb.mu
+    if wb.family[0] == "1":
+        return HalfPlane(own, wb.omega, wb.value)
+    return HalfPlane(wb.omega, own, wb.value)
+
+
 def ratios(spec, user):
     """Every kink ratio of the user's three sweeps that lies in [0, 1]."""
     sp = spec if user == 1 else swap_users(spec)
@@ -66,26 +78,6 @@ def ratios(spec, user):
         if t11 > 0 and t12 <= t11:
             out.add(t12 / t11)
     return sorted(out)
-
-
-@st.composite
-def pmfs(draw, q):
-    # small integer weights: zero masses and equal tails, hence ties, are common
-    weights = draw(st.lists(st.integers(0, 4), min_size=q + 1, max_size=q + 1))
-    if sum(weights) == 0:
-        weights[draw(st.integers(0, q))] = 1
-    total = sum(weights)
-    return FadingPmf([F(w, total) for w in weights])
-
-
-@st.composite
-def specs(draw):
-    q = draw(st.integers(1, 8))
-    return ChannelSpec(*(draw(pmfs(q)) for _ in range(4)))
-
-
-def unit_rationals():
-    return st.builds(lambda n, d: F(min(n, d), d), st.integers(0, 97), st.integers(1, 97))
 
 
 @settings(max_examples=500, deadline=None)
@@ -119,3 +111,21 @@ def test_outer_halfplanes_order_and_values(spec):
         assert weights == sorted(weights)
         for wb in mine:
             assert wb.value == reference(spec, user, family, wb.omega, wb.mu)
+            assert wb.halfplane() == plane_of(wb)
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=specs(), steps=st.integers(1, 8))
+def test_grid_bounds_match_reference(spec, steps):
+    bounds = grid_bounds(spec, steps)
+    weights = [F(k, steps) for k in range(steps + 1)]
+    expected = []
+    for user in (1, 2):
+        expected += [(f"{user}a", om, None) for om in weights]
+        expected += [(f"{user}b", om, None) for om in weights]
+        expected += [(f"{user}c", om, mu) for om in weights for mu in weights if mu <= om]
+    assert [(wb.family, wb.omega, wb.mu) for wb in bounds] == expected
+    for wb in bounds:
+        assert isinstance(wb.value, Fraction)
+        assert wb.value == reference(spec, int(wb.family[0]), wb.family[1], wb.omega, wb.mu)
+        assert wb.halfplane() == plane_of(wb)

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from layercap import (
     FAMILIES,
@@ -22,12 +22,14 @@ from layercap import (
     family_region,
     grid_bounds,
     intersect,
+    moderate_bounds,
     outer_halfplanes,
     outer_region,
     random_spec,
     swap_users,
     symmetric_bernoulli,
 )
+from strategies import specs, unit_rationals
 
 F = Fraction
 
@@ -93,28 +95,68 @@ def test_bounds_affine_between_critical_weights():
                     ) / 2
 
 
-def test_bounds_convex_in_weight():
+def with_examples(cases):
+    """Attach each keyword dict in cases to a hypothesis test as an @example."""
+    def attach(test):
+        for case in cases:
+            test = example(**case)(test)
+        return test
+    return attach
+
+
+def seeded_convex_cases():
+    # 30 seeded random specs and weight pairs, always run as fixed examples
     rng = random.Random(3)
     for _ in range(30):
         spec = random_spec(rng, rng.randint(1, 2))
         w1 = F(rng.randint(0, 16), 16)
         w2 = F(rng.randint(0, 16), 16)
-        mid = (w1 + w2) / 2
-        for fn in (bound_a, bound_b):
-            assert fn(spec, 1, mid) <= (fn(spec, 1, w1) + fn(spec, 1, w2)) / 2
+        yield dict(spec=spec, user=1, w1=w1, w2=w2, r1=F(0), r2=F(1))
 
 
-def test_bounds_nondecreasing_in_weights():
+def seeded_monotone_cases():
+    # 25 seeded random specs on the weight grid k/6 and the mu/omega grid
+    # k/4, always run as fixed examples
     rng = random.Random(823)
     for _ in range(25):
         spec = random_spec(rng, rng.randint(1, 3))
-        grid = [F(k, 6) for k in range(7)]
-        for fn in (bound_a, bound_b):
-            vals = [fn(spec, 1, w) for w in grid]
-            assert all(x <= y for x, y in zip(vals, vals[1:]))
-        for omega in (F(1, 2), F(1)):
-            vals = [bound_c(spec, 1, omega, omega * F(k, 4)) for k in range(5)]
-            assert all(x <= y for x, y in zip(vals, vals[1:]))
+        yield dict(spec=spec, user=1, weights=[F(k, 6) for k in range(7)],
+                   ratios=[F(k, 4) for k in range(5)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=specs(), user=st.sampled_from((1, 2)), w1=unit_rationals(),
+       w2=unit_rationals(), r1=unit_rationals(), r2=unit_rationals())
+@with_examples(list(seeded_convex_cases()))
+def test_bounds_convex_in_weight(spec, user, w1, w2, r1, r2):
+    mid = (w1 + w2) / 2
+    for fn in (bound_a, bound_b):
+        assert fn(spec, user, mid) <= (fn(spec, user, w1) + fn(spec, user, w2)) / 2
+    # c is jointly convex in (omega, mu); mu = r*omega keeps both ends and
+    # their midpoint inside mu <= omega
+    mu1, mu2 = w1 * r1, w2 * r2
+    assert bound_c(spec, user, mid, (mu1 + mu2) / 2) <= (
+        bound_c(spec, user, w1, mu1) + bound_c(spec, user, w2, mu2)) / 2
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=specs(), user=st.sampled_from((1, 2)),
+       weights=st.lists(unit_rationals(), min_size=2, max_size=8),
+       ratios=st.lists(unit_rationals(), min_size=2, max_size=6))
+@with_examples(list(seeded_monotone_cases()))
+def test_bounds_nondecreasing_in_weights(spec, user, weights, ratios):
+    weights, ratios = sorted(weights), sorted(ratios)
+
+    def nondecreasing(vals):
+        return all(x <= y for x, y in zip(vals, vals[1:]))
+
+    for fn in (bound_a, bound_b):
+        assert nondecreasing([fn(spec, user, w) for w in weights])
+    for omega in weights:
+        assert nondecreasing([bound_c(spec, user, omega, omega * r) for r in ratios])
+    # and in omega at a fixed mu that every omega admits
+    mu = weights[0] * ratios[0]
+    assert nondecreasing([bound_c(spec, user, w, mu) for w in weights])
 
 
 def test_finite_constraints_imply_continuum():
@@ -188,8 +230,12 @@ def test_bound_argument_validation():
         bound_a(MOD1, 1, F(3, 2))
     with pytest.raises(ValueError):
         bound_c(MOD1, 1, F(1, 2), F(3, 4))
-    with pytest.raises(ValueError):
+    # one family check, one message, for both callers that take a family
+    family_error = "family must be 'a', 'b' or 'c', got 'd'"
+    with pytest.raises(ValueError, match=family_error):
         critical_weights(MOD1, 1, "d")
+    with pytest.raises(ValueError, match=family_error):
+        moderate_bounds(MOD1, 1, "d", F(1, 2))
     with pytest.raises(ValueError):
         family_bounds(MOD1, 0, "a")
 

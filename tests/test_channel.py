@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from layercap import (
     ChannelSpec,
@@ -198,3 +199,52 @@ def test_channel_spec_rejects_mixed_support():
             n21=FadingPmf.uniform(1),
             n22=FadingPmf.uniform(1),
         )
+
+
+# distinct primes near 10^9 and 2^61: the four links' lattice denominators
+# are large and pairwise coprime, so products never cancel by accident
+PRIMES = (1_000_000_007, 998_244_353, 2_305_843_009_213_693_951, 1_000_000_009)
+
+
+@st.composite
+def coprime_specs(draw):
+    q = draw(st.integers(1, 8))
+    links = []
+    for prime in PRIMES:
+        cuts = sorted(draw(st.lists(st.integers(0, prime), min_size=q, max_size=q)))
+        bounds = [0] + cuts + [prime]
+        links.append(FadingPmf([F(hi - lo, prime) for lo, hi in zip(bounds, bounds[1:])]))
+    return ChannelSpec(*links)
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=coprime_specs(), swap=st.booleans())
+def test_layer_coefficients_match_definition(spec, swap):
+    spec = swap_users(spec) if swap else spec
+    links = spec.links()
+    q = spec.q
+
+    def at_least(pmf, l):
+        return sum(pmf.masses[l:], F(0))
+
+    def diff(a, b, l):
+        # P(N_a - N_b >= l) = sum_m P(N_b = m) P(N_a >= l + m)
+        return sum((b.masses[m] * at_least(a, l + m) for m in range(q + 1)), F(0))
+
+    co = layer_coefficients(spec)
+    layers = range(1, q + 1)
+    for key, vec in co.diff_tails.items():
+        a, b = (links[name] for name in key.split("-"))
+        assert vec == tuple(diff(a, b, l) for l in layers)
+        assert vec == tuple(diff_tail(a, b, l) for l in layers)
+    for name, vec in co.tails.items():
+        assert vec == tuple(at_least(links[name], l) for l in layers)
+    for user, (n11, n12, n21, n22) in ((1, ("n11", "n12", "n21", "n22")),
+                                       (2, ("n22", "n21", "n12", "n11"))):
+        n11, n12, n21, n22 = (links[n] for n in (n11, n12, n21, n22))
+        clear = [diff(n21, n11, l) for l in layers]
+        alpha = tuple(at_least(n21, l) - c for l, c in zip(layers, clear))
+        beta = tuple(max(at_least(n22, l) - c, 0) for l, c in zip(layers, clear))
+        gamma = tuple(max(diff(n22, n12, l) - c, 0) for l, c in zip(layers, clear))
+        assert (getattr(co, f"alpha{user}"), getattr(co, f"beta{user}"),
+                getattr(co, f"gamma{user}")) == (alpha, beta, gamma)
