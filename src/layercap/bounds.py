@@ -41,9 +41,9 @@ bound is then one integer expression over r*D, for example
 
     r*D * c(p/r, m/r) = r*(E11 - A) + p*(LIFT + G) + m*X + p*(E12 - Y),
 
-and one Fraction is built per value.  The bound's half-plane comes from the
-same integers: for 1c it is (r+m)*D*R1 + p*D*R2 <= r*D*c.  A bound costs
-O(log q) integer operations on numbers the size of r*D.
+and one Fraction is built per value.  A bound's half-plane puts its weights
+and value over one denominator and is built from those integers.  A bound
+costs O(log q) integer operations on numbers the size of r*D.
 """
 
 from __future__ import annotations
@@ -91,16 +91,21 @@ class WeightedBound:
     value: Fraction
 
     def __post_init__(self):
+        # the range checks compare numerators and (positive) denominators as
+        # integers: a Fraction comparison costs several times as much, and a
+        # dense grid builds tens of thousands of bounds
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
-        if not 0 <= self.omega <= 1:
+        p, r = self.omega.numerator, self.omega.denominator
+        if not 0 <= p <= r:
             raise ValueError(f"omega must lie in [0, 1], got {self.omega}")
+        mu = self.mu
         if self.family.endswith("c"):
-            if self.mu is None or not 0 <= self.mu <= self.omega:
-                raise ValueError(f"c-family needs mu in [0, omega], got {self.mu}")
-        elif self.mu is not None:
+            if mu is None or not 0 <= mu.numerator * r <= p * mu.denominator:
+                raise ValueError(f"c-family needs mu in [0, omega], got {mu}")
+        elif mu is not None:
             raise ValueError("mu only applies to c-families")
-        if self.value < 0:
+        if self.value.numerator < 0:
             raise ValueError(f"bound value must be nonnegative, got {self.value}")
 
     def halfplane(self) -> HalfPlane:
@@ -108,11 +113,17 @@ class WeightedBound:
 
     @cached_property
     def _plane(self) -> HalfPlane:
-        # built once per bound: intersect and the active selection both read it
-        own = 1 if self.mu is None else 1 + self.mu
+        # built once per bound: intersect and the active selection both read
+        # it.  The three coefficients go over one denominator as integers,
+        # which HalfPlane takes as they are
+        omega, mu, value = self.omega, self.mu or 0, self.value
+        den = lcm(omega.denominator, mu.denominator, value.denominator)
+        own = den + mu.numerator * (den // mu.denominator)
+        cross = omega.numerator * (den // omega.denominator)
+        rhs = value.numerator * (den // value.denominator)
         if self.family[0] == "1":
-            return HalfPlane(own, self.omega, self.value)
-        return HalfPlane(self.omega, own, self.value)
+            return HalfPlane(own, cross, rhs)
+        return HalfPlane(cross, own, rhs)
 
 
 class _Sweep:
@@ -211,16 +222,6 @@ class BoundKernel:
         """The bound whose numerator over r*D is num."""
         return Fraction(num, r * self.den)
 
-    def bound(self, tag, omega, mu, num, p, m, r) -> WeightedBound:
-        """The WeightedBound at omega = p/r (mu = m/r, m = 0 without mu) with
-        numerator num, its half-plane built from the same integers."""
-        own, cross = (r + m) * self.den, p * self.den
-        plane = HalfPlane(own, cross, num) if tag[0] == "1" else HalfPlane(cross, own, num)
-        wb = WeightedBound(tag, omega, mu, self.value(num, r))
-        # fills the cached _plane: the same half-plane, without Fractions
-        wb.__dict__["_plane"] = plane
-        return wb
-
     def top_sum(self, omega, mu) -> Fraction:
         """sum_l max(mu*P(N11 >= l), omega*P(N12 >= l)) for 0 <= mu <= omega."""
         p, m, r = _over_one_denominator(omega, mu)
@@ -315,12 +316,12 @@ def family_bounds(spec: ChannelSpec, user, family) -> list:
         out = []
         for om, mu in weights:
             p, m, r = _over_one_denominator(om, mu)
-            out.append(kernel.bound(tag, om, mu, kernel.c(p, m, r), p, m, r))
+            out.append(WeightedBound(tag, om, mu, kernel.value(kernel.c(p, m, r), r)))
         return out
     evaluate = kernel.a if family == "a" else kernel.b
     return [
-        kernel.bound(tag, om, None, evaluate(om.numerator, om.denominator),
-                     om.numerator, 0, om.denominator)
+        WeightedBound(tag, om, None,
+                      kernel.value(evaluate(om.numerator, om.denominator), om.denominator))
         for om in weights
     ]
 
@@ -352,12 +353,12 @@ def grid_bounds(spec: ChannelSpec, steps: int) -> list:
     out = []
     for user in (1, 2):
         kernel = bound_kernel(spec, user)
-        bound = kernel.bound
+        value = kernel.value
         for tag, evaluate in ((f"{user}a", kernel.a), (f"{user}b", kernel.b)):
-            out += [bound(tag, om, None, evaluate(k, steps), k, 0, steps)
+            out += [WeightedBound(tag, om, None, value(evaluate(k, steps), steps))
                     for k, om in enumerate(weights)]
         tag, c = f"{user}c", kernel.c
-        out += [bound(tag, om, weights[j], c(k, j, steps), k, j, steps)
+        out += [WeightedBound(tag, om, weights[j], value(c(k, j, steps), steps))
                 for k, om in enumerate(weights) for j in range(k + 1)]
     return out
 

@@ -32,11 +32,12 @@ class FadingPmf:
     """Exact pmf of a fading level on {0, ..., q}.
 
     masses[n] = P(N = n); q is implied by the length of the mass vector.
-    Instances are immutable and hashable; the tail vector and the hash are
+    Instances are immutable and hashable; the tail vector, its integer
+    numerators over the lcm of the mass denominators, and the hash are
     computed once, so tail lookups and cache keys cost O(1).
     """
 
-    __slots__ = ("_masses", "_tails", "_hash", "_ints")
+    __slots__ = ("_masses", "_tails", "_hash", "_den", "_int_tails")
 
     def __init__(self, masses):
         entries = tuple(as_fraction(m) for m in masses)
@@ -44,17 +45,20 @@ class FadingPmf:
             raise ValueError("pmf needs at least the level-0 mass")
         if any(m < 0 for m in entries):
             raise ValueError("pmf masses must be nonnegative")
-        # suffix sums: tails[l] = P(N >= l) for l in 0..q+1
-        tails = [Fraction(0)]
+        # the masses as integers over den, the lcm of their denominators, and
+        # their suffix sums: int_tails[l] = den * P(N >= l) for l in 0..q+1
+        den = lcm(*(m.denominator for m in entries))
+        int_tails = [0]
         for m in reversed(entries):
-            tails.append(tails[-1] + m)
-        tails.reverse()
-        if tails[0] != 1:
-            raise ValueError(f"pmf masses must sum to 1, got {tails[0]}")
+            int_tails.append(int_tails[-1] + m.numerator * (den // m.denominator))
+        int_tails.reverse()
+        if int_tails[0] != den:
+            raise ValueError(f"pmf masses must sum to 1, got {Fraction(int_tails[0], den)}")
         self._masses = entries
-        self._tails = tuple(tails)
+        self._tails = tuple(Fraction(t, den) for t in int_tails)
         self._hash = hash(entries)
-        self._ints = None
+        self._den = den
+        self._int_tails = tuple(int_tails)
 
     @classmethod
     def point(cls, level: int, q: int) -> "FadingPmf":
@@ -95,15 +99,6 @@ class FadingPmf:
         if not 0 <= n <= self.q:
             raise ValueError(f"level {n} outside {{0..{self.q}}}")
         return self._masses[n]
-
-    def _lattice(self) -> tuple:
-        """(L, tails) with L the lcm of the mass denominators and integer
-        tails[l] = L * P(N >= l) for l in 0..q+1; computed once."""
-        if self._ints is None:
-            den = lcm(*(m.denominator for m in self._masses))
-            self._ints = (den, tuple(t.numerator * (den // t.denominator)
-                                     for t in self._tails))
-        return self._ints
 
     def __eq__(self, other):
         if not isinstance(other, FadingPmf):
@@ -182,28 +177,29 @@ def tail(pmf: FadingPmf, l: int) -> Fraction:
 
 
 @lru_cache(maxsize=8192)
-def _diff_numerators(a: FadingPmf, b: FadingPmf) -> tuple:
-    """L_a*L_b * P(N_a - N_b >= l) for l = 1..q, as integers.
+def _diff_tails(a: FadingPmf, b: FadingPmf) -> tuple:
+    """(nums, tails) for l = 1..q: tails[l-1] = P(N_a - N_b >= l) and
+    nums[l-1] = L_a*L_b * tails[l-1], as integers.
 
     P(N_a - N_b >= l) = sum_m P(N_b = m) P(N_a >= l+m), and with the masses
-    and tails of both pmfs over their lattice denominators every term is an
-    integer product.
+    and tails of both pmfs as integers over L_a and L_b, the lcms of their
+    mass denominators, every term is an integer product.
     """
     _same_q(a, b)
     q = a.q
-    _, at = a._lattice()
-    _, bt = b._lattice()
+    at, bt = a._int_tails, b._int_tails
     bm = [bt[m] - bt[m + 1] for m in range(q + 1)]
-    return tuple(sum(map(mul, bm, at[l:q + 1])) for l in range(1, q + 1))
+    nums = tuple(sum(map(mul, bm, at[l:q + 1])) for l in range(1, q + 1))
+    den = a._den * b._den
+    return nums, tuple(Fraction(n, den) for n in nums)
 
 
-@lru_cache(maxsize=8192)
 def diff_tail(a: FadingPmf, b: FadingPmf, l: int) -> Fraction:
     """P(N_a - N_b >= l) for independent levels, 1 <= l <= q."""
-    _same_q(a, b)
-    if not 1 <= l <= a.q:
-        raise ValueError(f"l={l} outside {{1..{a.q}}}")
-    return Fraction(_diff_numerators(a, b)[l - 1], a._lattice()[0] * b._lattice()[0])
+    tails = _diff_tails(a, b)[1]
+    if not 1 <= l <= len(tails):
+        raise ValueError(f"l={l} outside {{1..{len(tails)}}}")
+    return tails[l - 1]
 
 
 def expect(pmf: FadingPmf) -> Fraction:
@@ -214,7 +210,7 @@ def expect(pmf: FadingPmf) -> Fraction:
 def expect_pos_diff(a: FadingPmf, b: FadingPmf) -> Fraction:
     """E[(N_a - N_b)^+] for independent levels."""
     _same_q(a, b)
-    return Fraction(sum(_diff_numerators(a, b)), a._lattice()[0] * b._lattice()[0])
+    return Fraction(sum(_diff_tails(a, b)[0]), a._den * b._den)
 
 
 def expect_max(a: FadingPmf, b: FadingPmf) -> Fraction:
@@ -249,20 +245,20 @@ def layer_coefficients(spec: ChannelSpec) -> LayerCoefficients:
     """All six coefficient vectors and the tail tables they are built from.
 
     Everything is computed on integers over the common denominator
-    M = lcm(L11*L21, L22*L12) of the links' lattice denominators, and each
+    M = lcm(L11*L21, L22*L12), L the lcm of a link's mass denominators; each
     entry becomes a Fraction once, here.
     """
     links = spec.links()
-    dens = {name: pmf._lattice()[0] for name, pmf in links.items()}
+    dens = {name: pmf._den for name, pmf in links.items()}
     common = lcm(dens["n11"] * dens["n21"], dens["n22"] * dens["n12"])
 
     def scaled(nums, den):
         scale = common // den
         return [n * scale for n in nums]
 
-    t = {name: scaled(pmf._lattice()[1][1:-1], dens[name]) for name, pmf in links.items()}
-    diff_nums = {(x, y): _diff_numerators(links[x], links[y]) for x, y in _PAIRS}
-    d = {f"{x}-{y}": scaled(nums, dens[x] * dens[y]) for (x, y), nums in diff_nums.items()}
+    t = {name: scaled(pmf._int_tails[1:-1], dens[name]) for name, pmf in links.items()}
+    diffs = {f"{x}-{y}": _diff_tails(links[x], links[y]) for x, y in _PAIRS}
+    d = {f"{x}-{y}": scaled(diffs[f"{x}-{y}"][0], dens[x] * dens[y]) for x, y in _PAIRS}
 
     def user(t21, t22, d2111, d2212):
         # alpha, beta, gamma as in the class docstring; user 2 passes the
@@ -280,10 +276,7 @@ def layer_coefficients(spec: ChannelSpec) -> LayerCoefficients:
         alpha1=a1, beta1=b1, gamma1=g1,
         alpha2=a2, beta2=b2, gamma2=g2,
         tails={name: pmf._tails[1:-1] for name, pmf in links.items()},
-        diff_tails={
-            f"{x}-{y}": tuple(Fraction(n, dens[x] * dens[y]) for n in nums)
-            for (x, y), nums in diff_nums.items()
-        },
+        diff_tails={key: tails for key, (_, tails) in diffs.items()},
     )
 
 

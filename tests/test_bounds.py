@@ -202,10 +202,24 @@ def test_grid_region_contains_exact_region():
 def test_weighted_bound_validation():
     WeightedBound(family="1a", omega=F(1, 2), mu=None, value=F(1))
     WeightedBound(family="2c", omega=F(1, 2), mu=F(1, 4), value=F(0))
+    # the ends of the weight ranges are allowed
+    WeightedBound(family="1a", omega=F(0), mu=None, value=F(1))
+    WeightedBound(family="2b", omega=F(1), mu=None, value=F(1))
+    WeightedBound(family="1c", omega=F(2, 3), mu=F(2, 3), value=F(1))
+    WeightedBound(family="2c", omega=F(2, 3), mu=F(0), value=F(1))
+    WeightedBound(family="1c", omega=F(2, 3), mu=F(3, 5), value=F(1))
     with pytest.raises(ValueError):
         WeightedBound(family="3a", omega=F(0), mu=None, value=F(1))
     with pytest.raises(ValueError):
         WeightedBound(family="1a", omega=F(3, 2), mu=None, value=F(1))
+    with pytest.raises(ValueError):
+        WeightedBound(family="2a", omega=F(-1, 2), mu=None, value=F(1))
+    with pytest.raises(ValueError):
+        WeightedBound(family="1c", omega=F(1, 2), mu=None, value=F(1))
+    with pytest.raises(ValueError):
+        WeightedBound(family="1c", omega=F(1, 2), mu=F(-1, 4), value=F(1))
+    with pytest.raises(ValueError):
+        WeightedBound(family="2c", omega=F(2, 3), mu=F(7, 10), value=F(1))
     with pytest.raises(ValueError):
         WeightedBound(family="1a", omega=F(1, 2), mu=F(1, 4), value=F(1))
     with pytest.raises(ValueError):

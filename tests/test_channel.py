@@ -109,6 +109,12 @@ def test_diff_tail_rejects_mismatched_supports():
         diff_tail(FadingPmf.uniform(1), FadingPmf.uniform(2), 1)
 
 
+@pytest.mark.parametrize("l", [0, 3])
+def test_diff_tail_rejects_layers_outside_1_to_q(l):
+    with pytest.raises(ValueError, match="outside"):
+        diff_tail(FadingPmf.uniform(2), FadingPmf.point(1, 2), l)
+
+
 def test_expect_max_pinned():
     assert expect_max(bern("1/2"), bern("1/3")) == F(2, 3)
 
