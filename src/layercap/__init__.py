@@ -2,8 +2,8 @@
 channels with receiver-only channel knowledge.
 
 Everything region-shaped is computed in exact rational arithmetic; the
-oracles module cross-checks the exact statistics against Monte Carlo
-simulation of the channel itself.
+oracles module cross-checks the exact level statistics against Monte Carlo
+estimates from sampled fading levels.
 """
 
 from .bounds import (
@@ -53,15 +53,13 @@ from .geometry import (
 )
 from .oracles import (
     CouplingReport,
-    CouplingTriple,
-    GridReport,
     MCStatsReport,
     SimConfig,
     coupling_check,
+    dominated,
     exact_stats,
-    grid_cross_check,
     mc_estimate_stats,
-    simulate_channel,
+    prob_sandwich,
 )
 from .regimes import (
     CornerAllocation,

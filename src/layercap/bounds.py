@@ -77,6 +77,13 @@ def _check_omega(omega) -> Fraction:
     return omega
 
 
+def _check_mu(omega: Fraction, mu) -> Fraction:
+    """mu as a Fraction in [0, omega], for an omega that passed _check_omega."""
+    if mu is None or not 0 <= as_fraction(mu) <= omega:
+        raise ValueError(f"mu must lie in [0, omega], got mu={mu}, omega={omega}")
+    return as_fraction(mu)
+
+
 @dataclass(frozen=True)
 class WeightedBound:
     """One evaluated bound: family tag, weights and right-hand side.
@@ -167,10 +174,6 @@ def _over_one_denominator(omega: Fraction, mu: Fraction) -> tuple:
     return omega.numerator * (r // omega.denominator), mu.numerator * (r // mu.denominator), r
 
 
-def _sum_property(index, doc):
-    return property(lambda kernel: Fraction(kernel._sums[index], kernel.den), doc=doc)
-
-
 class BoundKernel:
     """One user's three bound families as integers over one denominator D.
 
@@ -180,18 +183,17 @@ class BoundKernel:
     its sweep a bound is affine in omega: with the layers below omega = p/r
     counted by the sweep, r*D times the a- or b-bound is r*const + p*slope
     for the (const, slope) that _a or _b holds at that count; _c and _top
-    do the same for the c-family's two sums.  D stays inside this module:
-    the sum properties and top_sum return Fractions.
+    do the same for the c-family's two sums.  The methods return integer
+    numerators over r*D; only this module turns them into Fractions.
     """
 
-    __slots__ = ("den", "_sums", "beta", "gamma", "top", "_a", "_b", "_c", "_top")
+    __slots__ = ("den", "beta", "gamma", "top", "_a", "_b", "_c", "_top")
 
     def __init__(self, den, t11, t21, t12, clear, cross, alpha, beta, gamma):
         # t11, t21, t12: tails; clear: P(N21 - N11 >= l); cross:
         # max(P(N11 - N21 >= l), P(N12 >= l)); all numerators over den
         e11, e21, e12, lift = sum(t11), sum(t21), sum(t12), sum(clear)
         self.den = den
-        self._sums = (e11, e21, e12, lift, sum(alpha), sum(beta))
         self.beta = _Sweep(alpha, beta)
         self.gamma = _Sweep(alpha, gamma)
         self.top = _Sweep(t12, t11)
@@ -217,23 +219,6 @@ class BoundKernel:
         const, slope = self._c[self.gamma.below(p, r)]
         own, rest = self._top[self.top.below(m, p)]
         return r * const + p * (slope + rest) + m * own
-
-    def value(self, num, r) -> Fraction:
-        """The bound whose numerator over r*D is num."""
-        return Fraction(num, r * self.den)
-
-    def top_sum(self, omega, mu) -> Fraction:
-        """sum_l max(mu*P(N11 >= l), omega*P(N12 >= l)) for 0 <= mu <= omega."""
-        p, m, r = _over_one_denominator(omega, mu)
-        own, rest = self._top[self.top.below(m, p)]
-        return Fraction(m * own + p * rest, r * self.den)
-
-    e11 = _sum_property(0, "E[N11]")
-    e21 = _sum_property(1, "E[N21]")
-    e12 = _sum_property(2, "E[N12] = sum_l P(N12 >= l)")
-    lift = _sum_property(3, "E[(N21-N11)^+]")
-    alpha_sum = _sum_property(4, "sum_l alpha(l)")
-    beta_sum = _sum_property(5, "sum_l beta(l)")
 
 
 # link names of (N11, N12, N21) in each user's frame
@@ -261,26 +246,23 @@ def bound_kernel(spec: ChannelSpec, user) -> BoundKernel:
 def bound_a(spec: ChannelSpec, user, omega) -> Fraction:
     """Right-hand side of the a-family bound at weight omega."""
     kernel = bound_kernel(spec, user)
-    omega = _check_omega(omega)
-    return kernel.value(kernel.a(omega.numerator, omega.denominator), omega.denominator)
+    p, r = _check_omega(omega).as_integer_ratio()
+    return Fraction(kernel.a(p, r), r * kernel.den)
 
 
 def bound_b(spec: ChannelSpec, user, omega) -> Fraction:
     """Right-hand side of the b-family bound at weight omega."""
     kernel = bound_kernel(spec, user)
-    omega = _check_omega(omega)
-    return kernel.value(kernel.b(omega.numerator, omega.denominator), omega.denominator)
+    p, r = _check_omega(omega).as_integer_ratio()
+    return Fraction(kernel.b(p, r), r * kernel.den)
 
 
 def bound_c(spec: ChannelSpec, user, omega, mu) -> Fraction:
     """Right-hand side of the c-family bound at weights (omega, mu), mu <= omega."""
     kernel = bound_kernel(spec, user)
     omega = _check_omega(omega)
-    mu = as_fraction(mu)
-    if not 0 <= mu <= omega:
-        raise ValueError(f"mu must lie in [0, omega], got mu={mu}, omega={omega}")
-    p, m, r = _over_one_denominator(omega, mu)
-    return kernel.value(kernel.c(p, m, r), r)
+    p, m, r = _over_one_denominator(omega, _check_mu(omega, mu))
+    return Fraction(kernel.c(p, m, r), r * kernel.den)
 
 
 def critical_weights(spec: ChannelSpec, user, family):
@@ -316,12 +298,12 @@ def family_bounds(spec: ChannelSpec, user, family) -> list:
         out = []
         for om, mu in weights:
             p, m, r = _over_one_denominator(om, mu)
-            out.append(WeightedBound(tag, om, mu, kernel.value(kernel.c(p, m, r), r)))
+            out.append(WeightedBound(tag, om, mu, Fraction(kernel.c(p, m, r), r * kernel.den)))
         return out
-    evaluate = kernel.a if family == "a" else kernel.b
+    evaluate, den = (kernel.a if family == "a" else kernel.b), kernel.den
     return [
         WeightedBound(tag, om, None,
-                      kernel.value(evaluate(om.numerator, om.denominator), om.denominator))
+                      Fraction(evaluate(om.numerator, om.denominator), om.denominator * den))
         for om in weights
     ]
 
@@ -353,12 +335,12 @@ def grid_bounds(spec: ChannelSpec, steps: int) -> list:
     out = []
     for user in (1, 2):
         kernel = bound_kernel(spec, user)
-        value = kernel.value
+        den = steps * kernel.den  # every value's denominator over the grid
         for tag, evaluate in ((f"{user}a", kernel.a), (f"{user}b", kernel.b)):
-            out += [WeightedBound(tag, om, None, value(evaluate(k, steps), steps))
+            out += [WeightedBound(tag, om, None, Fraction(evaluate(k, steps), den))
                     for k, om in enumerate(weights)]
         tag, c = f"{user}c", kernel.c
-        out += [WeightedBound(tag, om, weights[j], value(c(k, j, steps), steps))
+        out += [WeightedBound(tag, om, weights[j], Fraction(c(k, j, steps), den))
                 for k, om in enumerate(weights) for j in range(k + 1)]
     return out
 

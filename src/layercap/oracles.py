@@ -1,11 +1,12 @@
-"""Independent validation paths: simulation, coupling identities, grid checks.
+"""Independent validation paths: Monte Carlo statistics and coupling identities.
 
-The Monte Carlo simulator draws the physical channel directly and estimates
-every statistic the exact machinery computes; agreement is evidence the
-convolution formulas and the sampler describe the same channel.  The
-coupling check verifies, analytically, the quantile-coupling identities that
-tie the difference-level variables together.  The grid check confirms the
-polytope membership test against raw constraint evaluation.
+The Monte Carlo estimator draws the four links' fading levels, never
+received words, and estimates every tail, difference-tail and expectation
+statistic the exact machinery computes from its sample frequencies;
+agreement is evidence the convolution formulas and the sampler describe the
+same level distributions.  The coupling check verifies, analytically, the
+quantile-coupling identities that tie the difference-level variables
+together.
 """
 
 from __future__ import annotations
@@ -26,8 +27,6 @@ from .channel import (
     pos_diff_pmf,
     tail,
 )
-from .bounds import outer_halfplanes, outer_region
-from .geometry import RegionPolytope
 
 _LINKS = ("n11", "n12", "n21", "n22")
 _DIFF_PAIRS = (("n11", "n21"), ("n21", "n11"), ("n22", "n12"), ("n12", "n22"))
@@ -74,37 +73,6 @@ def _level_chunks(cfg: SimConfig):
         yield levels
         done += m
         chunk += 1
-
-
-def _received(word: np.ndarray, levels: np.ndarray, q: int) -> np.ndarray:
-    # a level-N link delivers the word shifted down by q-N layers, zeros on top
-    j = np.arange(1, q + 1)
-    idx = j[None, :] - q + levels[:, None] - 1
-    if q == 0:
-        return np.zeros((levels.shape[0], 0), dtype=np.uint8)
-    vals = word[np.clip(idx, 0, q - 1)]
-    return np.where(idx >= 0, vals, 0).astype(np.uint8)
-
-
-def simulate_channel(cfg: SimConfig, w, x):
-    """Both receivers' observed words for fixed inputs, one row per sample.
-
-    w and x are the two transmitters' q-layer binary words (index 0 is the
-    top layer).  Returns (y, z) uint8 arrays of shape (samples, q).
-    """
-    q = cfg.spec.q
-    w = np.asarray(w, dtype=np.uint8)
-    x = np.asarray(x, dtype=np.uint8)
-    if w.shape != (q,) or x.shape != (q,):
-        raise ValueError(f"inputs must be length-{q} bit vectors")
-    if w.max(initial=0) > 1 or x.max(initial=0) > 1:
-        raise ValueError("inputs must be 0/1 vectors")
-    ys, zs = [], []
-    for levels in _level_chunks(cfg):
-        n11, n12, n21, n22 = levels
-        ys.append(_received(w, n11, q) ^ _received(x, n21, q))
-        zs.append(_received(w, n12, q) ^ _received(x, n22, q))
-    return np.concatenate(ys), np.concatenate(zs)
 
 
 @dataclass(frozen=True)
@@ -210,33 +178,24 @@ def mc_estimate_stats(cfg: SimConfig) -> MCStatsReport:
     return MCStatsReport(samples=m, seed=cfg.seed, entries=tuple(entries))
 
 
-@dataclass(frozen=True)
-class CouplingTriple:
-    """Three level distributions driven by one shared uniform variable.
+# Coupled variables are the pseudo-inverse cdfs F^{-1}(v) = inf {u : F(u) >= v}
+# of one shared uniform draw v.  That keeps every marginal and turns joint
+# events into interval arithmetic on cdf values: {X >= l} is {v > F_X(l-1)}.
 
-    Each variable is realized as the pseudo-inverse cdf F^{-1}(v) =
-    inf {u : F(u) >= v} applied to the same uniform draw, which preserves
-    the marginals and turns joint events into interval arithmetic on cdf
-    values: {X >= l} becomes {v > F_X(l-1)}.
-    """
+def _cdf(pmf: FadingPmf, n: int) -> Fraction:
+    """P(N <= n) for 0 <= n <= q."""
+    return 1 - tail(pmf, n + 1)
 
-    pmf_m: FadingPmf     # (N22 - N12)^+
-    pmf_n21: FadingPmf   # N21
-    pmf_l: FadingPmf     # (N21 - N11)^+
 
-    def _cdf(self, pmf: FadingPmf, n: int) -> Fraction:
-        return 1 - tail(pmf, n + 1) if n < pmf.q else Fraction(1)
+def prob_sandwich(low: FadingPmf, high: FadingPmf, l: int) -> Fraction:
+    """P(low-variable < l <= high-variable) under the shared uniform."""
+    gap = _cdf(low, l - 1) - _cdf(high, l - 1)
+    return gap if gap > 0 else Fraction(0)
 
-    def prob_sandwich(self, low: FadingPmf, high: FadingPmf, l: int) -> Fraction:
-        """P(low-variable < l <= high-variable) under the shared uniform."""
-        gap = self._cdf(low, l - 1) - self._cdf(high, l - 1)
-        return gap if gap > 0 else Fraction(0)
 
-    def dominated(self, small: FadingPmf, big: FadingPmf) -> bool:
-        """True iff the coupling makes small <= big pointwise (cdf ordering)."""
-        return all(
-            self._cdf(small, n) >= self._cdf(big, n) for n in range(small.q + 1)
-        )
+def dominated(small: FadingPmf, big: FadingPmf) -> bool:
+    """True iff the coupling makes small <= big pointwise (cdf ordering)."""
+    return all(_cdf(small, n) >= _cdf(big, n) for n in range(small.q + 1))
 
 
 @dataclass(frozen=True)
@@ -273,53 +232,18 @@ def coupling_check(spec: ChannelSpec) -> CouplingReport:
     """
     m_pmf = pos_diff_pmf(spec.n22, spec.n12)
     l_pmf = pos_diff_pmf(spec.n21, spec.n11)
-    triple = CouplingTriple(pmf_m=m_pmf, pmf_n21=spec.n21, pmf_l=l_pmf)
     zero = Fraction(0)
     entries = []
     for l in range(1, spec.q + 1):
         gap = diff_tail(spec.n22, spec.n12, l) - diff_tail(spec.n21, spec.n11, l)
         entries.append(CouplingEntry(
             l=l,
-            lhs_gamma=triple.prob_sandwich(l_pmf, m_pmf, l),
+            lhs_gamma=prob_sandwich(l_pmf, m_pmf, l),
             rhs_gamma=gap if gap > 0 else zero,
-            lhs_alpha=triple.prob_sandwich(l_pmf, spec.n21, l),
+            lhs_alpha=prob_sandwich(l_pmf, spec.n21, l),
             rhs_alpha=tail(spec.n21, l) - diff_tail(spec.n21, spec.n11, l),
         ))
     return CouplingReport(
         entries=tuple(entries),
-        order_ok=triple.dominated(l_pmf, spec.n21),
+        order_ok=dominated(l_pmf, spec.n21),
     )
-
-
-@dataclass(frozen=True)
-class GridReport:
-    resolution: int
-    points: int
-    disagreements: int
-
-    @property
-    def ok(self) -> bool:
-        return self.disagreements == 0
-
-
-def grid_cross_check(spec: ChannelSpec, resolution: int) -> GridReport:
-    """Compare polytope membership against direct constraint evaluation.
-
-    Scans a resolution x resolution rational grid over the region's bounding
-    box; geometry and raw half-plane evaluation must never disagree.
-    """
-    if resolution < 2:
-        raise ValueError(f"resolution must be >= 2, got {resolution}")
-    region = outer_region(spec)
-    planes = [wb.halfplane() for wb in outer_halfplanes(spec)]
-    xmax = max(v[0] for v in region.vertices)
-    ymax = max(v[1] for v in region.vertices)
-    xs = [Fraction(k, resolution - 1) * xmax for k in range(resolution)]
-    ys = [Fraction(k, resolution - 1) * ymax for k in range(resolution)]
-    bad = 0
-    for x in xs:
-        for y in ys:
-            direct = all(p.holds((x, y)) for p in planes)
-            if direct != region.contains((x, y)):
-                bad += 1
-    return GridReport(resolution=resolution, points=resolution ** 2, disagreements=bad)

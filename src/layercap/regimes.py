@@ -26,12 +26,15 @@ from .channel import (
     expect_max,
     expect_pos_diff,
     layer_coefficients,
+    swap_users,
+    tail,
 )
 from .bounds import (
     _check_family,
+    _check_mu,
     _check_omega,
+    _check_user,
     bound_b,
-    bound_kernel,
     critical_weights,
     family_bounds,
 )
@@ -148,14 +151,14 @@ def weak_corner(spec: ChannelSpec, omega_A) -> CornerAllocation:
     if not 0 < omega_A <= 1:
         raise ValueError(f"omega_A must lie in (0, 1], got {omega_A}")
     co = layer_coefficients(spec)
-    kernel = bound_kernel(spec, 1)
+    e11, lift = expect(spec.n11), expect_pos_diff(spec.n21, spec.n11)
     private = frozenset(
         l for l in range(1, spec.q + 1)
         if omega_A * co.gamma1[l - 1] >= co.alpha1[l - 1]
     )
     common = frozenset(range(1, spec.q + 1)) - private
-    r1 = kernel.e11 - sum((co.alpha1[l - 1] for l in private), Fraction(0))
-    r2 = kernel.lift + sum((co.gamma1[l - 1] for l in private), Fraction(0))
+    r1 = e11 - sum((co.alpha1[l - 1] for l in private), Fraction(0))
+    r2 = lift + sum((co.gamma1[l - 1] for l in private), Fraction(0))
     # the split is chosen so the corner saturates the omega_A bound exactly;
     # anything else means the weak gating above let a bad channel through
     if r1 + omega_A * r2 != bound_b(spec, 1, omega_A):
@@ -165,7 +168,7 @@ def weak_corner(spec: ChannelSpec, omega_A) -> CornerAllocation:
         raise RuntimeError("corner allocation exceeds the interference-as-noise rate")
     # the zero-weight corner (own expected rate, residual interference-free
     # rate for the peer) sits on the boundary of the b-region at every weight
-    star = (kernel.e11, kernel.lift)
+    star = (e11, lift)
     for omega in critical_weights(spec, 1, "b"):
         if star[0] + omega * star[1] > bound_b(spec, 1, omega):
             raise RuntimeError("zero-weight corner left the b-region")
@@ -180,21 +183,28 @@ def moderate_bounds(spec: ChannelSpec, user, family, omega, mu=None) -> Fraction
     family a drops the positive-part clamp from the kink sum, family b
     collapses to (1-omega)*E[N11] + omega*(E[N21] + E[N12]), and family c
     drops its kink sum entirely.  The a-form equals the general bound only
-    from the largest kink ratio onward; b and c agree everywhere.
+    from the largest kink ratio onward; b and c agree everywhere.  The forms
+    are evaluated from the link statistics directly, not through the bound
+    kernel, so comparing them with bound_a/b/c checks one against the other.
     """
     _require(spec, "moderate")
+    _check_user(user)
     _check_family(family)
-    kernel = bound_kernel(spec, user)
     omega = _check_omega(omega)
+    if user == 2:
+        spec = swap_users(spec)
+    n11, n12, n21 = spec.n11, spec.n12, spec.n21
+    e11 = expect(n11)
+    if family == "b":
+        return (1 - omega) * e11 + omega * (expect(n21) + expect(n12))
+    lift = expect_pos_diff(n21, n11)
     if family == "a":
         # the kink sum without its clamp: sum_l (omega*beta(l) - alpha(l))
-        return kernel.e11 + omega * (kernel.lift + kernel.beta_sum) - kernel.alpha_sum
-    if family == "b":
-        return (1 - omega) * kernel.e11 + omega * (kernel.e21 + kernel.e12)
-    mu = as_fraction(mu) if mu is not None else None
-    if mu is None or not 0 <= mu <= omega:
-        raise ValueError(f"c-family needs mu in [0, omega], got {mu}")
-    return kernel.e11 + omega * kernel.lift + kernel.top_sum(omega, mu)
+        co = layer_coefficients(spec)
+        return e11 + omega * (lift + sum(co.beta1)) - sum(co.alpha1)
+    mu = _check_mu(omega, mu)
+    top = sum(max(mu * tail(n11, l), omega * tail(n12, l)) for l in range(1, spec.q + 1))
+    return e11 + omega * lift + top
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,6 @@ suite states its tolerance in the output.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import random
 from dataclasses import dataclass
@@ -90,21 +89,11 @@ def verify_coupling() -> SuiteResult:
     return SuiteResult("coupling", bad == 0, tuple(lines))
 
 
-def stats_json(report) -> str:
-    """Canonical serialization of an MC report, used for byte-identity checks."""
-    doc = {
-        "samples": report.samples,
-        "seed": report.seed,
-        "entries": [
-            {"name": e.name, "estimate": str(e.estimate), "stderr": e.stderr}
-            for e in report.entries
-        ],
-    }
-    return json.dumps(doc, separators=(",", ":"))
-
-
 def verify_montecarlo(samples: int = 10 ** 6, seed: int = 0) -> SuiteResult:
     """Estimate every statistic on the example corpus and compare exactly."""
+    # the gate's 5/sqrt(samples) to 3 significant digits, trailing zeros dropped
+    mantissa, exponent = f"{5 / math.sqrt(samples):.2e}".split("e")
+    tolerance = f"{mantissa.rstrip('0').rstrip('.')}e{exponent}"
     ok = True
     lines = []
     for label, spec in examples().items():
@@ -118,13 +107,12 @@ def verify_montecarlo(samples: int = 10 ** 6, seed: int = 0) -> SuiteResult:
             worst = max(worst, err)
             if not mc_within_tolerance(err, samples):
                 bad.append((entry.name, err))
-        rerun = stats_json(mc_estimate_stats(cfg))
-        identical = rerun == stats_json(report)
+        identical = mc_estimate_stats(cfg) == report
         ok = ok and not bad and identical
         lines.append(
             f"[montecarlo] {label}: {len(report.entries)} statistics, "
             f"worst |error| = {float(worst):.2e} "
-            f"(tolerance {5 / math.sqrt(samples):.0e}), rerun identical: {identical}"
+            f"(tolerance {tolerance}), rerun identical: {identical}"
         )
         for name, err in bad[:5]:
             lines.append(f"[montecarlo]   {label}:{name} off by {float(err):.3e}")

@@ -1,6 +1,7 @@
 """Weighted-bound evaluation, critical weights, and the finite-to-continuum step."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -242,8 +243,13 @@ def test_bound_argument_validation():
         bound_a(MOD1, 3, F(1, 2))
     with pytest.raises(ValueError):
         bound_a(MOD1, 1, F(3, 2))
-    with pytest.raises(ValueError):
-        bound_c(MOD1, 1, F(1, 2), F(3, 4))
+    # one mu check, one message, for both callers that take a mu
+    for mu in (F(3, 4), F(-1, 4), None):
+        mu_error = re.escape(f"mu must lie in [0, omega], got mu={mu}, omega=1/2")
+        with pytest.raises(ValueError, match=mu_error):
+            bound_c(MOD1, 1, F(1, 2), mu)
+        with pytest.raises(ValueError, match=mu_error):
+            moderate_bounds(MOD1, 1, "c", F(1, 2), mu)
     # one family check, one message, for both callers that take a family
     family_error = "family must be 'a', 'b' or 'c', got 'd'"
     with pytest.raises(ValueError, match=family_error):

@@ -4,6 +4,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from layercap import DetChannel, det_region, outer_region, verify_recovery
 
@@ -59,6 +60,13 @@ def test_region_equals_general_outer_bound_small_sweep():
     for levels in itertools.product(range(3), repeat=4):
         ch = DetChannel(*levels)
         assert det_region(ch) == outer_region(ch.to_spec()), levels
+
+
+@settings(max_examples=200, deadline=None)
+@given(levels=st.tuples(*[st.integers(0, 5)] * 4))
+def test_region_equals_general_outer_bound(levels):
+    ch = DetChannel(*levels)
+    assert outer_region(ch.to_spec()) == det_region(ch)
 
 
 def test_to_spec_round_trip():

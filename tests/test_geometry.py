@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from layercap import (
     FAMILIES,
@@ -186,6 +186,33 @@ def test_region_is_its_canonical_vertex_tuple(planes, data):
     rebuilt = RegionPolytope(points)
     assert rebuilt == region
     assert hash(rebuilt) == hash(region)
+
+
+@st.composite
+def pinned_planes(draw):
+    """planes(), sometimes with a c = 0 plane that pins an axis or the
+    origin, so 1- and 2-vertex regions are common."""
+    pin = st.tuples(st.integers(0, 2), st.integers(0, 2)).filter(any).map(
+        lambda ab: HalfPlane(*ab, 0))
+    return draw(planes()) + draw(st.lists(pin, max_size=1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(planes=pinned_planes(), x_steps=st.integers(1, 7), y_steps=st.integers(1, 7))
+@example(planes=[HalfPlane(1, 0, 2), HalfPlane(0, 1, 3), HalfPlane(1, 1, 0)],
+         x_steps=2, y_steps=2)
+@example(planes=[HalfPlane(1, 0, 2), HalfPlane(0, 1, 3), HalfPlane(1, 0, 0)],
+         x_steps=2, y_steps=3)
+def test_contains_matches_the_constraints(planes, x_steps, y_steps):
+    # every point of a rational grid over the bounding box and one step past
+    # its far sides: membership equals evaluating every plane directly
+    region = intersect(planes)
+    dx = max(x for x, _ in region.vertices) / x_steps or F(1)
+    dy = max(y for _, y in region.vertices) / y_steps or F(1)
+    for i in range(x_steps + 2):
+        for j in range(y_steps + 2):
+            p = (i * dx, j * dy)
+            assert region.contains(p) == all(h.holds(p) for h in planes), p
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,26 +1,26 @@
-"""Monte Carlo estimators, the shared-uniform coupling, and the grid checker."""
+"""Monte Carlo estimators and the shared-uniform coupling."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from layercap import (
     ChannelSpec,
-    CouplingTriple,
     FadingPmf,
     SimConfig,
     coupling_check,
+    dominated,
     exact_stats,
     examples,
-    grid_cross_check,
     mc_estimate_stats,
     pos_diff_pmf,
+    prob_sandwich,
     random_spec,
-    simulate_channel,
     symmetric_bernoulli,
 )
+from layercap import verification
 from layercap.verification import mc_within_tolerance
 
 F = Fraction
@@ -33,48 +33,6 @@ def const_spec(n11, n12, n21, n22, q):
         n21=FadingPmf.point(n21, q),
         n22=FadingPmf.point(n22, q),
     )
-
-
-def test_received_word_alignment():
-    # direct level 2 keeps both layers of w; cross level 1 delivers only the
-    # top layer of x, shifted down to the lowest layer at the receiver
-    spec = const_spec(2, 0, 1, 0, 2)
-    cfg = SimConfig(spec=spec, samples=8, seed=1)
-    w = np.array([1, 0], dtype=np.uint8)
-    x = np.array([1, 1], dtype=np.uint8)
-    y, z = simulate_channel(cfg, w, x)
-    assert y.shape == (8, 2) and z.shape == (8, 2)
-    assert (y == np.array([1, 1], dtype=np.uint8)).all()
-    assert (z == 0).all()
-
-
-def test_full_level_is_elementwise_xor():
-    spec = const_spec(2, 2, 2, 2, 2)
-    cfg = SimConfig(spec=spec, samples=4, seed=3)
-    w = np.array([1, 0], dtype=np.uint8)
-    x = np.array([0, 1], dtype=np.uint8)
-    y, z = simulate_channel(cfg, w, x)
-    assert (y == np.array([1, 1], dtype=np.uint8)).all()
-    assert (z == np.array([1, 1], dtype=np.uint8)).all()
-
-
-def test_absent_cross_link_gives_clean_output():
-    spec = const_spec(2, 0, 0, 2, 2)
-    cfg = SimConfig(spec=spec, samples=4, seed=0)
-    w = np.array([1, 1], dtype=np.uint8)
-    x = np.array([1, 1], dtype=np.uint8)
-    y, z = simulate_channel(cfg, w, x)
-    assert (y == w).all()
-    assert (z == x).all()
-
-
-def test_simulate_channel_input_validation():
-    spec = const_spec(1, 1, 1, 1, 1)
-    cfg = SimConfig(spec=spec, samples=4, seed=0)
-    with pytest.raises(ValueError):
-        simulate_channel(cfg, np.array([1, 0], dtype=np.uint8), np.array([1], dtype=np.uint8))
-    with pytest.raises(ValueError):
-        simulate_channel(cfg, np.array([2], dtype=np.uint8), np.array([1], dtype=np.uint8))
 
 
 def test_sim_config_validation():
@@ -127,6 +85,23 @@ def test_constant_channel_estimates_are_exact():
         assert entry.stderr == 0.0
 
 
+def test_montecarlo_suite_fails_on_a_changed_rerun(monkeypatch):
+    # every other report is drawn with another seed but keeps the requested
+    # one, so the rerun differs in its estimates except on the constant det
+    # channel, whose estimates are exact
+    calls = []
+
+    def flaky(cfg):
+        calls.append(cfg)
+        drawn = SimConfig(cfg.spec, cfg.samples, cfg.seed + len(calls) % 2)
+        return dataclasses.replace(mc_estimate_stats(drawn), seed=cfg.seed)
+
+    monkeypatch.setattr(verification, "mc_estimate_stats", flaky)
+    result = verification.verify_montecarlo(samples=1000)
+    assert not result.ok
+    assert sum("rerun identical: False" in line for line in result.lines) == 3
+
+
 def test_coupling_pinned_weak_example():
     spec = symmetric_bernoulli(F(9, 10), F(3, 10))
     report = coupling_check(spec)
@@ -150,20 +125,9 @@ def test_coupling_triple_basics():
     m = pos_diff_pmf(FadingPmf.bernoulli(F(9, 10)), FadingPmf.bernoulli(F(3, 10)))
     n21 = FadingPmf.bernoulli(F(3, 10))
     l = pos_diff_pmf(FadingPmf.bernoulli(F(3, 10)), FadingPmf.bernoulli(F(9, 10)))
-    triple = CouplingTriple(pmf_m=m, pmf_n21=n21, pmf_l=l)
     # P(L < 1 <= M) with F_L(0) = 97/100, F_M(0) = 37/100
-    assert triple.prob_sandwich(triple.pmf_l, triple.pmf_m, 1) == F(3, 5)
-    assert triple.dominated(l, n21)
-
-
-def test_grid_cross_check_agrees():
-    for key in ("det", "strong"):
-        report = grid_cross_check(examples()[key], 24)
-        assert report.ok
-        assert report.disagreements == 0
-        assert report.points == 24 * 24
-    with pytest.raises(ValueError):
-        grid_cross_check(examples()["det"], 1)
+    assert prob_sandwich(l, m, 1) == F(3, 5)
+    assert dominated(l, n21)
 
 
 def test_mc_tolerance_scales_with_samples():

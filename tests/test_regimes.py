@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from layercap import (
     ChannelSpec,
@@ -77,11 +78,18 @@ def test_strong_region_pinned():
     assert region == outer_region(STRONG1)
 
 
-def test_strong_region_matches_outer_randomized():
-    rng = random.Random(211)
-    for _ in range(30):
-        spec = random_strong_spec(rng, rng.randint(0, 3))
-        assert strong_region(spec) == outer_region(spec)
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), q=st.integers(0, 4))
+def test_strong_region_matches_outer_randomized(seed, q):
+    spec = random_strong_spec(random.Random(seed), q)
+    assert strong_region(spec) == outer_region(spec)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), q=st.integers(1, 4))
+def test_weak_region_matches_outer_randomized(seed, q):
+    spec = random_weak_spec(random.Random(seed), q)
+    assert weak_region(spec) == outer_region(spec)
 
 
 def test_weak_region_pinned():
