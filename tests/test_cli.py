@@ -1,15 +1,19 @@
 """End-to-end command-line behavior: parsing, exports, exit codes."""
 
+import contextlib
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from layercap import RegionPolytope, outer_region, random_moderate_spec
+from layercap import ChannelSpec, FadingPmf, RegionPolytope, outer_region, random_moderate_spec
 from layercap.cli import ChannelSpecFile, SpecFileError, main
 import layercap.cli as cli
 import layercap.verification as verification
+from strategies import specs
 
 F = Fraction
 
@@ -81,6 +85,66 @@ def test_spec_file_parsing_forms():
 def test_spec_file_rejects_malformed_input(mangle):
     with pytest.raises(SpecFileError):
         ChannelSpecFile.parse(mangle(WEAK_SPEC))
+
+
+def _mass_json(m: Fraction, decimal: bool) -> str:
+    # a bare decimal literal where the denominator divides a power of ten
+    # and `decimal` is set, else an "n/d" string
+    twos = fives = 0
+    d = m.denominator
+    while d % 2 == 0:
+        d, twos = d // 2, twos + 1
+    while d % 5 == 0:
+        d, fives = d // 5, fives + 1
+    if not decimal or d != 1:
+        return json.dumps(str(m))
+    k = max(twos, fives)
+    digits = str(m.numerator * 10 ** k // m.denominator).rjust(k + 1, "0")
+    return digits if k == 0 else f"{digits[:-k]}.{digits[-k:]}"
+
+
+def spec_json(spec: ChannelSpec, decimal: bool) -> str:
+    links = ", ".join(
+        f'"{key}": [{", ".join(_mass_json(m, decimal) for m in pmf.masses)}]'
+        for key, pmf in spec.links().items()
+    )
+    return f'{{"q": {spec.q}, {links}}}'
+
+
+@contextlib.contextmanager
+def no_int_str_digit_limit():
+    # as cli.main does, but restored afterwards, so the result does not
+    # depend on an earlier main() call in the same session
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def _two_mass_spec(x: Fraction) -> ChannelSpec:
+    pmf = FadingPmf([1 - x, x])
+    return ChannelSpec(pmf, pmf, pmf, pmf)
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=specs(), decimal=st.booleans())
+@example(spec=_two_mass_spec(F(1, 10)), decimal=True)  # 0.1 is exactly 1/10
+def test_spec_json_round_trip(spec, decimal):
+    assert ChannelSpecFile.parse(spec_json(spec, decimal)).spec == spec
+
+
+@pytest.mark.parametrize("base,power,decimal", [(10, 5000, True), (3, 10000, False)])
+def test_spec_json_round_trip_past_the_int_str_digit_limit(base, power, decimal):
+    # masses of 5,001 and 4,772 digits, kept out of hypothesis and test ids,
+    # which would print them outside the lifted limit
+    with no_int_str_digit_limit():
+        spec = _two_mass_spec(F(1, base ** power))
+        assert ChannelSpecFile.parse(spec_json(spec, decimal)).spec == spec
 
 
 def test_region_json_pinned_det(tmp_path, capsys):
