@@ -350,20 +350,17 @@ def active_bounds(bounds, region: RegionPolytope) -> list:
 
     The bounds' half-planes must hold on the region, as they do for a region
     intersected from them.  With 3 or more vertices such a plane is tight at
-    two vertices exactly when it is the line of an edge, so the bounds are
-    looked up in the set of edge lines.  Identical half-planes keep only the
-    first occurrence, so the family order of outer_halfplanes decides the
-    reported provenance.  Degenerate regions (< 3 vertices) only require
-    tightness at one vertex.
+    two vertices exactly when it is the line of an edge between the axes (one
+    along an axis would pin a rate), so the bounds are looked up in the set
+    of those edge lines.  Identical half-planes keep only the first
+    occurrence, so the family order of outer_halfplanes decides the reported
+    provenance.  Degenerate regions (< 3 vertices) only require tightness at
+    one vertex.
     """
     v = region.vertices
     if len(v) >= 3:
-        edges = set()
-        for (x1, y1), (x2, y2) in zip(v, v[1:] + v[:1]):
-            a, b = y2 - y1, x1 - x2
-            if a >= 0 and b >= 0:  # else no HalfPlane: the two axis edges
-                edges.add(HalfPlane(a, b, a * x1 + b * y1))
-        supports = edges.__contains__
+        supports = {HalfPlane(y2 - y1, x1 - x2, x1 * y2 - x2 * y1)
+                    for (x1, y1), (x2, y2) in zip(v[1:], v[2:])}.__contains__
     else:
         def supports(plane):
             return any(plane.tight(p) for p in v)

@@ -1,15 +1,18 @@
 """Exact rational 2D polytopes in the first quadrant.
 
 Regions are intersections of half-planes a*R1 + b*R2 <= c with nonnegative
-coefficients, so they always contain the origin.  Vertices are kept
-counterclockwise starting at the origin; degenerate regions (a segment or
-the origin alone) use 2 or 1 vertices.  No floating point anywhere.
+coefficients, so they always contain the origin and are down-closed.
+Vertices are kept counterclockwise starting at the origin; degenerate
+regions (a segment or the origin alone) use 2 or 1 vertices.  No floating
+point anywhere.
 
 Intersection works in the polar dual: a plane with c > 0 is the point
 (a/c, b/c), and the region's non-redundant planes are the hull chain of
 those points between the two axes.  The hull is scanned on the integer
 triples (a, b, c), with a 3x3 integer determinant as orientation test, in
-O(P log P) for P planes; a Fraction is built only per vertex coordinate.
+O(P log P) for P planes.  Neighbours on the chain cross at the vertices in
+counterclockwise order, one Fraction per coordinate, and RegionPolytope
+checks that order instead of hulling again.
 """
 
 from __future__ import annotations
@@ -72,50 +75,32 @@ def _cross(o, a, b) -> Fraction:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
-def convex_hull(points) -> list:
-    """Counterclockwise hull starting at the lexicographic minimum.
-
-    Duplicate and collinear-interior points are dropped; 1- and 2-point
-    hulls come back as-is for degenerate inputs.
-    """
-    pts = sorted(set(points))
-    if len(pts) <= 1:
-        return pts
-
-    def half(seq):
-        chain = []
-        for p in seq:
-            while len(chain) >= 2 and _cross(chain[-2], chain[-1], p) <= 0:
-                chain.pop()
-            chain.append(p)
-        return chain
-
-    lower = half(pts)
-    upper = half(reversed(pts))
-    return lower[:-1] + upper[:-1]
-
-
 class RegionPolytope:
-    """Convex first-quadrant region given by its vertices.
+    """Convex, down-closed first-quadrant region given by its vertices.
 
-    The constructor accepts any point set whose hull is the region and
-    canonicalizes it, so equal regions always compare equal.
+    The constructor takes the canonical vertex tuple, as `intersect` builds
+    it and `vertices` returns it, and only checks it: the origin first, a
+    point on the R1 axis, a staircase along which R1 never rises and R2 never
+    falls, a last point on the R2 axis, and a strict left turn at every
+    vertex; a 2-vertex segment may lie on either axis.  Any other list, an
+    unordered one included, raises ValueError, so equal regions compare equal.
     """
 
     __slots__ = ("_vertices",)
 
-    def __init__(self, points):
-        pts = [(as_fraction(x), as_fraction(y)) for x, y in points]
-        if not pts:
-            raise ValueError("a region needs at least one vertex")
-        if any(x < 0 or y < 0 for x, y in pts):
-            raise ValueError("vertices must lie in the first quadrant")
-        hull = convex_hull(pts)
-        origin = (Fraction(0), Fraction(0))
-        if origin not in hull:
-            raise ValueError("the origin must be a vertex of the region")
-        i = hull.index(origin)
-        self._vertices = tuple(hull[i:] + hull[:i])
+    def __init__(self, vertices):
+        v = tuple((as_fraction(x), as_fraction(y)) for x, y in vertices)
+        if not v or v[0] != (0, 0):
+            raise ValueError("the origin must be the first vertex")
+        if len(v) == 2 and not min(v[1]) == 0 < max(v[1]):
+            raise ValueError("a 2-vertex region must be a segment along an axis")
+        if len(v) >= 3:
+            edges = [(x2 - x1, y2 - y1) for (x1, y1), (x2, y2) in zip(v, v[1:] + v[:1])]
+            if (v[1][1] or v[-1][0] or not all(dx <= 0 <= dy for dx, dy in edges[1:-1])
+                    or not all(ux * wy > uy * wx for (ux, uy), (wx, wy) in zip(edges, edges[1:]))):
+                raise ValueError("vertices must run from the R1 axis to the R2 axis as a "
+                                 "staircase that turns strictly left at every vertex")
+        self._vertices = v
 
     @property
     def vertices(self) -> tuple:
@@ -187,11 +172,12 @@ def intersect(planes) -> RegionPolytope:
     <(a/c, b/c), z> <= 1, so the region is the polar of the down-closed hull
     of those dual points.  That hull's chain from (A, 0) to (0, B), A and B
     the largest a/c and b/c, is exactly the set of non-redundant planes, and
-    each pair of neighbours on it meets in one region vertex.  The chain is
-    one scan over the planes sorted by the direction of (a, b), with a 3x3
-    integer determinant as the orientation test: O(P log P) integer
-    operations, and one Fraction per vertex coordinate.  Raises
-    UnboundedRegionError when no plane bounds R1 or none bounds R2.
+    each pair of neighbours on it meets in one region vertex, in chain order.
+    The chain is one scan over the planes sorted by the direction of (a, b),
+    with a 3x3 integer determinant as the orientation test: O(P log P)
+    integer operations, and one Fraction per vertex coordinate.  The vertex
+    tuple is the origin, (A, 0), the crossings and (0, B), less repeats.
+    Raises UnboundedRegionError when no plane bounds R1 or none bounds R2.
     """
     rows = {(p.a, p.b, p.c) for p in planes}
     if not any(a for a, _, _ in rows):
@@ -200,8 +186,7 @@ def intersect(planes) -> RegionPolytope:
         raise UnboundedRegionError("no constraint bounds R2")
     cap1, cap2 = _axis_cap(rows, 0), _axis_cap(rows, 1)
     zero = Fraction(0)
-    points = [(zero, zero), (Fraction(cap1[2], cap1[0]), zero),
-              (zero, Fraction(cap2[2], cap2[1]))]
+    points = [(zero, zero), (Fraction(cap1[2], cap1[0]), zero)]
     if cap1[2] and cap2[2]:  # no rate pinned, so every row has c > 0
         # planes by the angle of (a, b); a plane looser than another of its
         # direction, or than a cap, lies inside the hull and the scan pops it
@@ -216,4 +201,8 @@ def intersect(planes) -> RegionPolytope:
             det = a1 * b2 - a2 * b1
             points.append((Fraction(c1 * b2 - c2 * b1, det),
                            Fraction(a1 * c2 - a2 * c1, det)))
-    return RegionPolytope(points)
+    points.append((zero, Fraction(cap2[2], cap2[1])))
+    # drop repeats: a chain end whose line meets its axis point repeats that
+    # point, and a pinned rate puts an axis point on the origin
+    return RegionPolytope(points[:1] + [p for p, prev in zip(points[1:], points)
+                                        if p != prev and p != points[0]])

@@ -113,9 +113,7 @@ def test_intersect_matches_brute_force():
             if a == 0 and b == 0:
                 continue
             planes.append(HalfPlane(a, b, F(rng.randint(0, 24), rng.randint(1, 4))))
-        region = intersect(planes)
-        expected = RegionPolytope(brute_vertices(planes))
-        assert region == expected, f"trial {trial}"
+        assert set(intersect(planes).vertices) == brute_vertices(planes), f"trial {trial}"
 
 
 def test_vertices_satisfy_all_planes():
@@ -174,18 +172,25 @@ def planes():
     return st.builds(lambda c, e: c + e, caps, extra)
 
 
-@settings(max_examples=300, deadline=None)
-@given(planes=planes(), data=st.data())
-def test_region_is_its_canonical_vertex_tuple(planes, data):
-    # any point set with the same hull rebuilds an == region with an equal hash
-    region = intersect(planes)
-    v = list(region.vertices)
-    midpoints = [((p[0] + q[0]) / 2, (p[1] + q[1]) / 2) for p, q in zip(v, v[1:] + v[:1])]
-    dups = data.draw(st.lists(st.sampled_from(v), max_size=4), label="duplicates")
-    points = data.draw(st.permutations(v + midpoints + dups), label="points")
-    rebuilt = RegionPolytope(points)
-    assert rebuilt == region
-    assert hash(rebuilt) == hash(region)
+@pytest.mark.parametrize(
+    "vertices",
+    [
+        [(0, 0), (0, 3), (2, 2), (3, 0)],  # clockwise
+        [(0, 0), (3, 0), (3, 0), (0, 3)],  # a repeated vertex
+        [(0, 0), (2, 0), (1, 1), (0, 2)],  # a collinear midpoint
+        [(0, 0), (0, 0)],  # a segment that repeats the origin
+        [(0, 0), (1, 1)],  # a segment off the axes
+        [(F(1, 2), F(1, 2)), (2, 0), (0, 2)],  # origin not first
+        [(0, 0), (2, 1), (1, 2), (0, 2)],  # second vertex off the R1 axis
+        [(0, 0), (2, 0), (1, 1)],  # a staircase ending off the R2 axis
+        [(0, 0), (2, 0), (3, 1), (0, 2)],  # left turns, but R1 rises
+        [(0, 0), (2, 0), (1, 2), (0, 1)],  # left turns, but R2 falls
+        [(0, 0), (3, 0), (1, 1), (0, 3)],  # a staircase with a right turn
+    ],
+)
+def test_region_rejects_non_canonical_vertex_lists(vertices):
+    with pytest.raises(ValueError):
+        RegionPolytope(vertices)
 
 
 @st.composite
@@ -195,6 +200,25 @@ def pinned_planes(draw):
     pin = st.tuples(st.integers(0, 2), st.integers(0, 2)).filter(any).map(
         lambda ab: HalfPlane(*ab, 0))
     return draw(planes()) + draw(st.lists(pin, max_size=1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(planes=pinned_planes(), data=st.data())
+def test_region_is_its_canonical_vertex_tuple(planes, data):
+    # the canonical tuple rebuilds an == region with an equal hash; any other
+    # listing of its points (reordered, repeated, or with collinear midpoints
+    # of its edges) raises
+    region = intersect(planes)
+    v = list(region.vertices)
+    rebuilt = RegionPolytope(v)
+    assert rebuilt == region
+    assert hash(rebuilt) == hash(region)
+    midpoints = [((p[0] + q[0]) / 2, (p[1] + q[1]) / 2) for p, q in zip(v, v[1:] + v[:1])]
+    extra = data.draw(st.lists(st.sampled_from(v + midpoints), max_size=4), label="extra")
+    points = data.draw(st.permutations(v + extra), label="points")
+    if points != v:
+        with pytest.raises(ValueError):
+            RegionPolytope(points)
 
 
 @settings(max_examples=300, deadline=None)
@@ -256,7 +280,7 @@ def slanted_planes():
 @given(planes=slanted_planes())
 def test_intersect_matches_brute_force_without_caps(planes):
     # a slanted plane, not a cap, sets each axis intercept here
-    assert intersect(planes) == RegionPolytope(brute_vertices(planes))
+    assert set(intersect(planes).vertices) == brute_vertices(planes)
 
 
 def reference_active_bounds(bounds, region):
