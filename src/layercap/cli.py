@@ -116,8 +116,8 @@ class ChannelSpecFile:
 def load_spec_file(path) -> ChannelSpecFile:
     p = Path(path)
     try:
-        text = p.read_text()
-    except OSError as exc:
+        text = p.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise SpecFileError(f"cannot read {p}: {exc}") from exc
     return ChannelSpecFile.parse(text, default_label=p.stem)
 
@@ -304,11 +304,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _emit(text: str, out) -> None:
+def _emit(text: str, out) -> int:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return EXIT_OK
+    try:
         Path(out).write_text(text)
+    except OSError as exc:
+        print(f"error: cannot write {out}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_PARSE
+    return EXIT_OK
 
 
 def cmd_region(args) -> int:
@@ -324,8 +329,7 @@ def cmd_region(args) -> int:
         text = render_csv(region)
     else:
         text = render_svg(spec_file, region)
-    _emit(text, args.out)
-    return EXIT_OK
+    return _emit(text, args.out)
 
 
 def cmd_classify(args) -> int:
@@ -334,8 +338,7 @@ def cmd_classify(args) -> int:
     except SpecFileError as exc:
         print(f"error: {args.spec}: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    _emit(render_json(classify_document(spec_file)), args.out)
-    return EXIT_OK
+    return _emit(render_json(classify_document(spec_file)), args.out)
 
 
 def cmd_verify(args) -> int:

@@ -251,6 +251,21 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert main(["classify", "--spec", str(tmp_path / "missing.json")]) == 2
 
 
+@pytest.mark.parametrize("command", ["region", "classify"])
+@pytest.mark.parametrize("case", ["unwritable out", "spec not utf-8"])
+def test_io_errors_exit_2_with_one_error_line(tmp_path, capsys, command, case):
+    spec = write(tmp_path, "weak.json", WEAK_SPEC)
+    if case == "unwritable out":
+        argv = [command, "--spec", spec, "--out", str(tmp_path / "no-such-dir" / "x.json")]
+    else:
+        (tmp_path / "latin1.json").write_bytes(WEAK_SPEC.replace("q", "\xe9q").encode("latin-1"))
+        argv = [command, "--spec", str(tmp_path / "latin1.json")]
+    assert main(argv) == cli.EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "argv,flag",
     [
