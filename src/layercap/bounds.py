@@ -19,10 +19,10 @@ region; that critical-weight enumeration is the primary mode, with a dense
 weight grid available as a cross-checking fallback.
 
 Evaluation goes through one BoundKernel per (spec, user), built once from
-layer_coefficients.  It holds every quantity the bounds read as an integer
-numerator over one common denominator D, the lcm of the denominators of
-that user's tails, difference tails and coefficients.  Since alpha(l) >= 0,
-a kink sum is
+the integers field of layer_coefficients.  It holds every quantity the
+bounds read as an integer numerator over that field's denominator D, the
+coefficients' own M = lcm(L11*L21, L22*L12), with no second lcm taken here.
+Since alpha(l) >= 0, a kink sum is
 
     sum_l [omega*g(l) - alpha(l)]^+ = omega*G(omega) - A(omega),
 
@@ -229,18 +229,12 @@ _FRAMES = {1: ("n11", "n12", "n21"), 2: ("n22", "n21", "n12")}
 def bound_kernel(spec: ChannelSpec, user) -> BoundKernel:
     """The per-(spec, user) tables every bound of that user is evaluated from."""
     _check_user(user)
-    co = layer_coefficients(spec)
+    den, ints = layer_coefficients(spec).integers
     n11, n12, n21 = _FRAMES[user]
-    coefficients = (
-        (co.alpha1, co.beta1, co.gamma1) if user == 1
-        else (co.alpha2, co.beta2, co.gamma2)
-    )
-    t12 = co.tails[n12]
-    vectors = (co.tails[n11], co.tails[n21], t12, co.diff_tails[f"{n21}-{n11}"],
-               tuple(map(max, co.diff_tails[f"{n11}-{n21}"], t12))) + coefficients
-    den = lcm(*{x.denominator for v in vectors for x in v})
-    return BoundKernel(den, *([x.numerator * (den // x.denominator) for x in v]
-                              for v in vectors))
+    t12 = ints[n12]
+    return BoundKernel(den, ints[n11], ints[n21], t12, ints[f"{n21}-{n11}"],
+                       tuple(map(max, ints[f"{n11}-{n21}"], t12)),
+                       *(ints[f"{name}{user}"] for name in ("alpha", "beta", "gamma")))
 
 
 def bound_a(spec: ChannelSpec, user, omega) -> Fraction:

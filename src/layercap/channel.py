@@ -12,7 +12,7 @@ plotting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -152,6 +152,10 @@ class LayerCoefficients:
     and user 2 by the swap n11<->n22, n12<->n21.  tails maps each link name
     to (P(N >= 1), ..., P(N >= q)); diff_tails holds the four difference
     tails "a-b" -> (P(N_a - N_b >= 1), ...).
+
+    integers is (M, ints), ints mapping each coefficient name, link name and
+    difference key above to its vector as integer numerators over M; it is
+    the same data as the Fraction fields, so repr and == leave it out.
     """
 
     alpha1: tuple
@@ -162,6 +166,7 @@ class LayerCoefficients:
     gamma2: tuple
     tails: dict
     diff_tails: dict
+    integers: tuple = field(repr=False, compare=False)
 
 
 def _same_q(a: FadingPmf, b: FadingPmf):
@@ -238,6 +243,7 @@ def pos_diff_pmf(a: FadingPmf, b: FadingPmf) -> FadingPmf:
 
 # the difference tails "x-y" that the coefficients of both users read
 _PAIRS = (("n11", "n21"), ("n21", "n11"), ("n22", "n12"), ("n12", "n22"))
+_COEFFICIENTS = ("alpha1", "beta1", "gamma1", "alpha2", "beta2", "gamma2")
 
 
 @lru_cache(maxsize=4096)
@@ -245,8 +251,8 @@ def layer_coefficients(spec: ChannelSpec) -> LayerCoefficients:
     """All six coefficient vectors and the tail tables they are built from.
 
     Everything is computed on integers over the common denominator
-    M = lcm(L11*L21, L22*L12), L the lcm of a link's mass denominators; each
-    entry becomes a Fraction once, here.
+    M = lcm(L11*L21, L22*L12), L the lcm of a link's mass denominators; they
+    are kept as the integers field, and each entry becomes a Fraction once.
     """
     links = spec.links()
     dens = {name: pmf._den for name, pmf in links.items()}
@@ -254,29 +260,29 @@ def layer_coefficients(spec: ChannelSpec) -> LayerCoefficients:
 
     def scaled(nums, den):
         scale = common // den
-        return [n * scale for n in nums]
+        return tuple(n * scale for n in nums)
 
-    t = {name: scaled(pmf._int_tails[1:-1], dens[name]) for name, pmf in links.items()}
+    ints = {name: scaled(pmf._int_tails[1:-1], dens[name]) for name, pmf in links.items()}
     diffs = {f"{x}-{y}": _diff_tails(links[x], links[y]) for x, y in _PAIRS}
-    d = {f"{x}-{y}": scaled(diffs[f"{x}-{y}"][0], dens[x] * dens[y]) for x, y in _PAIRS}
+    ints.update({f"{x}-{y}": scaled(diffs[f"{x}-{y}"][0], dens[x] * dens[y]) for x, y in _PAIRS})
 
     def user(t21, t22, d2111, d2212):
         # alpha, beta, gamma as in the class docstring; user 2 passes the
         # vectors of the swapped links
         return (
-            [x - c for x, c in zip(t21, d2111)],
-            [max(x - c, 0) for x, c in zip(t22, d2111)],
-            [max(x - c, 0) for x, c in zip(d2212, d2111)],
+            tuple(x - c for x, c in zip(t21, d2111)),
+            tuple(max(x - c, 0) for x, c in zip(t22, d2111)),
+            tuple(max(x - c, 0) for x, c in zip(d2212, d2111)),
         )
 
-    vectors = (user(t["n21"], t["n22"], d["n21-n11"], d["n22-n12"])
-               + user(t["n12"], t["n11"], d["n12-n22"], d["n11-n21"]))
-    a1, b1, g1, a2, b2, g2 = (tuple(Fraction(n, common) for n in v) for v in vectors)
+    ints.update(zip(_COEFFICIENTS,
+                    user(ints["n21"], ints["n22"], ints["n21-n11"], ints["n22-n12"])
+                    + user(ints["n12"], ints["n11"], ints["n12-n22"], ints["n11-n21"])))
     return LayerCoefficients(
-        alpha1=a1, beta1=b1, gamma1=g1,
-        alpha2=a2, beta2=b2, gamma2=g2,
+        **{key: tuple(Fraction(n, common) for n in ints[key]) for key in _COEFFICIENTS},
         tails={name: pmf._tails[1:-1] for name, pmf in links.items()},
         diff_tails={key: tails for key, (_, tails) in diffs.items()},
+        integers=(common, ints),
     )
 
 

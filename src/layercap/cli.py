@@ -118,7 +118,8 @@ def load_spec_file(path) -> ChannelSpecFile:
     try:
         text = p.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        raise SpecFileError(f"cannot read {p}: {exc}") from exc
+        # the reason only: the caller's error line names the path
+        raise SpecFileError(f"cannot read: {getattr(exc, 'strerror', None) or exc}") from exc
     return ChannelSpecFile.parse(text, default_label=p.stem)
 
 
@@ -268,21 +269,11 @@ def render_svg(spec_file: ChannelSpecFile, region: RegionPolytope) -> str:
         if face:
             a_pt = max(face, key=lambda v: v[0])
             b_pt = min(face, key=lambda v: v[0])
-            parts.append(
-                f'<circle cx="{fx(a_pt[0]):.2f}" cy="{fy(a_pt[1]):.2f}" r="4" fill="#a40000"/>'
-            )
-            parts.append(
-                f'<text x="{fx(a_pt[0]) + 8:.2f}" y="{fy(a_pt[1]) - 6:.2f}" '
-                'font-size="12" fill="#a40000">A</text>'
-            )
-            if b_pt != a_pt:
-                parts.append(
-                    f'<circle cx="{fx(b_pt[0]):.2f}" cy="{fy(b_pt[1]):.2f}" r="4" fill="#a40000"/>'
-                )
-                parts.append(
-                    f'<text x="{fx(b_pt[0]) + 8:.2f}" y="{fy(b_pt[1]) - 6:.2f}" '
-                    'font-size="12" fill="#a40000">B</text>'
-                )
+            corners = [(a_pt, "A")] + ([(b_pt, "B")] if b_pt != a_pt else [])
+            for (r1, r2), mark in corners:
+                parts.append(f'<circle cx="{fx(r1):.2f}" cy="{fy(r2):.2f}" r="4" fill="#a40000"/>')
+                parts.append(f'<text x="{fx(r1) + 8:.2f}" y="{fy(r2) - 6:.2f}" '
+                             f'font-size="12" fill="#a40000">{mark}</text>')
         star = (expect(spec.n11), expect_pos_diff(spec.n21, spec.n11))
         if region.contains(star):
             parts.append(
@@ -317,11 +308,7 @@ def _emit(text: str, out) -> int:
 
 
 def cmd_region(args) -> int:
-    try:
-        spec_file = load_spec_file(args.spec)
-    except SpecFileError as exc:
-        print(f"error: {args.spec}: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    spec_file = load_spec_file(args.spec)
     doc, region = region_document(spec_file, args.mode, args.grid_steps)
     if args.format == "json":
         text = render_json(doc)
@@ -333,12 +320,7 @@ def cmd_region(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    try:
-        spec_file = load_spec_file(args.spec)
-    except SpecFileError as exc:
-        print(f"error: {args.spec}: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    return _emit(render_json(classify_document(spec_file)), args.out)
+    return _emit(render_json(classify_document(load_spec_file(args.spec))), args.out)
 
 
 def cmd_verify(args) -> int:
@@ -392,7 +374,11 @@ def main(argv=None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except SpecFileError as exc:  # only region and classify read a spec file
+        print(f"error: {args.spec}: {exc}", file=sys.stderr)
+        return EXIT_PARSE
 
 
 if __name__ == "__main__":

@@ -107,19 +107,12 @@ class RegionPolytope:
         return self._vertices
 
     def contains(self, point) -> bool:
-        """Closed-region membership test."""
-        p = (as_fraction(point[0]), as_fraction(point[1]))
+        """Closed-region membership: inside the box spanned by the two axis
+        points and left of every staircase edge between them."""
+        x, y = p = (as_fraction(point[0]), as_fraction(point[1]))
         v = self._vertices
-        if len(v) == 1:
-            return p == v[0]
-        if len(v) == 2:
-            if _cross(v[0], v[1], p) != 0:
-                return False
-            dx, dy = v[1][0] - v[0][0], v[1][1] - v[0][1]
-            t = (p[0] - v[0][0]) * dx + (p[1] - v[0][1]) * dy
-            return 0 <= t <= dx * dx + dy * dy
-        n = len(v)
-        return all(_cross(v[i], v[(i + 1) % n], p) >= 0 for i in range(n))
+        return (0 <= x <= v[1 % len(v)][0] and 0 <= y <= v[-1][1]
+                and all(_cross(a, b, p) >= 0 for a, b in zip(v[1:], v[2:])))
 
     def support(self, w1, w2) -> Fraction:
         """max w1*R1 + w2*R2 over the region; attained at a vertex."""

@@ -122,29 +122,19 @@ def verify_montecarlo(samples: int = 10 ** 6, seed: int = 0) -> SuiteResult:
 def _check_weak_spec(spec: ChannelSpec) -> list:
     """All weak-regime facts for one spec; returns failure descriptions."""
     problems = []
-    r1a = family_region(spec, 1, "a")
-    r1b = family_region(spec, 1, "b")
-    r1c = family_region(spec, 1, "c")
-    r2a = family_region(spec, 2, "a")
-    r2b = family_region(spec, 2, "b")
-    r2c = family_region(spec, 2, "c")
-    if not r1b.subset_of(r1a):
-        problems.append("user-1 b-region escapes the a-region")
-    if not r1b.subset_of(r1c):
-        problems.append("user-1 b-region escapes the c-region")
-    if not r2b.subset_of(r2a):
-        problems.append("user-2 b-region escapes the a-region")
-    if not r2b.subset_of(r2c):
-        problems.append("user-2 b-region escapes the c-region")
+    b_regions = {user: family_region(spec, user, "b") for user in (1, 2)}
+    for user, family in itertools.product((1, 2), "ac"):
+        if not b_regions[user].subset_of(family_region(spec, user, family)):
+            problems.append(f"user-{user} b-region escapes the {family}-region")
     c_sum = weak_sum_capacity(spec)
     if outer_region(spec).support(1, 1) != c_sum:
         problems.append("outer-region sum support differs from the sum capacity")
     tin = (expect_pos_diff(spec.n11, spec.n21), expect_pos_diff(spec.n22, spec.n12))
-    for name, region, user in (("user-1", r1b, 1), ("user-2", r2b, 2)):
+    for user, region in b_regions.items():
         if not region.contains(tin):
-            problems.append(f"noise-tolerant point outside {name} b-region")
+            problems.append(f"noise-tolerant point outside user-{user} b-region")
         elif bound_b(spec, user, 1) != tin[0] + tin[1]:
-            problems.append(f"noise-tolerant point not on {name} b-boundary")
+            problems.append(f"noise-tolerant point not on user-{user} b-boundary")
     cap2 = expect_pos_diff(spec.n22, spec.n12)
     mirror = swap_users(spec)
     for omega_a in critical_weights(spec, 1, "b"):
@@ -158,7 +148,7 @@ def _check_weak_spec(spec: ChannelSpec) -> list:
             continue
         if alloc.corner[1] > cap2:
             problems.append(f"corner at weight {omega_a} exceeds the user-2 rate cap")
-        if not r1b.contains(alloc.corner):
+        if not b_regions[1].contains(alloc.corner):
             problems.append(f"corner at weight {omega_a} escapes the b-region")
         if mirrored.corner[0] < cap2:
             problems.append(f"mirrored corner at weight {omega_a} undercuts the user-2 rate cap")

@@ -1,5 +1,8 @@
-"""Hypothesis strategies for channels and weights, shared by the test modules."""
+"""Hypothesis strategies for channels and weights, and a context for numbers
+past Python's int <-> str digit limit, shared by the test modules."""
 
+import contextlib
+import sys
 from fractions import Fraction
 
 from hypothesis import strategies as st
@@ -27,3 +30,18 @@ def specs(draw):
 
 def unit_rationals():
     return st.builds(lambda n, d: F(min(n, d), d), st.integers(0, 97), st.integers(1, 97))
+
+
+@contextlib.contextmanager
+def no_int_str_digit_limit():
+    # as cli.main does, but restored afterwards, so the result does not
+    # depend on an earlier main() call in the same session
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)

@@ -22,6 +22,8 @@ from layercap import (
 )
 import random
 
+from strategies import no_int_str_digit_limit, specs
+
 F = Fraction
 
 
@@ -254,3 +256,29 @@ def test_layer_coefficients_match_definition(spec, swap):
         gamma = tuple(max(diff(n22, n12, l) - c, 0) for l, c in zip(layers, clear))
         assert (getattr(co, f"alpha{user}"), getattr(co, f"beta{user}"),
                 getattr(co, f"gamma{user}")) == (alpha, beta, gamma)
+
+
+def _check_integer_view(co):
+    # every integer vector over M is the public Fraction vector of its key
+    den, ints = co.integers
+    public = {**co.tails, **co.diff_tails, **{key: getattr(co, key) for key in (
+        "alpha1", "beta1", "gamma1", "alpha2", "beta2", "gamma2")}}
+    assert set(ints) == set(public)
+    for key, nums in ints.items():
+        assert tuple(F(n, den) for n in nums) == public[key], key
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=specs())
+def test_integer_view_matches_the_fraction_view(spec):
+    _check_integer_view(layer_coefficients(spec))
+
+
+def test_integer_view_matches_past_the_int_str_digit_limit():
+    # masses of 4,394 to 5,001 digits, kept out of hypothesis, whose report
+    # would print them outside the lifted limit
+    with no_int_str_digit_limit():
+        spec = ChannelSpec(*(FadingPmf([1 - 3 * x, x, 2 * x]) for x in (
+            F(1, 3 ** 10000), F(1, 10 ** 5000), F(1, 7 ** 5200), F(1, 2 ** 15000))))
+        assert min(len(str(pmf.masses[1].denominator)) for pmf in spec.links().values()) > 4300
+        _check_integer_view(layer_coefficients(spec))

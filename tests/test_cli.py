@@ -1,9 +1,7 @@
 """End-to-end command-line behavior: parsing, exports, exit codes."""
 
-import contextlib
 import json
 import random
-import sys
 from fractions import Fraction
 
 import pytest
@@ -13,7 +11,7 @@ from layercap import ChannelSpec, FadingPmf, RegionPolytope, outer_region, rando
 from layercap.cli import ChannelSpecFile, SpecFileError, main
 import layercap.cli as cli
 import layercap.verification as verification
-from strategies import specs
+from strategies import no_int_str_digit_limit, specs
 
 F = Fraction
 
@@ -111,21 +109,6 @@ def spec_json(spec: ChannelSpec, decimal: bool) -> str:
     return f'{{"q": {spec.q}, {links}}}'
 
 
-@contextlib.contextmanager
-def no_int_str_digit_limit():
-    # as cli.main does, but restored afterwards, so the result does not
-    # depend on an earlier main() call in the same session
-    if not hasattr(sys, "set_int_max_str_digits"):
-        yield
-        return
-    old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(old)
-
-
 def _two_mass_spec(x: Fraction) -> ChannelSpec:
     pmf = FadingPmf([1 - x, x])
     return ChannelSpec(pmf, pmf, pmf, pmf)
@@ -195,6 +178,29 @@ def test_region_svg_weak_annotations(tmp_path, capsys):
     assert "stroke-dasharray" in svg  # sum-capacity face
     assert "&#9733;" in svg  # star marker
     assert ">A<" in svg
+    assert ">B<" not in svg  # the sum-capacity face is one vertex
+
+
+# weak, with a sum-capacity face of two vertices: corner A at its R1 end, B
+# at its R2 end
+EDGE_FACE_SPEC = """{
+  "q": 1,
+  "n11": ["1/2", "1/2"],
+  "n12": ["1/2", "1/2"],
+  "n21": [1, 0],
+  "n22": ["3/4", "1/4"]
+}
+"""
+
+
+def test_region_svg_marks_both_corners_of_an_edge_face(tmp_path, capsys):
+    path = write(tmp_path, "edge.json", EDGE_FACE_SPEC)
+    assert main(["region", "--spec", path, "--format", "svg"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    for mark in "AB":
+        label = [i for i, line in enumerate(lines) if f">{mark}<" in line]
+        assert len(label) == 1, mark
+        assert lines[label[0] - 1].startswith("<circle") and 'r="4"' in lines[label[0] - 1]
 
 
 def test_region_svg_plain_without_weak(tmp_path, capsys):
@@ -252,18 +258,24 @@ def test_parse_error_exit_code(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["region", "classify"])
-@pytest.mark.parametrize("case", ["unwritable out", "spec not utf-8"])
+@pytest.mark.parametrize(
+    "case", ["unwritable out", "spec not utf-8", "spec missing", "spec is a directory"])
 def test_io_errors_exit_2_with_one_error_line(tmp_path, capsys, command, case):
-    spec = write(tmp_path, "weak.json", WEAK_SPEC)
+    # the line names the path at fault once, then the reason
+    path = tmp_path / "bad.json"
+    argv = [command, "--spec", str(path)]
     if case == "unwritable out":
-        argv = [command, "--spec", spec, "--out", str(tmp_path / "no-such-dir" / "x.json")]
-    else:
-        (tmp_path / "latin1.json").write_bytes(WEAK_SPEC.replace("q", "\xe9q").encode("latin-1"))
-        argv = [command, "--spec", str(tmp_path / "latin1.json")]
+        path = tmp_path / "no-such-dir" / "x.json"
+        argv = [command, "--spec", write(tmp_path, "weak.json", WEAK_SPEC), "--out", str(path)]
+    elif case == "spec not utf-8":
+        path.write_bytes(WEAK_SPEC.replace("q", "\xe9q").encode("latin-1"))
+    elif case == "spec is a directory":
+        path.mkdir()
     assert main(argv) == cli.EXIT_PARSE
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.err.count(str(path)) == 1
 
 
 @pytest.mark.parametrize(

@@ -229,14 +229,16 @@ def test_region_is_its_canonical_vertex_tuple(planes, data):
          x_steps=2, y_steps=3)
 def test_contains_matches_the_constraints(planes, x_steps, y_steps):
     # every point of a rational grid over the bounding box and one step past
-    # its far sides: membership equals evaluating every plane directly
+    # each of its sides: membership equals the first quadrant and every plane
+    # evaluated directly
     region = intersect(planes)
     dx = max(x for x, _ in region.vertices) / x_steps or F(1)
     dy = max(y for _, y in region.vertices) / y_steps or F(1)
-    for i in range(x_steps + 2):
-        for j in range(y_steps + 2):
+    for i in range(-1, x_steps + 2):
+        for j in range(-1, y_steps + 2):
             p = (i * dx, j * dy)
-            assert region.contains(p) == all(h.holds(p) for h in planes), p
+            expected = i >= 0 and j >= 0 and all(h.holds(p) for h in planes)
+            assert region.contains(p) == expected, p
 
 
 @settings(max_examples=300, deadline=None)
