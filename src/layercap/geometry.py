@@ -38,18 +38,22 @@ class HalfPlane:
     __slots__ = ("a", "b", "c")
 
     def __init__(self, a, b, c):
-        # ints are taken as they are: they are rationals with denominator 1
-        a, b, c = (x if type(x) is int else as_fraction(x) for x in (a, b, c))
+        # ints are taken as they are: they are rationals with denominator 1,
+        # and three of them are already the integer triple
+        ints = type(a) is int and type(b) is int and type(c) is int
+        if not ints:
+            a, b, c = (x if type(x) is int else as_fraction(x) for x in (a, b, c))
         if a < 0 or b < 0:
             raise ValueError(f"coefficients must be nonnegative, got a={a}, b={b}")
         if a == 0 and b == 0:
             raise ValueError("(a, b) must not both be zero")
         if c < 0:
             raise ValueError(f"right-hand side must be nonnegative, got c={c}")
-        den = lcm(a.denominator, b.denominator, c.denominator)
-        na, nb, nc = (x.numerator * (den // x.denominator) for x in (a, b, c))
-        g = gcd(na, nb, nc)
-        self.a, self.b, self.c = na // g, nb // g, nc // g
+        if not ints:
+            den = lcm(a.denominator, b.denominator, c.denominator)
+            a, b, c = (x.numerator * (den // x.denominator) for x in (a, b, c))
+        g = gcd(a, b, c)
+        self.a, self.b, self.c = a // g, b // g, c // g
 
     def holds(self, point) -> bool:
         x, y = point

@@ -6,7 +6,8 @@ statistic the exact machinery computes from its sample frequencies;
 agreement is evidence the convolution formulas and the sampler describe the
 same level distributions.  The coupling check verifies, analytically, the
 quantile-coupling identities that tie the difference-level variables
-together.
+together.  Only the two sampling functions import numpy, so importing this
+module, and with it the CLI, does not pay for it.
 """
 
 from __future__ import annotations
@@ -14,12 +15,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from functools import lru_cache
+from typing import NamedTuple
 
 from .channel import (
     ChannelSpec,
     FadingPmf,
+    _diff_tails,
     diff_tail,
     expect,
     expect_max,
@@ -54,6 +56,8 @@ def _level_chunks(cfg: SimConfig):
     index), so aggregate results do not depend on how chunks are scheduled
     and reruns are bit-identical.
     """
+    import numpy as np
+
     cdfs = [
         np.cumsum([float(m) for m in cfg.spec.links()[link].masses])
         for link in _LINKS
@@ -131,6 +135,8 @@ def mc_estimate_stats(cfg: SimConfig) -> MCStatsReport:
     Estimates are exact fractions count/samples, so identical seeds give
     identical reports; standard errors are the usual binomial/plug-in ones.
     """
+    import numpy as np
+
     q = cfg.spec.q
     side = q + 1
     counts = np.zeros(side ** 4, dtype=np.int64)
@@ -221,6 +227,38 @@ class CouplingReport:
         return self.order_ok and all(e.ok for e in self.entries)
 
 
+class _PairView(NamedTuple):
+    """What the coupling identities read of one link pair (x, y).
+
+    tails[l-1] and diff_tails[l-1] are P((N_x - N_y)^+ >= l), once from the
+    mass convolution of pos_diff_pmf and once from _diff_tails, as integer
+    numerators over den; alphas[l-1] is the pair (P(L < l <= N_x), alpha(l))
+    for L = (N_x - N_y)^+, and dominated says L <= N_x under the coupling.
+    """
+
+    den: int
+    tails: tuple
+    diff_tails: tuple
+    alphas: tuple
+    dominated: bool
+
+
+@lru_cache(maxsize=4096)
+def _pair_view(x: FadingPmf, y: FadingPmf) -> _PairView:
+    pos = pos_diff_pmf(x, y)
+    nums = _diff_tails(x, y)[0]
+    dxy = x._den * y._den
+    den = math.lcm(pos._den, dxy)
+    return _PairView(
+        den=den,
+        tails=tuple(t * (den // pos._den) for t in pos._int_tails[1:-1]),
+        diff_tails=tuple(n * (den // dxy) for n in nums),
+        alphas=tuple((prob_sandwich(pos, x, l), tail(x, l) - diff_tail(x, y, l))
+                     for l in range(1, x.q + 1)),
+        dominated=dominated(pos, x),
+    )
+
+
 def coupling_check(spec: ChannelSpec) -> CouplingReport:
     """Verify the shared-uniform coupling identities exactly, layer by layer.
 
@@ -229,21 +267,26 @@ def coupling_check(spec: ChannelSpec) -> CouplingReport:
     quantities: P(L < l <= M) equals the clamped gamma numerator and
     P(L < l <= N21) equals alpha1(l); the coupling must also keep L <= N21
     pointwise.
+
+    Everything but gamma depends on the pair A = (n21, n11) alone and is
+    read off its cached view.  P(L < l <= M) = [P(M >= l) - P(L >= l)]^+,
+    so both sides of the gamma identity are integer differences over the
+    product of the views' denominators, with B = (n22, n12) giving M.
     """
-    m_pmf = pos_diff_pmf(spec.n22, spec.n12)
-    l_pmf = pos_diff_pmf(spec.n21, spec.n11)
-    zero = Fraction(0)
+    a = _pair_view(spec.n21, spec.n11)
+    b = _pair_view(spec.n22, spec.n12)
+    den = a.den * b.den
     entries = []
-    for l in range(1, spec.q + 1):
-        gap = diff_tail(spec.n22, spec.n12, l) - diff_tail(spec.n21, spec.n11, l)
+    for l, (ta, tb, ua, ub, (lhs_alpha, rhs_alpha)) in enumerate(
+            zip(a.tails, b.tails, a.diff_tails, b.diff_tails, a.alphas), 1):
+        lhs = max(tb * a.den - ta * b.den, 0)
+        rhs = max(ub * a.den - ua * b.den, 0)
+        lhs_gamma = Fraction(lhs, den)
         entries.append(CouplingEntry(
             l=l,
-            lhs_gamma=prob_sandwich(l_pmf, m_pmf, l),
-            rhs_gamma=gap if gap > 0 else zero,
-            lhs_alpha=prob_sandwich(l_pmf, spec.n21, l),
-            rhs_alpha=tail(spec.n21, l) - diff_tail(spec.n21, spec.n11, l),
+            lhs_gamma=lhs_gamma,
+            rhs_gamma=lhs_gamma if rhs == lhs else Fraction(rhs, den),
+            lhs_alpha=lhs_alpha,
+            rhs_alpha=rhs_alpha,
         ))
-    return CouplingReport(
-        entries=tuple(entries),
-        order_ok=dominated(l_pmf, spec.n21),
-    )
+    return CouplingReport(entries=tuple(entries), order_ok=a.dominated)

@@ -12,20 +12,25 @@ from layercap import ChannelSpec, FadingPmf
 F = Fraction
 
 
-@st.composite
-def pmfs(draw, q):
-    # small integer weights: zero masses and equal tails, hence ties, are common
-    weights = draw(st.lists(st.integers(0, 4), min_size=q + 1, max_size=q + 1))
-    if sum(weights) == 0:
-        weights[draw(st.integers(0, q))] = 1
-    total = sum(weights)
-    return FadingPmf([F(w, total) for w in weights])
+# small integer weights: zero masses and equal tails, hence ties, are common
+SMALL_WEIGHTS = st.integers(0, 4)
+# ties as above, mixed with weights that give masses 64-bit denominators
+MIXED_WEIGHTS = SMALL_WEIGHTS | st.integers(0, 1 << 64)
 
 
 @st.composite
-def specs(draw):
-    q = draw(st.integers(1, 8))
-    return ChannelSpec(*(draw(pmfs(q)) for _ in range(4)))
+def pmfs(draw, q, weights=SMALL_WEIGHTS):
+    drawn = draw(st.lists(weights, min_size=q + 1, max_size=q + 1))
+    if sum(drawn) == 0:
+        drawn[draw(st.integers(0, q))] = 1
+    total = sum(drawn)
+    return FadingPmf([F(w, total) for w in drawn])
+
+
+@st.composite
+def specs(draw, max_q=8, weights=SMALL_WEIGHTS):
+    q = draw(st.integers(1, max_q))
+    return ChannelSpec(*(draw(pmfs(q, weights)) for _ in range(4)))
 
 
 def unit_rationals():

@@ -1,8 +1,12 @@
 """End-to-end command-line behavior: parsing, exports, exit codes."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -347,6 +351,18 @@ def test_verify_failing_suite(capsys, monkeypatch):
 def test_verify_inclusions_seeded(capsys):
     assert main(["verify", "inclusions", "--seed", "3"]) == 0
     assert "[inclusions] PASS" in capsys.readouterr().out
+
+
+def test_cold_start_does_not_import_numpy():
+    # numpy is imported where sampling runs, so region, classify and the
+    # exact suites start without it; a fresh interpreter shows the cost
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = "import sys, layercap, layercap.cli; print('numpy' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "False"
 
 
 def test_region_prints_numbers_past_the_int_str_digit_limit(tmp_path, capsys):

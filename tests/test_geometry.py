@@ -76,6 +76,32 @@ def test_halfplane_rejects_bad_coefficients(a, b, c):
         HalfPlane(a, b, c)
 
 
+@settings(max_examples=200, deadline=None)
+@given(a=st.integers(0, 10 ** 30), b=st.integers(0, 10 ** 30), c=st.integers(0, 10 ** 30))
+def test_halfplane_from_ints_equals_from_fractions_and_strings(a, b, c):
+    if a == b == 0:
+        a = 1
+    plane = HalfPlane(a, b, c)
+    assert plane == HalfPlane(F(a), F(b), F(c)) == HalfPlane(str(a), str(b), str(c))
+    assert all(type(x) is int for x in (plane.a, plane.b, plane.c))
+
+
+@pytest.mark.parametrize(
+    "a,b,c,message",
+    [
+        (-1, 0, 1, "coefficients must be nonnegative, got a=-1, b=0"),
+        (0, -3, 1, "coefficients must be nonnegative, got a=0, b=-3"),
+        (0, 0, 1, "(a, b) must not both be zero"),
+        (1, 1, -2, "right-hand side must be nonnegative, got c=-2"),
+    ],
+)
+def test_halfplane_errors_do_not_depend_on_the_input_type(a, b, c, message):
+    for args in ((a, b, c), (F(a), F(b), F(c)), (str(a), str(b), str(c))):
+        with pytest.raises(ValueError) as err:
+            HalfPlane(*args)
+        assert str(err.value) == message
+
+
 def test_unbounded_detection():
     with pytest.raises(UnboundedRegionError):
         intersect([HalfPlane(1, 0, 1)])

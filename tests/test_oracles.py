@@ -1,16 +1,20 @@
 """Monte Carlo estimators and the shared-uniform coupling."""
 
 import dataclasses
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from layercap import (
     ChannelSpec,
+    CouplingReport,
     FadingPmf,
     SimConfig,
     coupling_check,
+    diff_tail,
     dominated,
     exact_stats,
     examples,
@@ -19,9 +23,12 @@ from layercap import (
     prob_sandwich,
     random_spec,
     symmetric_bernoulli,
+    tail,
 )
-from layercap import verification
+from layercap import oracles, verification
+from layercap.oracles import CouplingEntry
 from layercap.verification import mc_within_tolerance
+from strategies import MIXED_WEIGHTS, specs
 
 F = Fraction
 
@@ -128,6 +135,101 @@ def test_coupling_triple_basics():
     # P(L < 1 <= M) with F_L(0) = 97/100, F_M(0) = 37/100
     assert prob_sandwich(l, m, 1) == F(3, 5)
     assert dominated(l, n21)
+
+
+def reference_coupling_check(spec):
+    # every quantity re-derived per layer in Fraction arithmetic, as the
+    # identities are stated in coupling_check's docstring
+    m_pmf = pos_diff_pmf(spec.n22, spec.n12)
+    l_pmf = pos_diff_pmf(spec.n21, spec.n11)
+    entries = []
+    for l in range(1, spec.q + 1):
+        gap = diff_tail(spec.n22, spec.n12, l) - diff_tail(spec.n21, spec.n11, l)
+        entries.append(CouplingEntry(
+            l=l,
+            lhs_gamma=prob_sandwich(l_pmf, m_pmf, l),
+            rhs_gamma=gap if gap > 0 else F(0),
+            lhs_alpha=prob_sandwich(l_pmf, spec.n21, l),
+            rhs_alpha=tail(spec.n21, l) - diff_tail(spec.n21, spec.n11, l),
+        ))
+    return CouplingReport(entries=tuple(entries), order_ok=dominated(l_pmf, spec.n21))
+
+
+def assert_same_report(spec):
+    got, want = coupling_check(spec), reference_coupling_check(spec)
+    assert got.order_ok == want.order_ok, spec
+    assert len(got.entries) == len(want.entries) == spec.q
+    for g, w in zip(got.entries, want.entries):
+        assert g == w, (spec, g.l)
+        # equal Fractions, not merely equal values of another type
+        for field in dataclasses.fields(w):
+            assert type(getattr(g, field.name)) is type(getattr(w, field.name))
+    assert got == want
+
+
+@pytest.fixture
+def fresh_pair_views():
+    # the views are cached per link pair; a mutant's view must neither
+    # come from nor stay in the cache another test sees
+    oracles._pair_view.cache_clear()
+    yield
+    oracles._pair_view.cache_clear()
+
+
+def test_coupling_matches_reference_on_suite_channels():
+    # every 7th of the suite's 50,625 channels; 7 is prime to 15, so the
+    # four links all run through all 15 pmfs
+    pmfs = verification._small_pmfs()
+    for links in itertools.islice(itertools.product(pmfs, repeat=4), 0, None, 7):
+        assert_same_report(ChannelSpec(*links))
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=specs(max_q=4, weights=MIXED_WEIGHTS))
+def test_coupling_matches_reference_on_drawn_specs(spec):
+    assert_same_report(spec)
+
+
+def test_coupling_suite_catches_changed_pos_diff_tails(monkeypatch, fresh_pair_views):
+    # for the one pair N21 = 1, N11 = 0, move a quarter of the mass of
+    # (N21 - N11)^+ from level 1 to level 0: the convolution side no longer
+    # matches the difference tails, though L <= N21 still holds
+    x, y = FadingPmf.point(1, 2), FadingPmf.point(0, 2)
+    assert pos_diff_pmf(x, y) == x
+    real = oracles.pos_diff_pmf
+
+    def mutant(a, b):
+        if (a, b) == (x, y):
+            return FadingPmf([F(1, 4), F(3, 4), F(0)])
+        return real(a, b)
+
+    monkeypatch.setattr(oracles, "pos_diff_pmf", mutant)
+    report = coupling_check(ChannelSpec(n11=y, n12=y, n21=x, n22=x))
+    assert report.order_ok
+    assert report.entries[0].lhs_alpha == F(1, 4) != report.entries[0].rhs_alpha
+    result = verification.verify_coupling()
+    assert not result.ok
+    assert result.lines[0].startswith("[coupling] ") and "/50625 channels" in result.lines[0]
+    assert not result.lines[0].startswith("[coupling] 50625/")
+    assert any("first failure at" in line for line in result.lines)
+
+
+def test_coupling_suite_catches_broken_dominance(monkeypatch, fresh_pair_views):
+    # (N21 - N11)^+ pushed to the top level while N21 stays at 0: the
+    # coupled L then exceeds N21, so the pointwise order fails
+    x = y = FadingPmf.point(0, 2)
+    real = oracles.pos_diff_pmf
+
+    def mutant(a, b):
+        if (a, b) == (x, y):
+            return FadingPmf.point(2, 2)
+        return real(a, b)
+
+    monkeypatch.setattr(oracles, "pos_diff_pmf", mutant)
+    assert not coupling_check(ChannelSpec(n11=y, n12=y, n21=x, n22=x)).order_ok
+    result = verification.verify_coupling()
+    assert not result.ok
+    assert any("first failure at" in line for line in result.lines)
 
 
 def test_mc_tolerance_scales_with_samples():
