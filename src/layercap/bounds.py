@@ -41,21 +41,28 @@ bound is then one integer expression over r*D, for example
 
     r*D * c(p/r, m/r) = r*(E11 - A) + p*(LIFT + G) + m*X + p*(E12 - Y),
 
-and one Fraction is built per value.  A bound's half-plane puts its weights
-and value over one denominator and is built from those integers.  A bound
-costs O(log q) integer operations on numbers the size of r*D.
+and a bound costs O(log q) integer operations on numbers the size of r*D.
+
+The critical-weight and grid enumerations emit their bounds as BoundRows:
+the half-plane of each, ((r+m)*D, p*D, r*D*bound) for user 1, read off
+those numerators with no Fraction and no gcd, and intersect takes the rows
+as they are.  A WeightedBound, with its Fraction value and reduced
+half-plane, is built only for a row that is read, such as the constraints
+active_bounds reports; the lists of family_bounds, outer_halfplanes and
+grid_bounds read every row.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, cmp_to_key, lru_cache
+from functools import lru_cache
 from math import lcm
 from typing import Optional
 
 from .channel import ChannelSpec, as_fraction, layer_coefficients
-from .geometry import HalfPlane, RegionPolytope, intersect
+from .geometry import HalfPlane, RegionPolytope, Row, active_planes, intersect, ratio_order
 
 FAMILIES = ("1a", "1b", "1c", "2a", "2b", "2c")
 
@@ -68,6 +75,12 @@ def _check_user(user):
 def _check_family(family):
     if family not in ("a", "b", "c"):
         raise ValueError(f"family must be 'a', 'b' or 'c', got {family!r}")
+
+
+def _family_tag(user, family) -> str:
+    _check_user(user)
+    _check_family(family)
+    return f"{user}{family}"
 
 
 def _check_omega(omega) -> Fraction:
@@ -116,21 +129,10 @@ class WeightedBound:
             raise ValueError(f"bound value must be nonnegative, got {self.value}")
 
     def halfplane(self) -> HalfPlane:
-        return self._plane
-
-    @cached_property
-    def _plane(self) -> HalfPlane:
-        # built once per bound: intersect and the active selection both read
-        # it.  The three coefficients go over one denominator as integers,
-        # which HalfPlane takes as they are
-        omega, mu, value = self.omega, self.mu or 0, self.value
-        den = lcm(omega.denominator, mu.denominator, value.denominator)
-        own = den + mu.numerator * (den // mu.denominator)
-        cross = omega.numerator * (den // omega.denominator)
-        rhs = value.numerator * (den // value.denominator)
+        own, cross = 1 + (self.mu or 0), self.omega
         if self.family[0] == "1":
-            return HalfPlane(own, cross, rhs)
-        return HalfPlane(cross, own, rhs)
+            return HalfPlane(own, cross, self.value)
+        return HalfPlane(cross, own, self.value)
 
 
 class _Sweep:
@@ -143,8 +145,8 @@ class _Sweep:
     __slots__ = ("keys", "dens", "nums")
 
     def __init__(self, nums, dens):
-        self.keys = sorted(((n, d) for n, d in zip(nums, dens) if d > 0),
-                           key=cmp_to_key(lambda x, y: x[0] * y[1] - y[0] * x[1]))
+        pairs = [(n, d) for n, d in zip(nums, dens) if d > 0]
+        self.keys = [pairs[i] for i in ratio_order(pairs)]
         self.dens, self.nums = [0], [0]
         for n, d in self.keys:
             self.dens.append(self.dens[-1] + d)
@@ -283,88 +285,114 @@ def critical_weights(spec: ChannelSpec, user, family):
     return tuple(sorted({(om, r * om) for om in omegas for r in slopes}))
 
 
+class BoundRows(Sequence):
+    """Bounds as Rows of their half-planes, for intersect; item i is the
+    WeightedBound of row i, built when it is read."""
+
+    __slots__ = ("rows", "_tags")
+
+    def __init__(self):
+        self.rows = []  # Rows, for intersect
+        self._tags = []  # (family, omega, mu, r*D) per row
+
+    def __len__(self):
+        return len(self.rows)
+
+    def __getitem__(self, i) -> WeightedBound:
+        family, omega, mu, den = self._tags[i]
+        return WeightedBound(family, omega, mu, Fraction(self.rows[i][2], den))
+
+    def extend(self, spec: ChannelSpec, tag: str, weights):
+        """Add family tag's rows at weights (omega, mu, p, m, r), where
+        omega = p/r and mu = m/r, and mu is None and m = 0 outside the
+        c-families."""
+        kernel = bound_kernel(spec, int(tag[0]))
+        den = kernel.den
+        if tag[1] == "c":
+            values = [kernel.c(p, m, r) for _, _, p, m, r in weights]
+        else:
+            evaluate = kernel.a if tag[1] == "a" else kernel.b
+            values = [evaluate(p, r) for _, _, p, _, r in weights]
+        rows, tags, mirror = self.rows, self._tags, tag[0] == "2"
+        for (omega, mu, p, m, r), value in zip(weights, values):
+            # r*D > 0 makes (a, b) != (0, 0)
+            if value < 0 or not 0 <= m <= p <= r:
+                raise ValueError(f"bound {tag} at omega={omega}, mu={mu}: needs a value "
+                                 f">= 0, got {Fraction(value, r * den)}, and 0 <= mu <= omega <= 1")
+            own, cross = (r + m) * den, p * den
+            rows.append(Row((cross, own, value) if mirror else (own, cross, value)))
+            tags.append((tag, omega, mu, r * den))
+
+
+def outer_rows(spec: ChannelSpec, families=FAMILIES) -> BoundRows:
+    """Bounds of the given families at their critical weights, in the
+    order given, omega ascending within a family."""
+    out = BoundRows()
+    for tag in families:
+        user, family = int(tag[0]), tag[1]
+        weights = critical_weights(spec, user, family)
+        if family == "c":
+            weights = [(om, mu, *_over_one_denominator(om, mu)) for om, mu in weights]
+        else:
+            weights = [(om, None, om.numerator, 0, om.denominator) for om in weights]
+        out.extend(spec, tag, weights)
+    return out
+
+
+def grid_rows(spec: ChannelSpec, steps: int) -> BoundRows:
+    """Dense-grid fallback: every family at omega = k/steps, mu = j/steps <= omega."""
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
+    w = [Fraction(k, steps) for k in range(steps + 1)]
+    line = [(w[k], None, k, 0, steps) for k in range(steps + 1)]
+    fan = [(w[k], w[j], k, j, steps) for k in range(steps + 1) for j in range(k + 1)]
+    out = BoundRows()
+    for user in (1, 2):
+        for family, weights in (("a", line), ("b", line), ("c", fan)):
+            out.extend(spec, f"{user}{family}", weights)
+    return out
+
+
 def family_bounds(spec: ChannelSpec, user, family) -> list:
     """WeightedBounds of one family at its critical weights, omega ascending."""
-    weights = critical_weights(spec, user, family)
-    kernel = bound_kernel(spec, user)
-    tag = f"{user}{family}"
-    if family == "c":
-        out = []
-        for om, mu in weights:
-            p, m, r = _over_one_denominator(om, mu)
-            out.append(WeightedBound(tag, om, mu, Fraction(kernel.c(p, m, r), r * kernel.den)))
-        return out
-    evaluate, den = (kernel.a if family == "a" else kernel.b), kernel.den
-    return [
-        WeightedBound(tag, om, None,
-                      Fraction(evaluate(om.numerator, om.denominator), om.denominator * den))
-        for om in weights
-    ]
+    return list(outer_rows(spec, (_family_tag(user, family),)))
 
 
 def family_region(spec: ChannelSpec, user, family) -> RegionPolytope:
     """Region cut out by a single family over all of its weights."""
-    return intersect([wb.halfplane() for wb in family_bounds(spec, user, family)])
+    return intersect(outer_rows(spec, (_family_tag(user, family),)).rows)
 
 
 def outer_halfplanes(spec: ChannelSpec) -> list:
     """All six families' bounds at their critical weights, in family order."""
-    out = []
-    for user in (1, 2):
-        for family in ("a", "b", "c"):
-            out.extend(family_bounds(spec, user, family))
-    return out
+    return list(outer_rows(spec))
 
 
 def outer_region(spec: ChannelSpec) -> RegionPolytope:
     """The full outer bound: intersection of every family's half-planes."""
-    return intersect([wb.halfplane() for wb in outer_halfplanes(spec)])
+    return intersect(outer_rows(spec).rows)
 
 
 def grid_bounds(spec: ChannelSpec, steps: int) -> list:
     """Dense-grid fallback: every family at omega = k/steps, mu = j/steps <= omega."""
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
-    weights = [Fraction(k, steps) for k in range(steps + 1)]
-    out = []
-    for user in (1, 2):
-        kernel = bound_kernel(spec, user)
-        den = steps * kernel.den  # every value's denominator over the grid
-        for tag, evaluate in ((f"{user}a", kernel.a), (f"{user}b", kernel.b)):
-            out += [WeightedBound(tag, om, None, Fraction(evaluate(k, steps), den))
-                    for k, om in enumerate(weights)]
-        tag, c = f"{user}c", kernel.c
-        out += [WeightedBound(tag, om, weights[j], Fraction(c(k, j, steps), den))
-                for k, om in enumerate(weights) for j in range(k + 1)]
-    return out
+    return list(grid_rows(spec, steps))
 
 
 def active_bounds(bounds, region: RegionPolytope) -> list:
     """Bounds whose half-planes support the region along an edge.
 
-    The bounds' half-planes must hold on the region, as they do for a region
-    intersected from them.  With 3 or more vertices such a plane is tight at
-    two vertices exactly when it is the line of an edge between the axes (one
-    along an axis would pin a rate), so the bounds are looked up in the set
-    of those edge lines.  Identical half-planes keep only the first
-    occurrence, so the family order of outer_halfplanes decides the reported
-    provenance.  Degenerate regions (< 3 vertices) only require tightness at
-    one vertex.
+    The region must be intersect's result on the bounds' half-planes or
+    rows, in the bounds' order; it records which of those planes are active
+    (active_planes), and only those bounds are read.  Identical half-planes
+    keep only the first occurrence, so the family order of outer_halfplanes
+    decides the reported provenance.  Degenerate regions (< 3 vertices)
+    only require tightness at one vertex.  Raises ValueError when a
+    reported bound's half-plane is not the plane the region recorded.
     """
-    v = region.vertices
-    if len(v) >= 3:
-        supports = {HalfPlane(y2 - y1, x1 - x2, x1 * y2 - x2 * y1)
-                    for (x1, y1), (x2, y2) in zip(v[1:], v[2:])}.__contains__
-    else:
-        def supports(plane):
-            return any(plane.tight(p) for p in v)
-    seen = set()
     out = []
-    for wb in bounds:
-        plane = wb.halfplane()
-        if plane in seen:
-            continue
-        seen.add(plane)
-        if supports(plane):
-            out.append(wb)
+    for i, row in active_planes(region, len(bounds)):
+        wb = bounds[i]
+        if wb.halfplane() != HalfPlane(*row):
+            raise ValueError("the region was not intersected from these bounds")
+        out.append(wb)
     return out

@@ -20,9 +20,9 @@ from pathlib import Path
 from .bounds import (
     WeightedBound,
     active_bounds,
-    grid_bounds,
-    outer_halfplanes,
+    grid_rows,
     outer_region,
+    outer_rows,
 )
 from .channel import ChannelSpec, FadingPmf, expect, expect_pos_diff
 from .geometry import RegionPolytope, intersect
@@ -140,11 +140,9 @@ def region_document(
 ) -> tuple[dict, RegionPolytope]:
     """The region's JSON document, and the region itself for csv/svg rendering."""
     spec = spec_file.spec
-    if mode == "grid":
-        bounds = grid_bounds(spec, grid_steps)
-    else:
-        bounds = outer_halfplanes(spec)
-    region = intersect([b.halfplane() for b in bounds])
+    # the bounds stay integer rows; only the active ones become WeightedBounds
+    bounds = grid_rows(spec, grid_steps) if mode == "grid" else outer_rows(spec)
+    region = intersect(bounds.rows)
     active = active_bounds(bounds, region)
     doc = {
         "label": spec_file.label,

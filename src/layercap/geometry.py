@@ -3,23 +3,28 @@
 Regions are intersections of half-planes a*R1 + b*R2 <= c with nonnegative
 coefficients, so they always contain the origin and are down-closed.
 Vertices are kept counterclockwise starting at the origin; degenerate
-regions (a segment or the origin alone) use 2 or 1 vertices.  No floating
-point anywhere.
+regions (a segment or the origin alone) use 2 or 1 vertices.  Every value
+and every test is exact; a float only ever serves as a sort key.
 
 Intersection works in the polar dual: a plane with c > 0 is the point
 (a/c, b/c), and the region's non-redundant planes are the hull chain of
-those points between the two axes.  The hull is scanned on the integer
-triples (a, b, c), with a 3x3 integer determinant as orientation test, in
-O(P log P) for P planes.  Neighbours on the chain cross at the vertices in
-counterclockwise order, one Fraction per coordinate, and RegionPolytope
-checks that order instead of hulling again.
+those points between the two axes.  The hull is scanned on integer triples
+(a, b, c), a HalfPlane's reduced ones or a Row as the bounds module emits
+it, unreduced, with a 3x3 integer determinant as orientation test, in
+O(P log P) for P planes.  The presort is ratio_order: a correctly rounded
+float key, with runs of equal keys settled by cross-multiplying.
+Neighbours on the chain cross at the vertices in counterclockwise order,
+one Fraction per coordinate, and RegionPolytope checks that order instead
+of hulling again.  The chain also names the planes along the region's
+edges; the region records them, and active_planes reads them back.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cmp_to_key
+from itertools import compress
 from math import gcd, lcm
+from operator import eq, itemgetter
 
 from .channel import as_fraction
 
@@ -75,6 +80,24 @@ class HalfPlane:
         return f"HalfPlane({self.a}*R1 + {self.b}*R2 <= {self.c})"
 
 
+class Row(tuple):
+    """The constraint a*R1 + b*R2 <= c as its integer triple, not reduced,
+    as the bounds module emits it (and checks it) for intersect.  As with
+    HalfPlane, two rows are equal iff they describe the same constraint."""
+
+    __slots__ = ()
+    a, b, c = (property(itemgetter(k)) for k in range(3))
+
+    def __eq__(self, other):
+        return HalfPlane(*self) == (HalfPlane(*other) if isinstance(other, Row) else other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash(HalfPlane(*self))
+
+
 def _cross(o, a, b) -> Fraction:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
@@ -90,7 +113,7 @@ class RegionPolytope:
     unordered one included, raises ValueError, so equal regions compare equal.
     """
 
-    __slots__ = ("_vertices",)
+    __slots__ = ("_vertices", "_active")
 
     def __init__(self, vertices):
         v = tuple((as_fraction(x), as_fraction(y)) for x, y in vertices)
@@ -105,6 +128,7 @@ class RegionPolytope:
                 raise ValueError("vertices must run from the R1 axis to the R2 axis as a "
                                  "staircase that turns strictly left at every vertex")
         self._vertices = v
+        self._active = None  # set by intersect; see active_planes
 
     @property
     def vertices(self) -> tuple:
@@ -142,64 +166,139 @@ class RegionPolytope:
         return f"RegionPolytope([{pts}])"
 
 
-def _det(u, v, w) -> int:
-    # 3x3 determinant of three (a, b, c) rows; for c > 0 its sign is the
-    # orientation of the dual points (a/c, b/c)
-    return (u[0] * (v[1] * w[2] - v[2] * w[1])
-            - u[1] * (v[0] * w[2] - v[2] * w[0])
-            + u[2] * (v[0] * w[1] - v[1] * w[0]))
+def _ratio_keys(pairs) -> list:
+    return [n / (n + d) for n, d in pairs]
 
 
-def _axis_cap(rows, axis) -> tuple:
-    # the plane (A, 0, C) or (0, B, C) that caps one rate at its axis
-    # intercept: A/C is the largest a/c over the rows with a > 0 (B/C the
-    # largest b/c), so a row with c = 0, which pins the rate to 0, wins.
-    # Left unreduced: the orientation test and Cramer's rule are both blind
-    # to a positive scale
-    best = max((r for r in rows if r[axis]),
-               key=cmp_to_key(lambda u, v: u[axis] * v[2] - v[axis] * u[2]))
-    return (best[0], 0, best[2]) if axis == 0 else (0, best[1], best[2])
+def ratio_order(pairs) -> list:
+    """Indices of the pairs (n, d) by ascending n/d, equal ratios in input order.
+
+    n, d >= 0 and not both 0; d = 0 is an infinite ratio.  The sort key is
+    the float n/(n+d), which rises with n/d; int/int true division is
+    correctly rounded, so that key never contradicts the exact order.  Only
+    when two equal keys hold different ratios are the runs of equal keys
+    sorted again, exactly.
+    """
+    keys = _ratio_keys(pairs)
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    ranked = [keys[i] for i in order]
+    for k in compress(range(1, len(order)), map(eq, ranked, ranked[1:])):
+        (n, d), (m, e) = pairs[order[k - 1]], pairs[order[k]]
+        if n * e != m * d:
+            # n/(n+d) as a Fraction, which tuples compare only on equal floats
+            return sorted(order, key=lambda i: (keys[i], Fraction(pairs[i][0], sum(pairs[i]))))
+    return order
+
+
+def _axis_cap(rows, axis) -> list:
+    # indices, in input order, of the rows with the largest a/c (axis 0) or
+    # b/c (axis 1) over those with a > 0 (b > 0): the rows through the
+    # region's axis point, or the rows with c = 0, which pin the rate to 0.
+    # Only rows with the largest float key can hold it, as in ratio_order
+    pairs = {i: (row[axis], row[2]) for i, row in enumerate(rows) if row[axis]}
+    keys = _ratio_keys(pairs.values())
+    top = max(keys)
+    ids = [i for i, key in zip(pairs, keys) if key == top]
+    order = ratio_order([pairs[i] for i in ids])
+    x, c = pairs[ids[order[-1]]]
+    return [ids[k] for k in order if pairs[ids[k]][0] * c == x * pairs[ids[k]][1]]
 
 
 def intersect(planes) -> RegionPolytope:
     """Polytope of all (R1, R2) >= 0 satisfying every half-plane.
 
-    A plane with c = 0 pins each rate it involves to 0, which leaves a
-    segment on an axis or the origin.  Otherwise each plane is
-    <(a/c, b/c), z> <= 1, so the region is the polar of the down-closed hull
-    of those dual points.  That hull's chain from (A, 0) to (0, B), A and B
-    the largest a/c and b/c, is exactly the set of non-redundant planes, and
-    each pair of neighbours on it meets in one region vertex, in chain order.
-    The chain is one scan over the planes sorted by the direction of (a, b),
-    with a 3x3 integer determinant as the orientation test: O(P log P)
-    integer operations, and one Fraction per vertex coordinate.  The vertex
-    tuple is the origin, (A, 0), the crossings and (0, B), less repeats.
-    Raises UnboundedRegionError when no plane bounds R1 or none bounds R2.
+    planes are HalfPlanes or Rows.  A plane with c = 0 pins each rate it
+    involves to 0, which leaves a segment on an axis or the origin.
+    Otherwise each plane is <(a/c, b/c), z> <= 1, so the region is the polar
+    of the down-closed hull of those dual points.  That hull's chain from
+    (A, 0) to (0, B), A and B the largest a/c and b/c, is exactly the set of
+    non-redundant planes, and each pair of neighbours on it meets in one
+    region vertex, in chain order.  The chain is one scan over the planes
+    presorted by the direction of (a, b) (ratio_order on (b, a)), with a 3x3
+    integer determinant as the orientation test: O(P log P) integer
+    operations, and one Fraction per vertex coordinate.  Of planes that
+    share a direction only the tightest can be on the chain, and of
+    identical ones the first.  The vertex tuple is the origin, (A, 0), the
+    crossings and (0, B), less repeats.
+
+    The region records for active_planes the planes that carry an edge or,
+    when a pinned rate leaves fewer than 3 vertices, touch a vertex.  Raises
+    UnboundedRegionError when no plane bounds R1 or none bounds R2.
     """
-    rows = {(p.a, p.b, p.c) for p in planes}
+    rows = [p if type(p) is Row else (p.a, p.b, p.c) for p in planes]
     if not any(a for a, _, _ in rows):
         raise UnboundedRegionError("no constraint bounds R1")
     if not any(b for _, b, _ in rows):
         raise UnboundedRegionError("no constraint bounds R2")
-    cap1, cap2 = _axis_cap(rows, 0), _axis_cap(rows, 1)
+    top1, top2 = _axis_cap(rows, 0), _axis_cap(rows, 1)
+    a1, _, c1 = rows[top1[0]]
+    _, b2, c2 = rows[top2[0]]
     zero = Fraction(0)
-    points = [(zero, zero), (Fraction(cap1[2], cap1[0]), zero)]
-    if cap1[2] and cap2[2]:  # no rate pinned, so every row has c > 0
-        # planes by the angle of (a, b); a plane looser than another of its
-        # direction, or than a cap, lies inside the hull and the scan pops it
-        by_angle = sorted(rows, key=cmp_to_key(lambda u, v: u[1] * v[0] - v[1] * u[0]))
-        chain = [cap1]
-        for row in by_angle + [cap2]:
-            while len(chain) >= 2 and _det(chain[-2], chain[-1], row) <= 0:
+    points = [(zero, zero), (Fraction(c1, a1), zero)]
+    if c1 and c2:  # no rate pinned, so every row has c > 0
+        # the chain runs from the cap (A, 0, C) to the cap (0, B, C), left
+        # unreduced: the orientation test and Cramer's rule are both blind
+        # to a positive scale.  A row on an axis lies inside the caps, so
+        # only the others are scanned.  Entries are (row, index, cross
+        # product of the previous row and this one)
+        chain = [((a1, 0, c1), None, None)]
+
+        def push(row, i):
+            # the orientation of chain[-2], chain[-1] and row, the sign of
+            # their 3x3 determinant, is row's dot product with that cross
+            a, b, c = row
+            while len(chain) >= 2:
+                x, y, z = chain[-1][2]
+                if x * a + y * b + z * c > 0:
+                    break
                 chain.pop()
-            chain.append(row)
+            u, v, w = chain[-1][0]
+            chain.append((row, i, (v * c - w * b, w * a - u * c, u * b - v * a)))
+
+        for i in ratio_order([(b, a) for a, b, _ in rows]):
+            row = a, b, c = rows[i]
+            if not (a and b):
+                continue
+            u, v, w = chain[-1][0]
+            if a * v == b * u:
+                # the direction of the last chain row, which is the tightest
+                # of it so far: keep the tighter row, the first if identical
+                if c * u >= w * a:
+                    continue
+                chain.pop()
+            push(row, i)
+        push((0, b2, c2), None)
         # each neighbour pair's crossing, by Cramer's rule
-        for (a1, b1, c1), (a2, b2, c2) in zip(chain, chain[1:]):
-            det = a1 * b2 - a2 * b1
-            points.append((Fraction(c1 * b2 - c2 * b1, det),
-                           Fraction(a1 * c2 - a2 * c1, det)))
-    points.append((zero, Fraction(cap2[2], cap2[1])))
+        for ((a, b, c), _, _), ((u, v, w), _, _) in zip(chain, chain[1:]):
+            det = a * v - u * b
+            points.append((Fraction(c * v - w * b, det), Fraction(a * w - u * c, det)))
+        # every scanned chain row turns strictly, so it carries an edge; a
+        # cap does unless a slanted row also runs through its axis point
+        active = [i for _, i, _ in chain[1:-1]]
+        if not any(rows[i][1] for i in top1):
+            active.append(top1[0])
+        if not any(rows[i][0] for i in top2):
+            active.append(top2[0])
+    else:
+        # the origin and at most one axis point (c1/a1, 0) or (0, c2/b2),
+        # either of which may be the origin; the first of identical planes
+        first = {}
+        for i, (a, b, c) in enumerate(rows):
+            if a * c1 == c * a1 or b * c2 == c * b2:
+                first.setdefault(HalfPlane(a, b, c), i)
+        active = list(first.values())
+    points.append((zero, Fraction(c2, b2)))
     # drop repeats: a chain end whose line meets its axis point repeats that
     # point, and a pinned rate puts an axis point on the origin
-    return RegionPolytope(points[:1] + [p for p, prev in zip(points[1:], points)
-                                        if p != prev and p != points[0]])
+    region = RegionPolytope(points[:1] + [p for p, prev in zip(points[1:], points)
+                                          if p != prev and p != points[0]])
+    region._active = (len(rows), tuple((i, rows[i]) for i in sorted(active)))
+    return region
+
+
+def active_planes(region: RegionPolytope, count: int) -> tuple:
+    """Pairs (index, (a, b, c)) of the active planes, as intersect recorded
+    them for a region it built from `count` planes; ValueError otherwise."""
+    if region._active is None or region._active[0] != count:
+        raise ValueError(f"the region was not intersected from {count} planes")
+    return region._active[1]

@@ -36,7 +36,7 @@ from .bounds import (
     _check_user,
     bound_b,
     critical_weights,
-    family_bounds,
+    outer_rows,
 )
 from .geometry import HalfPlane, RegionPolytope, intersect
 
@@ -134,8 +134,7 @@ def strong_region(spec: ChannelSpec) -> RegionPolytope:
 def weak_region(spec: ChannelSpec) -> RegionPolytope:
     """Capacity region under weak interference: the two b-family regions meet."""
     _require(spec, "weak")
-    planes = [wb.halfplane() for user in (1, 2) for wb in family_bounds(spec, user, "b")]
-    return intersect(planes)
+    return intersect(outer_rows(spec, ("1b", "2b")).rows)
 
 
 def weak_sum_capacity(spec: ChannelSpec) -> Fraction:

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: parsing, exports, exit codes."""
 
+import hashlib
 import json
 import os
 import random
@@ -222,6 +223,16 @@ def test_region_grid_mode_matches_exact_for_det(tmp_path, capsys):
     assert main(["region", "--spec", path]) == 0
     exact_doc = json.loads(capsys.readouterr().out)
     assert grid_doc["vertices"] == exact_doc["vertices"]
+
+
+def test_region_grid_mode_at_the_default_steps_is_pinned(tmp_path, capsys):
+    # README's weak spec at the default 256 grid steps (67,334 bounds); the
+    # benchmark's digests cover 16 steps only
+    path = write(tmp_path, "weak.json", WEAK_SPEC)
+    assert main(["region", "--spec", path, "--mode", "grid"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "6bad6d7bd1b528f3f1cd83a1f1f9d0c7a47186f9ed0dab1621ebed09973b74c4")
 
 
 def test_byte_identical_outputs(tmp_path):

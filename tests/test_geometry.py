@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -18,6 +19,9 @@ from layercap import (
     outer_halfplanes,
     random_spec,
 )
+from layercap.bounds import grid_rows, outer_rows
+from layercap.geometry import Row, active_planes, ratio_order
+from strategies import MIXED_WEIGHTS, SMALL_WEIGHTS, specs
 
 F = Fraction
 
@@ -360,3 +364,97 @@ def test_active_bounds_matches_tight_vertex_scan_on_specs():
         for bounds in (outer_halfplanes(spec), grid_bounds(spec, 6)):
             region = intersect([wb.halfplane() for wb in bounds])
             assert active_bounds(bounds, region) == reference_active_bounds(bounds, region)
+
+
+def test_active_bounds_needs_the_region_of_its_bounds():
+    bounds = outer_halfplanes(random_spec(random.Random(3), 2))
+    with pytest.raises(ValueError):
+        active_bounds(bounds, RegionPolytope([(0, 0), (1, 0), (0, 1)]))
+    with pytest.raises(ValueError):
+        active_bounds(bounds[1:], intersect([wb.halfplane() for wb in bounds]))
+    with pytest.raises(ValueError):
+        active_bounds(bounds[::-1], intersect([wb.halfplane() for wb in bounds]))
+
+
+def test_rows_equal_iff_their_constraints_are():
+    assert Row((2, 4, 6)) == Row((1, 2, 3)) == HalfPlane(1, 2, 3)
+    assert hash(Row((2, 4, 6))) == hash(Row((1, 2, 3)))
+    assert Row((1, 2, 3)) != Row((1, 2, 4))
+    assert (Row((2, 4, 6)).a, Row((2, 4, 6)).b, Row((2, 4, 6)).c) == (2, 4, 6)
+
+
+# -- the exact ratio order -----------------------------------------------------------
+
+
+def cmp_order(pairs):
+    """Indices by ascending n/d through a cross-multiplying comparator;
+    sorted() is stable, so equal ratios keep their input order."""
+    return sorted(range(len(pairs)),
+                  key=cmp_to_key(lambda i, j: pairs[i][0] * pairs[j][1] - pairs[j][0] * pairs[i][1]))
+
+
+@st.composite
+def ratio_pairs(draw):
+    """Pairs (n, d) of up to about 4,000 bits, with equal ratios at other
+    scales and pairs whose float keys collide with a different ratio."""
+    part = st.one_of(st.integers(0, 5), st.integers(0, 1 << 4000))
+    base = draw(st.lists(st.tuples(part, part).filter(any), min_size=1, max_size=6))
+    pairs = list(base)
+    for n, d in draw(st.lists(st.sampled_from(base), max_size=6)):
+        k = draw(st.integers(1, 300))
+        if draw(st.booleans()):
+            pairs.append((n << k, d << k))
+        else:
+            pairs.append(((n << k) + 1, d << k))
+    return draw(st.permutations(pairs))
+
+
+@settings(max_examples=400, deadline=None)
+@given(pairs=ratio_pairs())
+@example(pairs=[((1 << 80) + 1, 3 << 80), (1, 3), (2, 6)])
+@example(pairs=[(1, 0), (0, 1), (5, 0), (3, 3), (0, 7)])
+def test_ratio_order_is_the_exact_stable_order(pairs):
+    assert ratio_order(pairs) == cmp_order(pairs)
+
+
+def test_ratio_order_splits_colliding_float_keys():
+    # the floats of 1/4 and (2**80 + 1)/(2**82 + 1) are equal, the ratios not
+    pairs = [((1 << 80) + 1, 3 << 80), (1, 3), (2, 6)]
+    assert 1 / 4 == pairs[0][0] / sum(pairs[0])
+    assert ratio_order(pairs) == [1, 2, 0]
+
+
+# -- rows first, as the CLI computes a region ----------------------------------------
+
+
+def constraint_list(bounds):
+    out = []
+    for wb in bounds:
+        plane = wb.halfplane()
+        out.append((wb.family, wb.omega, wb.mu, plane.a, plane.b, plane.c))
+    return out
+
+
+def assert_rows_match_reference(table):
+    # the reference is the path before rows: every bound and its reduced
+    # half-plane, intersected, then the tight-vertex scan
+    bounds = list(table)
+    reference = intersect([wb.halfplane() for wb in bounds])
+    region = intersect(table.rows)
+    assert region.vertices == reference.vertices
+    assert (constraint_list(active_bounds(table, region))
+            == constraint_list(reference_active_bounds(bounds, reference)))
+    assert [i for i, _ in active_planes(region, len(table))] == [
+        i for i, _ in active_planes(reference, len(bounds))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=specs(max_q=5, weights=SMALL_WEIGHTS), steps=st.none() | st.integers(1, 16))
+def test_rows_first_matches_the_reference_on_small_weights(spec, steps):
+    assert_rows_match_reference(outer_rows(spec) if steps is None else grid_rows(spec, steps))
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=specs(max_q=5, weights=MIXED_WEIGHTS), steps=st.none() | st.integers(1, 16))
+def test_rows_first_matches_the_reference_on_mixed_weights(spec, steps):
+    assert_rows_match_reference(outer_rows(spec) if steps is None else grid_rows(spec, steps))

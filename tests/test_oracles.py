@@ -137,6 +137,17 @@ def test_coupling_triple_basics():
     assert dominated(l, n21)
 
 
+@pytest.mark.parametrize("fields,ok", [
+    ((F(1, 2), F(2, 4), F(0), 0), True),
+    ((F(1, 2), F(1, 3), F(1, 5), F(1, 5)), False),
+    ((F(1, 3), F(2, 3), F(1, 5), F(1, 5)), False),
+    ((F(0), F(0), F(1, 5), F(1, 7)), False),
+    ((F(0), F(0), F(2, 7), F(3, 7)), False),
+])
+def test_coupling_entry_ok_compares_values(fields, ok):
+    assert CouplingEntry(1, *fields).ok is ok
+
+
 def reference_coupling_check(spec):
     # every quantity re-derived per layer in Fraction arithmetic, as the
     # identities are stated in coupling_check's docstring
