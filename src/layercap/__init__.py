@@ -1,9 +1,12 @@
 """Capacity-region outer bounds for two-user layered erasure interference
 channels with receiver-only channel knowledge.
 
-Everything region-shaped is computed in exact rational arithmetic; the
-oracles module cross-checks the exact level statistics against Monte Carlo
-estimates from sampled fading levels.
+Everything region-shaped is computed in exact rational arithmetic.  The
+package exports the region and classification API of the channel, geometry,
+bounds and regimes modules; the example corpus, the deterministic recovery
+check, the Monte Carlo and coupling oracles and the verification suites are
+imported from layercap.corpus, .deterministic, .oracles and .verification,
+so computing a region loads none of them.
 """
 
 from .bounds import (
@@ -14,7 +17,6 @@ from .bounds import (
     bound_b,
     bound_c,
     critical_weights,
-    family_bounds,
     family_region,
     grid_bounds,
     outer_halfplanes,
@@ -34,32 +36,11 @@ from .channel import (
     swap_users,
     tail,
 )
-from .corpus import (
-    examples,
-    mixed_example,
-    random_moderate_spec,
-    random_pmf,
-    random_spec,
-    random_strong_spec,
-    random_weak_spec,
-    symmetric_bernoulli,
-)
-from .deterministic import DetChannel, RecoveryReport, det_region, verify_recovery
 from .geometry import (
     HalfPlane,
     RegionPolytope,
     UnboundedRegionError,
     intersect,
-)
-from .oracles import (
-    CouplingReport,
-    MCStatsReport,
-    SimConfig,
-    coupling_check,
-    dominated,
-    exact_stats,
-    mc_estimate_stats,
-    prob_sandwich,
 )
 from .regimes import (
     CornerAllocation,
@@ -73,6 +54,5 @@ from .regimes import (
     weak_region,
     weak_sum_capacity,
 )
-from .verification import SUITES, SuiteResult
 
 __version__ = "0.1.0"

@@ -48,8 +48,8 @@ the half-plane of each, ((r+m)*D, p*D, r*D*bound) for user 1, read off
 those numerators with no Fraction and no gcd, and intersect takes the rows
 as they are.  A WeightedBound, with its Fraction value and reduced
 half-plane, is built only for a row that is read, such as the constraints
-active_bounds reports; the lists of family_bounds, outer_halfplanes and
-grid_bounds read every row.
+active_bounds reports; the lists of outer_halfplanes and grid_bounds read
+every row.
 """
 
 from __future__ import annotations
@@ -351,11 +351,6 @@ def grid_rows(spec: ChannelSpec, steps: int) -> BoundRows:
         for family, weights in (("a", line), ("b", line), ("c", fan)):
             out.extend(spec, f"{user}{family}", weights)
     return out
-
-
-def family_bounds(spec: ChannelSpec, user, family) -> list:
-    """WeightedBounds of one family at its critical weights, omega ascending."""
-    return list(outer_rows(spec, (_family_tag(user, family),)))
 
 
 def family_region(spec: ChannelSpec, user, family) -> RegionPolytope:

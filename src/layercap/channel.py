@@ -103,7 +103,9 @@ class FadingPmf:
     def __eq__(self, other):
         if not isinstance(other, FadingPmf):
             return NotImplemented
-        return self._masses == other._masses
+        # the integer tails, den first, determine the masses and are
+        # determined by them: mass equality with no Fraction comparison
+        return self._int_tails == other._int_tails
 
     def __hash__(self):
         return self._hash
@@ -174,6 +176,13 @@ def _same_q(a: FadingPmf, b: FadingPmf):
         raise ValueError(f"pmfs must share q, got {a.q} and {b.q}")
 
 
+def dominates(a: FadingPmf, b: FadingPmf) -> bool:
+    """True iff N_a is stochastically at least N_b: P(N_a >= l) >= P(N_b >= l)
+    at every l, so the shared-uniform coupling makes N_b <= N_a pointwise."""
+    _same_q(a, b)
+    return all(x * b._den >= y * a._den for x, y in zip(a._int_tails, b._int_tails))
+
+
 def tail(pmf: FadingPmf, l: int) -> Fraction:
     """P(N >= l).  tail(., 0) = 1 and tail(., q+1) = 0 by convention."""
     if not 0 <= l <= pmf.q + 1:
@@ -241,6 +250,7 @@ def pos_diff_pmf(a: FadingPmf, b: FadingPmf) -> FadingPmf:
     return FadingPmf(masses)
 
 
+_LINKS = ("n11", "n12", "n21", "n22")
 # the difference tails "x-y" that the coefficients of both users read
 _PAIRS = (("n11", "n21"), ("n21", "n11"), ("n22", "n12"), ("n12", "n22"))
 _COEFFICIENTS = ("alpha1", "beta1", "gamma1", "alpha2", "beta2", "gamma2")

@@ -15,6 +15,7 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 from .bounds import (
@@ -24,16 +25,13 @@ from .bounds import (
     outer_region,
     outer_rows,
 )
-from .channel import ChannelSpec, FadingPmf, expect, expect_pos_diff
+from .channel import _LINKS, ChannelSpec, FadingPmf, expect, expect_pos_diff
 from .geometry import RegionPolytope, intersect
 from .regimes import classify, weak_sum_capacity
-from .verification import SUITES, verify_inclusions, verify_montecarlo
 
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_VERIFY = 4
-
-_LINK_KEYS = ("n11", "n12", "n21", "n22")
 
 
 class SpecFileError(ValueError):
@@ -76,7 +74,7 @@ class ChannelSpecFile:
             ) from exc
         if not isinstance(doc, dict):
             raise SpecFileError("top level must be a JSON object")
-        unknown = sorted(set(doc) - {"q", "label", *_LINK_KEYS})
+        unknown = sorted(set(doc) - {"q", "label", *_LINKS})
         if unknown:
             raise SpecFileError("unknown keys: " + ", ".join(unknown))
         if "q" not in doc:
@@ -90,7 +88,7 @@ class ChannelSpecFile:
         if not isinstance(label, str):
             raise SpecFileError("label must be a string")
         pmfs = {}
-        for key in _LINK_KEYS:
+        for key in _LINKS:
             if key not in doc:
                 raise SpecFileError(f"missing key: {key}")
             entries = doc[key]
@@ -322,17 +320,23 @@ def cmd_classify(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # imported here so that region and classify never load the suites, the
+    # corpus or the oracles
+    from . import verification
+
     if args.suite == "montecarlo":
-        result = verify_montecarlo(samples=args.samples, seed=args.seed)
+        result = verification.verify_montecarlo(samples=args.samples, seed=args.seed)
     elif args.suite == "inclusions":
-        result = verify_inclusions(seed=args.seed)
+        result = verification.verify_inclusions(seed=args.seed)
     else:
-        result = SUITES[args.suite]()
+        result = verification.SUITES[args.suite]()
     print(result.render())
     return EXIT_OK if result.ok else EXIT_VERIFY
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once: parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="layercap",
         description="Outer bounds and regime reports for two-user layered "

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .channel import ChannelSpec, FadingPmf, diff_tail, tail
+from .channel import ChannelSpec, FadingPmf, diff_tail, dominates, tail
 from .regimes import classify
 
 
@@ -87,18 +87,14 @@ def _tails(pmf: FadingPmf) -> list:
     return [tail(pmf, l) for l in range(1, pmf.q + 1)]
 
 
-def _dominates(a: FadingPmf, b: FadingPmf) -> bool:
-    return all(x >= y for x, y in zip(_tails(a), _tails(b)))
-
-
 def random_strong_spec(rng: random.Random, q: int, max_denominator: int = 8) -> ChannelSpec:
     """Random spec with each cross link stochastically above its direct partner."""
     def ordered_pair():
         while True:
             a, b = random_pmf(rng, q, max_denominator), random_pmf(rng, q, max_denominator)
-            if _dominates(a, b):
+            if dominates(a, b):
                 return a, b
-            if _dominates(b, a):
+            if dominates(b, a):
                 return b, a
 
     n12, n11 = ordered_pair()

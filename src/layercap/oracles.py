@@ -6,8 +6,8 @@ statistic the exact machinery computes from its sample frequencies;
 agreement is evidence the convolution formulas and the sampler describe the
 same level distributions.  The coupling check verifies, analytically, the
 quantile-coupling identities that tie the difference-level variables
-together.  Only the two sampling functions import numpy, so importing this
-module, and with it the CLI, does not pay for it.
+together.  Only the two sampling functions import numpy, so the exact
+suites, which import this module too, do not pay for it.
 """
 
 from __future__ import annotations
@@ -19,10 +19,13 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .channel import (
+    _LINKS,
+    _PAIRS,
     ChannelSpec,
     FadingPmf,
     _diff_tails,
     diff_tail,
+    dominates,
     expect,
     expect_max,
     expect_pos_diff,
@@ -30,8 +33,6 @@ from .channel import (
     tail,
 )
 
-_LINKS = ("n11", "n12", "n21", "n22")
-_DIFF_PAIRS = (("n11", "n21"), ("n21", "n11"), ("n22", "n12"), ("n12", "n22"))
 _MAX_PAIRS = (("n11", "n21"), ("n22", "n12"))
 _CHUNK = 1 << 16
 
@@ -104,12 +105,12 @@ def exact_stats(spec: ChannelSpec) -> dict:
     for name in _LINKS:
         for l in range(1, q + 1):
             out[f"tail:{name}:{l}"] = tail(links[name], l)
-    for a, b in _DIFF_PAIRS:
+    for a, b in _PAIRS:
         for l in range(1, q + 1):
             out[f"diff_tail:{a}-{b}:{l}"] = diff_tail(links[a], links[b], l)
     for name in _LINKS:
         out[f"expect:{name}"] = expect(links[name])
-    for a, b in _DIFF_PAIRS:
+    for a, b in _PAIRS:
         out[f"expect_pos_diff:{a}-{b}"] = expect_pos_diff(links[a], links[b])
     for a, b in _MAX_PAIRS:
         out[f"expect_max:{a}:{b}"] = expect_max(links[a], links[b])
@@ -150,7 +151,7 @@ def mc_estimate_stats(cfg: SimConfig) -> MCStatsReport:
     singles = {name: joint.sum(axis=tuple(i for i in range(4) if i != axis_of[name]))
                for name in _LINKS}
     pair_counts = {}
-    for a, b in set(_DIFF_PAIRS) | set(_MAX_PAIRS):
+    for a, b in set(_PAIRS) | set(_MAX_PAIRS):
         ia, ib = axis_of[a], axis_of[b]
         marg = joint.sum(axis=tuple(i for i in range(4) if i not in (ia, ib)))
         if ia > ib:
@@ -160,14 +161,14 @@ def mc_estimate_stats(cfg: SimConfig) -> MCStatsReport:
         c = singles[name]
         for l in range(1, q + 1):
             entries.append(_prob_entry(f"tail:{name}:{l}", int(c[l:].sum()), m))
-    for a, b in _DIFF_PAIRS:
+    for a, b in _PAIRS:
         c2 = pair_counts[(a, b)]
         for l in range(1, q + 1):
             hits = sum(int(c2[i, k]) for i in range(side) for k in range(side) if i - k >= l)
             entries.append(_prob_entry(f"diff_tail:{a}-{b}:{l}", hits, m))
     for name in _LINKS:
         entries.append(_mean_entry(f"expect:{name}", range(side), singles[name], m))
-    for a, b in _DIFF_PAIRS:
+    for a, b in _PAIRS:
         c2 = pair_counts[(a, b)]
         hist = [0] * side
         for i in range(side):
@@ -197,11 +198,6 @@ def prob_sandwich(low: FadingPmf, high: FadingPmf, l: int) -> Fraction:
     """P(low-variable < l <= high-variable) under the shared uniform."""
     gap = _cdf(low, l - 1) - _cdf(high, l - 1)
     return gap if gap > 0 else Fraction(0)
-
-
-def dominated(small: FadingPmf, big: FadingPmf) -> bool:
-    """True iff the coupling makes small <= big pointwise (cdf ordering)."""
-    return all(_cdf(small, n) >= _cdf(big, n) for n in range(small.q + 1))
 
 
 @dataclass(frozen=True)
@@ -260,7 +256,7 @@ def _pair_view(x: FadingPmf, y: FadingPmf) -> _PairView:
         diff_tails=tuple(n * (den // dxy) for n in nums),
         alphas=tuple((prob_sandwich(pos, x, l), tail(x, l) - diff_tail(x, y, l))
                      for l in range(1, x.q + 1)),
-        dominated=dominated(pos, x),
+        dominated=dominates(x, pos),
     )
 
 

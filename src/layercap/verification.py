@@ -42,11 +42,14 @@ class SuiteResult:
         return f"{body}\n[{self.name}] {status}"
 
 
-def verify_deterministic(level_cap: int = 3) -> SuiteResult:
-    """Sweep every constant channel with levels in {0..level_cap}."""
+_LEVEL_CAP = 3
+
+
+def verify_deterministic() -> SuiteResult:
+    """Sweep every constant channel with levels in {0.._LEVEL_CAP}."""
     total = 0
     failures = []
-    rng = range(level_cap + 1)
+    rng = range(_LEVEL_CAP + 1)
     for n11, n12, n21, n22 in itertools.product(rng, rng, rng, rng):
         total += 1
         report = verify_recovery(DetChannel(n11, n12, n21, n22))

@@ -10,7 +10,6 @@ import time
 from fractions import Fraction
 
 from layercap import (
-    DetChannel,
     bound_a,
     bound_b,
     bound_c,
@@ -19,14 +18,16 @@ from layercap import (
     layer_coefficients,
     moderate_bounds,
     outer_region,
+    strong_region,
+    symmetric_q1_region,
+)
+from layercap.corpus import (
     random_moderate_spec,
     random_spec,
     random_strong_spec,
     random_weak_spec,
-    strong_region,
-    symmetric_q1_region,
-    verify_recovery,
 )
+from layercap.deterministic import DetChannel, verify_recovery
 from layercap.verification import (
     verify_coupling,
     verify_inclusions,

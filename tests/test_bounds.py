@@ -19,17 +19,15 @@ from layercap import (
     bound_c,
     critical_weights,
     expect,
-    family_bounds,
     family_region,
     grid_bounds,
     intersect,
     moderate_bounds,
     outer_halfplanes,
     outer_region,
-    random_spec,
     swap_users,
-    symmetric_bernoulli,
 )
+from layercap.corpus import random_spec, symmetric_bernoulli
 from strategies import specs, unit_rationals
 
 F = Fraction
@@ -257,7 +255,7 @@ def test_bound_argument_validation():
     with pytest.raises(ValueError, match=family_error):
         moderate_bounds(MOD1, 1, "d", F(1, 2))
     with pytest.raises(ValueError):
-        family_bounds(MOD1, 0, "a")
+        family_region(MOD1, 0, "a")
 
 
 def test_families_constant():

@@ -15,11 +15,10 @@ from layercap import (
     expect_pos_diff,
     layer_coefficients,
     pos_diff_pmf,
-    random_spec,
     swap_users,
-    symmetric_bernoulli,
     tail,
 )
+from layercap.corpus import random_spec, symmetric_bernoulli
 import random
 
 from strategies import no_int_str_digit_limit, specs
@@ -95,6 +94,26 @@ def test_value_equal_pmfs_hash_and_compare_equal():
         assert hash(pmf) == hash(built[0])
     assert len(set(built)) == 1
     assert FadingPmf.uniform(2) != built[0]
+
+
+@st.composite
+def written_pmfs(draw):
+    """A small pmf whose masses k/den are written as ints where whole, and
+    otherwise as unreduced "k/den" strings or unreduced Fractions."""
+    q, den, scale = draw(st.integers(0, 2)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    cuts = sorted(draw(st.lists(st.integers(0, den), min_size=q, max_size=q)))
+    counts = [hi - lo for lo, hi in zip([0, *cuts], [*cuts, den])]
+    forms = (lambda k: f"{k * scale}/{den * scale}", lambda k: F(k * scale, den * scale))
+    return FadingPmf([k // den if k % den == 0 else draw(st.sampled_from(forms))(k)
+                      for k in counts])
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=written_pmfs(), b=written_pmfs())
+def test_pmf_equality_is_mass_equality(a, b):
+    assert (a == b) == (a.masses == b.masses)
+    if a == b:
+        assert hash(a) == hash(b)
 
 
 def test_diff_tail_pinned_values():

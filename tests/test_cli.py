@@ -12,8 +12,9 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from layercap import ChannelSpec, FadingPmf, RegionPolytope, outer_region, random_moderate_spec
+from layercap import ChannelSpec, FadingPmf, RegionPolytope, outer_region
 from layercap.cli import ChannelSpecFile, SpecFileError, main
+from layercap.corpus import random_moderate_spec
 import layercap.cli as cli
 import layercap.verification as verification
 from strategies import no_int_str_digit_limit, specs
@@ -354,7 +355,7 @@ def test_verify_failing_suite(capsys, monkeypatch):
     def fake():
         return verification.SuiteResult("deterministic", False, ("[deterministic] bad",))
 
-    monkeypatch.setitem(cli.SUITES, "deterministic", fake)
+    monkeypatch.setitem(verification.SUITES, "deterministic", fake)
     assert main(["verify", "deterministic"]) == 4
     assert "FAIL" in capsys.readouterr().out
 
@@ -364,16 +365,55 @@ def test_verify_inclusions_seeded(capsys):
     assert "[inclusions] PASS" in capsys.readouterr().out
 
 
-def test_cold_start_does_not_import_numpy():
-    # numpy is imported where sampling runs, so region, classify and the
-    # exact suites start without it; a fresh interpreter shows the cost
+def run_fresh(code):
+    """Run code in a fresh interpreter that imports layercap from this checkout."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
-    code = "import sys, layercap, layercap.cli; print('numpy' in sys.modules)"
-    run = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert run.stdout.strip() == "False"
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+
+
+def test_region_and_classify_load_only_the_core(tmp_path):
+    # the suites, the corpus, the oracles and numpy stay unloaded; in-process
+    # tests cannot show it, because the test modules import them first
+    path = write(tmp_path, "weak.json", WEAK_SPEC)
+    out = str(tmp_path / "out")
+    code = (
+        "import sys\n"
+        "from layercap import cli\n"
+        "for command in ('region', 'classify'):\n"
+        f"    assert cli.main([command, '--spec', {path!r}, '--out', {out!r}]) == 0\n"
+        "print(' '.join(sorted(m for m in sys.modules\n"
+        "                      if m.split('.')[0] in ('layercap', 'numpy'))))\n"
+    )
+    run = run_fresh(code)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["layercap", "layercap.bounds", "layercap.channel",
+                                  "layercap.cli", "layercap.geometry", "layercap.regimes"]
+
+
+def test_verify_imports_its_suites_when_run():
+    run = run_fresh("import sys\nfrom layercap import cli\n"
+                    "sys.exit(cli.main(['verify', 'deterministic']))")
+    assert run.returncode == cli.EXIT_OK, run.stderr
+    assert "[deterministic] PASS" in run.stdout
+
+
+def test_main_builds_the_parser_once(tmp_path, capsys):
+    path = write(tmp_path, "weak.json", WEAK_SPEC)
+    parser = cli.build_parser()
+    hits = cli.build_parser.cache_info().hits
+    assert main(["region", "--spec", path]) == cli.EXIT_OK
+    assert main(["classify", "--spec", path]) == cli.EXIT_OK
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, hits + 2)
+    assert cli.build_parser() is parser
+    # a usage error after a call that succeeded still exits 2
+    with pytest.raises(SystemExit) as exc:
+        main(["region"])
+    assert exc.value.code == cli.EXIT_PARSE
+    assert "--spec" in capsys.readouterr().err
 
 
 def test_region_prints_numbers_past_the_int_str_digit_limit(tmp_path, capsys):

@@ -3,8 +3,8 @@
 import random
 from fractions import Fraction
 
-from layercap import (
-    classify,
+from layercap import classify
+from layercap.corpus import (
     examples,
     random_moderate_spec,
     random_pmf,

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from layercap import DetChannel, det_region, outer_region, verify_recovery
+from layercap import outer_region
+from layercap.deterministic import DetChannel, det_region, verify_recovery
 
 F = Fraction
 

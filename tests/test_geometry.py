@@ -17,9 +17,9 @@ from layercap import (
     grid_bounds,
     intersect,
     outer_halfplanes,
-    random_spec,
 )
 from layercap.bounds import grid_rows, outer_rows
+from layercap.corpus import random_spec
 from layercap.geometry import Row, active_planes, ratio_order
 from strategies import MIXED_WEIGHTS, SMALL_WEIGHTS, specs
 

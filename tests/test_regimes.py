@@ -13,21 +13,24 @@ from layercap import (
     bound_b,
     bound_c,
     classify,
-    examples,
     expect_pos_diff,
-    mixed_example,
     moderate_bounds,
     outer_region,
-    random_moderate_spec,
-    random_strong_spec,
-    random_weak_spec,
     strong_region,
     swap_users,
-    symmetric_bernoulli,
     symmetric_q1_region,
     weak_corner,
     weak_region,
     weak_sum_capacity,
+)
+from layercap.corpus import (
+    examples,
+    mixed_example,
+    random_moderate_spec,
+    random_spec,
+    random_strong_spec,
+    random_weak_spec,
+    symmetric_bernoulli,
 )
 from strategies import specs
 
@@ -308,8 +311,6 @@ def test_mixed_flags_are_split():
 
 def test_classify_swap_symmetry():
     rng = random.Random(4096)
-    from layercap import random_spec
-
     for _ in range(25):
         spec = random_spec(rng, rng.randint(1, 3))
         a = classify(spec)
