@@ -146,7 +146,7 @@ class _Sweep:
 
     def __init__(self, nums, dens):
         pairs = [(n, d) for n, d in zip(nums, dens) if d > 0]
-        self.keys = [pairs[i] for i in ratio_order(pairs)]
+        self.keys = [pairs[i] for i in ratio_order(pairs)[0]]
         self.dens, self.nums = [0], [0]
         for n, d in self.keys:
             self.dens.append(self.dens[-1] + d)

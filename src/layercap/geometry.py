@@ -4,25 +4,31 @@ Regions are intersections of half-planes a*R1 + b*R2 <= c with nonnegative
 coefficients, so they always contain the origin and are down-closed.
 Vertices are kept counterclockwise starting at the origin; degenerate
 regions (a segment or the origin alone) use 2 or 1 vertices.  Every value
-and every test is exact; a float only ever serves as a sort key.
+and every test is exact.  A float serves as a sort key, or decides the sign
+of an orientation test when an a-priori bound on its error proves that sign
+(_orient, a static filter in Shewchuk's manner); otherwise the exact test
+runs.
 
 Intersection works in the polar dual: a plane with c > 0 is the point
 (a/c, b/c), and the region's non-redundant planes are the hull chain of
 those points between the two axes.  The hull is scanned on integer triples
 (a, b, c), a HalfPlane's reduced ones or a Row as the bounds module emits
 it, unreduced, with a 3x3 integer determinant as orientation test, in
-O(P log P) for P planes.  The presort is ratio_order: a correctly rounded
+O(P log P) for P planes; on operands of _FILTER_BITS or more the float
+orientation of the dual points decides first.  The presort is ratio_order: a correctly rounded
 float key, with runs of equal keys settled by cross-multiplying.
 Neighbours on the chain cross at the vertices in counterclockwise order,
 one Fraction per coordinate, and RegionPolytope checks that order instead
-of hulling again.  The chain also names the planes along the region's
-edges; the region records them, and active_planes reads them back.
+of hulling again, with the same filtered orientation test.  The chain also
+names the planes along the region's edges; the region records them, and
+active_planes reads them back.
 """
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, pairwise
 from math import gcd, lcm
 from operator import eq, itemgetter
 
@@ -102,6 +108,66 @@ def _cross(o, a, b) -> Fraction:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
+# -- the certified float orientation filter ------------------------------------
+
+_NAN = float("nan")
+_NORMAL = sys.float_info.min  # 2**-1022, the least normal double
+# 8u with u = 2**-53, the unit roundoff; _orient derives it
+_ORIENT_ERR = 2.0 ** -50
+# a permanent below this counts as uncertain, so no underflow goes unbounded
+_ORIENT_TINY = 2.0 ** -960
+
+
+def _ratio(n, d) -> float:
+    """n/d as a float within relative 2**-53 of it, or nan where that fails.
+
+    int/int true division rounds correctly, and raises OverflowError where
+    it would round past the float range.  That ratio, or one that underflows
+    to a subnormal or to zero from n != 0, has no such bound and becomes
+    nan, which _orient never certifies; so does a negative one.  n = 0
+    gives an exact 0.0.
+    """
+    try:
+        r = n / d
+    except OverflowError:
+        return _NAN
+    return r if r >= _NORMAL or not n else _NAN
+
+
+def _orient(p, q, r) -> float:
+    """orient2d(p, q, r) in floats when its sign is certified, else 0.0.
+
+    p, q, r are float points with coordinates >= 0, each _ratio of an exact
+    rational X (or nan).  The exact value D = (X1-X3)(Y2-Y3) - (Y1-Y3)(X2-X3)
+    is the 3x3 determinant [[X1, Y1, 1], [X2, Y2, 1], [X3, Y3, 1]], positive
+    for a strict left turn p -> q -> r.  A certified result d has the sign
+    of D, and D != 0; 0.0 means the caller runs its exact test.
+
+    The bound, with u = 2**-53 and every float operation
+    fl(x op y) = (x op y)(1 + e), |e| <= u, plus an absolute error under
+    2**-1075 for a product that underflows (a sum or difference that does
+    is exact):
+    - each input carries relative error u, so a difference
+      fl(x1 - x3) is within ((1+u)**2 - 1)(X1 + X3) of X1 - X3;
+    - a product of two differences then lies within
+      ((1+u)**5 - 1) S + 2**-1075 of the exact product, S the product of
+      the two sums such as (X1 + X3)(Y2 + Y3);
+    - the final difference d lies within ((1+u)**6 - 1) P + 2(1+u) 2**-1075
+      of D, P = (X1+X3)(Y2+Y3) + (Y1+Y3)(X2+X3) the exact permanent.
+    All terms are >= 0, so the float permanent p satisfies
+    p >= (1-u)**6 P - 2 * 2**-1075.  With p >= 2**-960 the absolute terms are
+    below u**2 p, so |d - D| <= (6u + 60u**2) p, and fl(8u p) exceeds that:
+    |d| > fl(8u p) proves sign(d) = sign(D).  A nan coordinate makes d and
+    p nan, and an overflow makes p infinite; both comparisons then fail.
+    """
+    x1, y1 = p
+    x2, y2 = q
+    x3, y3 = r
+    d = (x1 - x3) * (y2 - y3) - (y1 - y3) * (x2 - x3)
+    perm = (x1 + x3) * (y2 + y3) + (y1 + y3) * (x2 + x3)
+    return d if perm >= _ORIENT_TINY and abs(d) > _ORIENT_ERR * perm else 0.0
+
+
 class RegionPolytope:
     """Convex, down-closed first-quadrant region given by its vertices.
 
@@ -111,6 +177,10 @@ class RegionPolytope:
     falls, a last point on the R2 axis, and a strict left turn at every
     vertex; a 2-vertex segment may lie on either axis.  Any other list, an
     unordered one included, raises ValueError, so equal regions compare equal.
+    The staircase is checked by Fraction comparisons; each turn by _orient
+    on the correctly rounded floats of the three points, or where that does
+    not certify a sign (a collinear triple, a turn below float resolution,
+    a coordinate past the float range) by their exact cross product.
     """
 
     __slots__ = ("_vertices", "_active")
@@ -122,9 +192,15 @@ class RegionPolytope:
         if len(v) == 2 and not min(v[1]) == 0 < max(v[1]):
             raise ValueError("a 2-vertex region must be a segment along an axis")
         if len(v) >= 3:
-            edges = [(x2 - x1, y2 - y1) for (x1, y1), (x2, y2) in zip(v, v[1:] + v[:1])]
-            if (v[1][1] or v[-1][0] or not all(dx <= 0 <= dy for dx, dy in edges[1:-1])
-                    or not all(ux * wy > uy * wx for (ux, uy), (wx, wy) in zip(edges, edges[1:]))):
+            # the turn at each vertex but the origin is _orient on the floats
+            # of the three points, or where that is not certified their exact
+            # cross product
+            f = [(_ratio(x.numerator, x.denominator), _ratio(y.numerator, y.denominator))
+                 for x, y in v]
+            if (v[1][1] or v[-1][0]
+                    or not all(x2 <= x1 and y1 <= y2 for (x1, y1), (x2, y2) in pairwise(v[1:]))
+                    or not all((_orient(*fs) or _cross(*ps)) > 0 for fs, ps in zip(
+                        zip(f, f[1:], f[2:] + f[:1]), zip(v, v[1:], v[2:] + v[:1])))):
                 raise ValueError("vertices must run from the R1 axis to the R2 axis as a "
                                  "staircase that turns strictly left at every vertex")
         self._vertices = v
@@ -170,14 +246,16 @@ def _ratio_keys(pairs) -> list:
     return [n / (n + d) for n, d in pairs]
 
 
-def ratio_order(pairs) -> list:
-    """Indices of the pairs (n, d) by ascending n/d, equal ratios in input order.
+def ratio_order(pairs) -> tuple:
+    """(order, keys): the indices of the pairs (n, d) by ascending n/d, equal
+    ratios in input order, and each pair's float sort key, in input order.
 
     n, d >= 0 and not both 0; d = 0 is an infinite ratio.  The sort key is
     the float n/(n+d), which rises with n/d; int/int true division is
-    correctly rounded, so that key never contradicts the exact order.  Only
-    when two equal keys hold different ratios are the runs of equal keys
-    sorted again, exactly.
+    correctly rounded, so that key never contradicts the exact order, and
+    two pairs with different keys hold different ratios.  Only when two
+    equal keys hold different ratios are the runs of equal keys sorted
+    again, exactly.
     """
     keys = _ratio_keys(pairs)
     order = sorted(range(len(keys)), key=keys.__getitem__)
@@ -186,8 +264,9 @@ def ratio_order(pairs) -> list:
         (n, d), (m, e) = pairs[order[k - 1]], pairs[order[k]]
         if n * e != m * d:
             # n/(n+d) as a Fraction, which tuples compare only on equal floats
-            return sorted(order, key=lambda i: (keys[i], Fraction(pairs[i][0], sum(pairs[i]))))
-    return order
+            order = sorted(order, key=lambda i: (keys[i], Fraction(pairs[i][0], sum(pairs[i]))))
+            break
+    return order, keys
 
 
 def _axis_cap(rows, axis) -> list:
@@ -199,9 +278,101 @@ def _axis_cap(rows, axis) -> list:
     keys = _ratio_keys(pairs.values())
     top = max(keys)
     ids = [i for i, key in zip(pairs, keys) if key == top]
-    order = ratio_order([pairs[i] for i in ids])
+    order, _ = ratio_order([pairs[i] for i in ids])
     x, c = pairs[ids[order[-1]]]
     return [ids[k] for k in order if pairs[ids[k]][0] * c == x * pairs[ids[k]][1]]
+
+
+# intersect scans with _filtered_chain when the larger of the two caps' c has
+# at least this many bits, a test made once per call that leaves the rows of
+# smaller operands to _chain as they were.  On seed-0 and seed-3 inputs the
+# caps' c have 274-4,735 bits on moderate specs at q 3-7 (exact_bignum), at
+# most 44 on exact_deep and at most 20 on grid_dense.  With the latter two's
+# rows rescaled per row by random factors (Python 3.11, 2-core VM), the
+# filtered scan took 1.01x and 1.03x the exact scan's time on grid_dense
+# rows at 61 and 110 cap bits, and 0.91x and 0.86x at 158 and 206; on
+# exact_deep rows it took 0.88-0.95x from 65 bits.  exact_bignum's own row
+# sets took 0.37-0.46x
+_FILTER_BITS = 160
+
+
+def _chain(rows, order, first, last) -> list:
+    # the chain from the cap first = (A, 0, C) to the cap last = (0, B, C),
+    # left unreduced: the orientation test and Cramer's rule are both blind
+    # to a positive scale.  A row on an axis lies inside the caps, so only
+    # the others are scanned.  Entries are (row, index, cross product of the
+    # previous row and this one)
+    chain = [(first, None, None)]
+
+    def push(row, i):
+        # the orientation of chain[-2], chain[-1] and row, the sign of
+        # their 3x3 determinant, is row's dot product with that cross
+        a, b, c = row
+        while len(chain) >= 2:
+            x, y, z = chain[-1][2]
+            if x * a + y * b + z * c > 0:
+                break
+            chain.pop()
+        u, v, w = chain[-1][0]
+        chain.append((row, i, (v * c - w * b, w * a - u * c, u * b - v * a)))
+
+    for i in order:
+        row = a, b, c = rows[i]
+        if not (a and b):
+            continue
+        u, v, w = chain[-1][0]
+        if a * v == b * u:
+            # the direction of the last chain row, which is the tightest
+            # of it so far: keep the tighter row, the first if identical
+            if c * u >= w * a:
+                continue
+            chain.pop()
+        push(row, i)
+    push(last, None)
+    return chain
+
+
+def _filtered_chain(rows, order, keys, first, last) -> list:
+    # _chain with floats deciding first.  Every row has c > 0, so the sign
+    # of three rows' determinant is c1*c2*c3 times orient2d of their dual
+    # points (a/c, b/c): _orient decides it when it can certify it, and
+    # the cross product for the exact test is computed only when needed.
+    # Two rows with different ratio_order keys b/(a+b) have different
+    # directions, so only equal keys are cross-multiplied.  Entries are
+    # [row, index, dual point, cross product or None]
+    chain = [[first, None, (_ratio(first[0], first[2]), 0.0), None]]
+
+    def push(row, i, point):
+        a, b, c = row
+        while len(chain) >= 2:
+            before, top = chain[-2], chain[-1]
+            turn = _orient(before[2], top[2], point)
+            if not turn:
+                if top[3] is None:
+                    (u, v, w), (x, y, z) = before[0], top[0]
+                    top[3] = (v * z - w * y, w * x - u * z, u * y - v * x)
+                x, y, z = top[3]
+                turn = x * a + y * b + z * c
+            if turn > 0:
+                break
+            chain.pop()
+        chain.append([row, i, point, None])
+
+    top_key = 0.0  # the key b/(a+b) of first, whose b is 0
+    for i in order:
+        row = a, b, c = rows[i]
+        if not (a and b):
+            continue
+        if keys[i] == top_key:
+            u, v, w = chain[-1][0]
+            if a * v == b * u:
+                if c * u >= w * a:
+                    continue
+                chain.pop()
+        push(row, i, (_ratio(a, c), _ratio(b, c)))
+        top_key = keys[i]
+    push(last, None, (0.0, _ratio(last[1], last[2])))
+    return chain
 
 
 def intersect(planes) -> RegionPolytope:
@@ -221,6 +392,15 @@ def intersect(planes) -> RegionPolytope:
     identical ones the first.  The vertex tuple is the origin, (A, 0), the
     crossings and (0, B), less repeats.
 
+    When the caps' c reach _FILTER_BITS bits, floats decide first
+    (_filtered_chain): a determinant's sign is that of orient2d on the dual
+    points, taken from floats when |orient2d| exceeds the forward error
+    bound _orient derives, 8u times the float permanent (u = 2**-53), and
+    from the integers otherwise; a same-direction test runs only on equal
+    ratio_order keys.  A dual coordinate past the float range, or below its
+    normal range, sends its tests to the integers.  Either scan gives the
+    same chain, so the result does not depend on the gate.
+
     The region records for active_planes the planes that carry an edge or,
     when a pinned rate leaves fewer than 3 vertices, touch a vertex.  Raises
     UnboundedRegionError when no plane bounds R1 or none bounds R2.
@@ -236,45 +416,18 @@ def intersect(planes) -> RegionPolytope:
     zero = Fraction(0)
     points = [(zero, zero), (Fraction(c1, a1), zero)]
     if c1 and c2:  # no rate pinned, so every row has c > 0
-        # the chain runs from the cap (A, 0, C) to the cap (0, B, C), left
-        # unreduced: the orientation test and Cramer's rule are both blind
-        # to a positive scale.  A row on an axis lies inside the caps, so
-        # only the others are scanned.  Entries are (row, index, cross
-        # product of the previous row and this one)
-        chain = [((a1, 0, c1), None, None)]
-
-        def push(row, i):
-            # the orientation of chain[-2], chain[-1] and row, the sign of
-            # their 3x3 determinant, is row's dot product with that cross
-            a, b, c = row
-            while len(chain) >= 2:
-                x, y, z = chain[-1][2]
-                if x * a + y * b + z * c > 0:
-                    break
-                chain.pop()
-            u, v, w = chain[-1][0]
-            chain.append((row, i, (v * c - w * b, w * a - u * c, u * b - v * a)))
-
-        for i in ratio_order([(b, a) for a, b, _ in rows]):
-            row = a, b, c = rows[i]
-            if not (a and b):
-                continue
-            u, v, w = chain[-1][0]
-            if a * v == b * u:
-                # the direction of the last chain row, which is the tightest
-                # of it so far: keep the tighter row, the first if identical
-                if c * u >= w * a:
-                    continue
-                chain.pop()
-            push(row, i)
-        push((0, b2, c2), None)
+        order, keys = ratio_order([(b, a) for a, b, _ in rows])
+        if max(c1, c2).bit_length() < _FILTER_BITS:
+            chain = _chain(rows, order, (a1, 0, c1), (0, b2, c2))
+        else:
+            chain = _filtered_chain(rows, order, keys, (a1, 0, c1), (0, b2, c2))
         # each neighbour pair's crossing, by Cramer's rule
-        for ((a, b, c), _, _), ((u, v, w), _, _) in zip(chain, chain[1:]):
+        for (a, b, c), (u, v, w) in pairwise(entry[0] for entry in chain):
             det = a * v - u * b
             points.append((Fraction(c * v - w * b, det), Fraction(a * w - u * c, det)))
         # every scanned chain row turns strictly, so it carries an edge; a
         # cap does unless a slanted row also runs through its axis point
-        active = [i for _, i, _ in chain[1:-1]]
+        active = [entry[1] for entry in chain[1:-1]]
         if not any(rows[i][1] for i in top1):
             active.append(top1[0])
         if not any(rows[i][0] for i in top2):

@@ -3,6 +3,8 @@
 import random
 from fractions import Fraction
 from functools import cmp_to_key
+from itertools import pairwise
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -18,8 +20,9 @@ from layercap import (
     intersect,
     outer_halfplanes,
 )
+from layercap import geometry
 from layercap.bounds import grid_rows, outer_rows
-from layercap.corpus import random_spec
+from layercap.corpus import random_moderate_spec, random_spec
 from layercap.geometry import Row, active_planes, ratio_order
 from strategies import MIXED_WEIGHTS, SMALL_WEIGHTS, specs
 
@@ -414,14 +417,16 @@ def ratio_pairs(draw):
 @example(pairs=[((1 << 80) + 1, 3 << 80), (1, 3), (2, 6)])
 @example(pairs=[(1, 0), (0, 1), (5, 0), (3, 3), (0, 7)])
 def test_ratio_order_is_the_exact_stable_order(pairs):
-    assert ratio_order(pairs) == cmp_order(pairs)
+    order, keys = ratio_order(pairs)
+    assert order == cmp_order(pairs)
+    assert keys == [n / (n + d) for n, d in pairs]
 
 
 def test_ratio_order_splits_colliding_float_keys():
     # the floats of 1/4 and (2**80 + 1)/(2**82 + 1) are equal, the ratios not
     pairs = [((1 << 80) + 1, 3 << 80), (1, 3), (2, 6)]
     assert 1 / 4 == pairs[0][0] / sum(pairs[0])
-    assert ratio_order(pairs) == [1, 2, 0]
+    assert ratio_order(pairs)[0] == [1, 2, 0]
 
 
 # -- rows first, as the CLI computes a region ----------------------------------------
@@ -458,3 +463,227 @@ def test_rows_first_matches_the_reference_on_small_weights(spec, steps):
 @given(spec=specs(max_q=5, weights=MIXED_WEIGHTS), steps=st.none() | st.integers(1, 16))
 def test_rows_first_matches_the_reference_on_mixed_weights(spec, steps):
     assert_rows_match_reference(outer_rows(spec) if steps is None else grid_rows(spec, steps))
+
+
+# -- the float filter against the exact orientation test ----------------------------
+
+
+def reference_intersect(rows):
+    """(vertices, active records) of intersect(rows) for rows with c > 0, by
+    the chain scan with no float filter: every orientation test an integer
+    3x3 determinant, every same-direction test a cross-multiplication."""
+    rows = [tuple(r) for r in rows]
+    top1, top2 = geometry._axis_cap(rows, 0), geometry._axis_cap(rows, 1)
+    a1, _, c1 = rows[top1[0]]
+    _, b2, c2 = rows[top2[0]]
+    chain = [((a1, 0, c1), None, None)]
+
+    def push(row, i):
+        a, b, c = row
+        while len(chain) >= 2:
+            x, y, z = chain[-1][2]
+            if x * a + y * b + z * c > 0:
+                break
+            chain.pop()
+        u, v, w = chain[-1][0]
+        chain.append((row, i, (v * c - w * b, w * a - u * c, u * b - v * a)))
+
+    for i in ratio_order([(b, a) for a, b, _ in rows])[0]:
+        row = a, b, c = rows[i]
+        if not (a and b):
+            continue
+        u, v, w = chain[-1][0]
+        if a * v == b * u:
+            if c * u >= w * a:
+                continue
+            chain.pop()
+        push(row, i)
+    push((0, b2, c2), None)
+    points = [(F(0), F(0)), (F(c1, a1), F(0))]
+    for ((a, b, c), _, _), ((u, v, w), _, _) in pairwise(chain):
+        det = a * v - u * b
+        points.append((F(c * v - w * b, det), F(a * w - u * c, det)))
+    points.append((F(0), F(c2, b2)))
+    active = [i for _, i, _ in chain[1:-1]]
+    if not any(rows[i][1] for i in top1):
+        active.append(top1[0])
+    if not any(rows[i][0] for i in top2):
+        active.append(top2[0])
+    vertices = points[:1] + [p for p, prev in zip(points[1:], points)
+                             if p != prev and p != points[0]]
+    return tuple(vertices), tuple((i, rows[i]) for i in sorted(active))
+
+
+def assert_filtered_scan_matches_the_reference(rows):
+    rows = [Row(r) for r in rows]
+    # the exact scan would raise here, so the filtered one ran
+    with mock.patch.object(geometry, "_chain", side_effect=AssertionError("exact scan")):
+        region = intersect(rows)
+    active = tuple((i, tuple(row)) for i, row in active_planes(region, len(rows)))
+    assert (region.vertices, active) == reference_intersect(rows)
+
+
+def rescaled(rows, rng, bits):
+    # each row times its own factor of bits + 1 bits: the same constraints,
+    # with integers past the filter's gate
+    return [(a * k, b * k, c * k) for a, b, c in rows
+            for k in [rng.getrandbits(bits) | 1 << bits]]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), q=st.integers(3, 7), bits=st.sampled_from([0, 200, 3000]))
+def test_filtered_scan_matches_the_reference_on_moderate_specs(seed, q, bits):
+    # moderate specs at q 3-7 carry caps of 274-4,735 bits, past the gate
+    rng = random.Random(seed)
+    rows = outer_rows(random_moderate_spec(rng, q)).rows
+    assert_filtered_scan_matches_the_reference(rescaled(rows, rng, bits) if bits else rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(planes=pinned_planes() | slanted_planes(), seed=st.integers(0, 2 ** 32))
+def test_filtered_scan_matches_the_reference_on_small_dense_sets(planes, seed):
+    # few, often concurrent or parallel planes, rescaled past the gate
+    rows = [(p.a, p.b, p.c) for p in planes]
+    big = rescaled(rows, random.Random(seed), geometry._FILTER_BITS + 8)
+    if all(c for _, _, c in big):  # else a pinned rate leaves no chain
+        assert_filtered_scan_matches_the_reference(big)
+    assert set(intersect([Row(r) for r in big]).vertices) == brute_vertices(planes)
+
+
+def test_small_operands_keep_the_exact_scan():
+    # the rows of grid mode at q 1-4 and of exact regions at q 8-16 stay
+    # below the gate
+    rng = random.Random(5)
+    tables = [grid_rows(random_spec(rng, q), 16) for q in (1, 2, 4)]
+    tables += [outer_rows(random_spec(rng, q)) for q in (8, 12, 16)]
+    with mock.patch.object(geometry, "_filtered_chain",
+                           side_effect=AssertionError("filtered scan")):
+        for table in tables:
+            intersect(table.rows)
+
+
+def exact_sign(r1, r2, r3):
+    (a, b, c), (u, v, w), (x, y, z) = r1, r2, r3
+    det = a * (v * z - w * y) - b * (u * z - w * x) + c * (u * y - v * x)
+    return (det > 0) - (det < 0)
+
+
+def filtered_sign(r1, r2, r3):
+    """The sign _orient certifies for the rows' dual points; 0 if none."""
+    d = geometry._orient(*((geometry._ratio(a, c), geometry._ratio(b, c)) for a, b, c in
+                           (r1, r2, r3)))
+    return (d > 0) - (d < 0)
+
+
+def assert_filtered_sign_is_exact(rows):
+    # a certified sign is the exact one, and an exact 0 is never certified
+    assert filtered_sign(*rows) in (0, exact_sign(*rows))
+
+
+def through(x, y, a, b):
+    """The integer row a*R1 + b*R2 <= c whose line runs through (x, y)."""
+    c = a * x + b * y
+    return (a * c.denominator, b * c.denominator, c.numerator)
+
+
+# three lines through (1/3, 1/7): the floats of their dual points are not
+# collinear, so orient2d in floats reads -1.1e-16 where the exact value is 0
+CONCURRENT = [through(F(1, 3), F(1, 7), 1, 2), through(F(1, 3), F(1, 7), 3, 1),
+              through(F(1, 3), F(1, 7), 5, 7)]
+
+
+@st.composite
+def row_triples(draw):
+    """Three rows (a, b, c) with a, b >= 0 and c > 0, of up to about 3,000
+    bits: drawn freely, through one point, two sharing a direction at
+    different scales, two whose float ratios collide, or with ratios past
+    the float range or below its normal range."""
+    # parts of one triple lie within a factor 2**70 of 2**scale
+    scale = draw(st.sampled_from([0, 200, 3000]))
+    part = st.builds(lambda k, low: k << scale | low, st.integers(1, 9) | st.integers(1, 1 << 70),
+                     st.integers(0, (1 << scale) - 1))
+    coefficient = st.one_of(part, part, part, st.just(0))
+    row = st.tuples(coefficient, coefficient, part)
+    kind = draw(st.sampled_from(["free", "concurrent", "direction", "collide", "extreme"]))
+    if kind == "concurrent":
+        x, y = F(draw(part), draw(part)), F(draw(part), draw(part))
+        rows = [through(x, y, draw(part), draw(part)) for _ in range(3)]
+    elif kind == "direction":
+        (a, b, c), k = draw(row), draw(part)
+        rows = [(a, b, c), (k * a, k * b, draw(st.sampled_from([k * c, draw(part)]))), draw(row)]
+    elif kind == "collide":
+        (a, b, c), s = draw(row), draw(st.integers(60, 400))
+        rows = [(a, b, c), ((a << s) + 1, b << s, c << s), draw(row)]
+    else:
+        rows = [draw(row) for _ in range(3)]
+        if kind == "extreme":
+            for k in draw(st.lists(st.integers(0, 2), min_size=1, max_size=3)):
+                a, b, c = rows[k]
+                s = draw(st.integers(1000, 1100 + c.bit_length()))
+                rows[k] = draw(st.sampled_from([(a << s, b, c), (a, b << s, c), (a, b, c << s)]))
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=400, deadline=None)
+@given(rows=row_triples())
+@example(rows=CONCURRENT)
+@example(rows=[(1, 2, 3), (2, 4, 6), (5, 1, 2)])  # two rows, one constraint
+@example(rows=[((1 << 80) + 1, 1 << 80, 3 << 80), (1, 1, 3), (1, 2, 1)])  # floats collide
+@example(rows=[(1 << 1100, 1, 3), (1, 1 << 1100, 3), (1, 1, 1)])  # past the float range
+@example(rows=[(1, 2, 1 << 1060), (2, 1, 1 << 1100), (1, 1, 1)])  # subnormal and 0
+def test_filtered_orientation_sign_is_the_exact_sign(rows):
+    assert_filtered_sign_is_exact(rows)
+
+
+def test_a_zero_error_bound_certifies_a_wrong_sign(monkeypatch):
+    # the mutant trusts any nonzero float: it reads the concurrent rows as a
+    # strict turn, so the filter's bound is what sends them to the exact test
+    assert exact_sign(*CONCURRENT) == filtered_sign(*CONCURRENT) == 0
+    monkeypatch.setattr(geometry, "_ORIENT_ERR", 0.0)
+    with pytest.raises(AssertionError):
+        assert_filtered_sign_is_exact(CONCURRENT)
+
+
+@pytest.mark.parametrize("rows", [
+    # a/c past the float range on a row of the chain and on the caps
+    [(1 << 1300, (1 << 1300) + 5, 1 << 200), (1, 0, 1 << 200), (0, 1, 1 << 200),
+     (3 << 1250, 1 << 1250, 1 << 190)],
+    [(1 << 1500, 0, 1 << 300), (0, 1 << 1500, 1 << 300), (1 << 1500, 1 << 1500, 3 << 300)],
+    # a/c and b/c below the normal range, down to 0.0
+    [(1, 0, 1 << 1040), (0, 1, 1 << 1040), (1, 1, 3 << 1039), (1, 2, 1 << 1100),
+     (2, 1, 1 << 1200), (3, 3, (1 << 1100) + 1)],
+    [(1, 0, 1 << 1080), (0, 3, 1 << 1080), (1, 1, 1 << 1081), (2, 1, 3 << 1079)],
+    # three rows through one point, as dual points past both float limits
+    [(1 << 2000, 0, 1 << 900), (0, 1 << 2000, 1 << 900)]
+    + [(a << 2000, b << 2000, c << 900) for a, b, c in CONCURRENT],
+])
+def test_intersect_is_exact_where_floats_overflow_or_underflow(rows):
+    planes = [HalfPlane(*r) for r in rows]
+    assert_filtered_scan_matches_the_reference(rows)
+    assert set(intersect([Row(r) for r in rows]).vertices) == brute_vertices(planes)
+
+
+def big_rational(rng, bits):
+    return F(rng.getrandbits(bits) | 1, rng.getrandbits(bits) | 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), bits=st.integers(60, 2000), shift=st.integers(2, 1200),
+       far=st.sampled_from([0, 1100, -1100]))
+def test_region_decides_big_rational_turns_exactly(seed, bits, shift, far):
+    # three staircase points on the line x/A + y/B = 1: the middle one on it
+    # is collinear and rejected; moved out from the origin by a factor
+    # 1 + 2**-shift (past float resolution from shift 54 on) it turns
+    # strictly left and is accepted; moved in, it turns right.  A factor
+    # 2**far puts the R1 coordinates past the float range or below it
+    rng = random.Random(seed)
+    A, B = big_rational(rng, bits) * F(2) ** far, big_rational(rng, bits)
+    t = F(1, 4) + F(rng.getrandbits(bits), 1 << (bits + 1))
+    origin, axis1, axis2 = (F(0), F(0)), (A, F(0)), (F(0), B)
+    for scale, ok in ((1, False), (1 + F(1, 1 << shift), True), (1 - F(1, 1 << shift), False)):
+        vertices = [origin, axis1, (A * t * scale, B * (1 - t) * scale), axis2]
+        if ok:
+            assert RegionPolytope(vertices).vertices == tuple(vertices)
+        else:
+            with pytest.raises(ValueError):
+                RegionPolytope(vertices)
