@@ -129,10 +129,14 @@ class WeightedBound:
             raise ValueError(f"bound value must be nonnegative, got {self.value}")
 
     def halfplane(self) -> HalfPlane:
-        own, cross = 1 + (self.mu or 0), self.omega
-        if self.family[0] == "1":
-            return HalfPlane(own, cross, self.value)
-        return HalfPlane(cross, own, self.value)
+        """The bound's reduced half-plane, built on the first call only."""
+        plane = self.__dict__.get("_halfplane")
+        if plane is None:
+            own, cross = 1 + (self.mu or 0), self.omega
+            mirror = self.family[0] == "2"
+            plane = HalfPlane(*((cross, own) if mirror else (own, cross)), self.value)
+            object.__setattr__(self, "_halfplane", plane)
+        return plane
 
 
 class _Sweep:
@@ -385,9 +389,12 @@ def active_bounds(bounds, region: RegionPolytope) -> list:
     reported bound's half-plane is not the plane the region recorded.
     """
     out = []
-    for i, row in active_planes(region, len(bounds)):
+    for i, (a, b, c) in active_planes(region, len(bounds)):
         wb = bounds[i]
-        if wb.halfplane() != HalfPlane(*row):
+        p = wb.halfplane()
+        # the recorded row is a positive multiple of the plane iff every
+        # 2x2 minor vanishes: both have a, b >= 0, not both zero
+        if a * p.b != b * p.a or a * p.c != c * p.a or b * p.c != c * p.b:
             raise ValueError("the region was not intersected from these bounds")
         out.append(wb)
     return out

@@ -32,12 +32,12 @@ class FadingPmf:
     """Exact pmf of a fading level on {0, ..., q}.
 
     masses[n] = P(N = n); q is implied by the length of the mass vector.
-    Instances are immutable and hashable; the tail vector, its integer
+    Instances are immutable and hashable; the tail vector, as integer
     numerators over the lcm of the mass denominators, and the hash are
     computed once, so tail lookups and cache keys cost O(1).
     """
 
-    __slots__ = ("_masses", "_tails", "_hash", "_den", "_int_tails")
+    __slots__ = ("_masses", "_hash", "_den", "_int_tails")
 
     def __init__(self, masses):
         entries = tuple(as_fraction(m) for m in masses)
@@ -55,7 +55,6 @@ class FadingPmf:
         if int_tails[0] != den:
             raise ValueError(f"pmf masses must sum to 1, got {Fraction(int_tails[0], den)}")
         self._masses = entries
-        self._tails = tuple(Fraction(t, den) for t in int_tails)
         self._hash = hash(entries)
         self._den = den
         self._int_tails = tuple(int_tails)
@@ -187,13 +186,12 @@ def tail(pmf: FadingPmf, l: int) -> Fraction:
     """P(N >= l).  tail(., 0) = 1 and tail(., q+1) = 0 by convention."""
     if not 0 <= l <= pmf.q + 1:
         raise ValueError(f"l={l} outside {{0..{pmf.q + 1}}}")
-    return pmf._tails[l]
+    return Fraction(pmf._int_tails[l], pmf._den)
 
 
 @lru_cache(maxsize=8192)
 def _diff_tails(a: FadingPmf, b: FadingPmf) -> tuple:
-    """(nums, tails) for l = 1..q: tails[l-1] = P(N_a - N_b >= l) and
-    nums[l-1] = L_a*L_b * tails[l-1], as integers.
+    """nums[l-1] = L_a*L_b * P(N_a - N_b >= l) for l = 1..q, as integers.
 
     P(N_a - N_b >= l) = sum_m P(N_b = m) P(N_a >= l+m), and with the masses
     and tails of both pmfs as integers over L_a and L_b, the lcms of their
@@ -203,40 +201,36 @@ def _diff_tails(a: FadingPmf, b: FadingPmf) -> tuple:
     q = a.q
     at, bt = a._int_tails, b._int_tails
     bm = [bt[m] - bt[m + 1] for m in range(q + 1)]
-    nums = tuple(sum(map(mul, bm, at[l:q + 1])) for l in range(1, q + 1))
-    den = a._den * b._den
-    return nums, tuple(Fraction(n, den) for n in nums)
+    return tuple(sum(map(mul, bm, at[l:q + 1])) for l in range(1, q + 1))
 
 
 def diff_tail(a: FadingPmf, b: FadingPmf, l: int) -> Fraction:
     """P(N_a - N_b >= l) for independent levels, 1 <= l <= q."""
-    tails = _diff_tails(a, b)[1]
-    if not 1 <= l <= len(tails):
-        raise ValueError(f"l={l} outside {{1..{len(tails)}}}")
-    return tails[l - 1]
+    nums = _diff_tails(a, b)
+    if not 1 <= l <= len(nums):
+        raise ValueError(f"l={l} outside {{1..{len(nums)}}}")
+    return Fraction(nums[l - 1], a._den * b._den)
 
 
 def expect(pmf: FadingPmf) -> Fraction:
     """E[N], computed through the tail identity sum_l P(N >= l)."""
-    return sum(pmf._tails[1:-1], Fraction(0))
+    return Fraction(sum(pmf._int_tails[1:-1]), pmf._den)
 
 
 def expect_pos_diff(a: FadingPmf, b: FadingPmf) -> Fraction:
     """E[(N_a - N_b)^+] for independent levels."""
     _same_q(a, b)
-    return Fraction(sum(_diff_tails(a, b)[0]), a._den * b._den)
+    return Fraction(sum(_diff_tails(a, b)), a._den * b._den)
 
 
 def expect_max(a: FadingPmf, b: FadingPmf) -> Fraction:
-    """E[max(N_a, N_b)] for independent levels."""
+    """E[max(N_a, N_b)] = sum_l 1 - P(N_a < l) P(N_b < l) for independent levels."""
     _same_q(a, b)
-    return sum(
-        (1 - (1 - tail(a, l)) * (1 - tail(b, l)) for l in range(1, a.q + 1)),
-        Fraction(0),
-    )
+    da, db = a._den, b._den
+    return Fraction(sum(da * db - (da - x) * (db - y)
+                        for x, y in zip(a._int_tails[1:-1], b._int_tails[1:-1])), da * db)
 
 
-@lru_cache(maxsize=2048)
 def pos_diff_pmf(a: FadingPmf, b: FadingPmf) -> FadingPmf:
     """Distribution of (N_a - N_b)^+ for independent levels, again on {0..q}."""
     _same_q(a, b)
@@ -262,7 +256,7 @@ def layer_coefficients(spec: ChannelSpec) -> LayerCoefficients:
 
     Everything is computed on integers over the common denominator
     M = lcm(L11*L21, L22*L12), L the lcm of a link's mass denominators; they
-    are kept as the integers field, and each entry becomes a Fraction once.
+    are kept as the integers field, and every Fraction field is read off it.
     """
     links = spec.links()
     dens = {name: pmf._den for name, pmf in links.items()}
@@ -273,8 +267,8 @@ def layer_coefficients(spec: ChannelSpec) -> LayerCoefficients:
         return tuple(n * scale for n in nums)
 
     ints = {name: scaled(pmf._int_tails[1:-1], dens[name]) for name, pmf in links.items()}
-    diffs = {f"{x}-{y}": _diff_tails(links[x], links[y]) for x, y in _PAIRS}
-    ints.update({f"{x}-{y}": scaled(diffs[f"{x}-{y}"][0], dens[x] * dens[y]) for x, y in _PAIRS})
+    ints.update({f"{x}-{y}": scaled(_diff_tails(links[x], links[y]), dens[x] * dens[y])
+                 for x, y in _PAIRS})
 
     def user(t21, t22, d2111, d2212):
         # alpha, beta, gamma as in the class docstring; user 2 passes the
@@ -288,10 +282,14 @@ def layer_coefficients(spec: ChannelSpec) -> LayerCoefficients:
     ints.update(zip(_COEFFICIENTS,
                     user(ints["n21"], ints["n22"], ints["n21-n11"], ints["n22-n12"])
                     + user(ints["n12"], ints["n11"], ints["n12-n22"], ints["n11-n21"])))
+
+    def fractions(keys):
+        return {key: tuple(Fraction(n, common) for n in ints[key]) for key in keys}
+
     return LayerCoefficients(
-        **{key: tuple(Fraction(n, common) for n in ints[key]) for key in _COEFFICIENTS},
-        tails={name: pmf._tails[1:-1] for name, pmf in links.items()},
-        diff_tails={key: tails for key, (_, tails) in diffs.items()},
+        **fractions(_COEFFICIENTS),
+        tails=fractions(_LINKS),
+        diff_tails=fractions(f"{x}-{y}" for x, y in _PAIRS),
         integers=(common, ints),
     )
 

@@ -2,7 +2,10 @@
 
 The Monte Carlo estimator draws the four links' fading levels, never
 received words, and estimates every tail, difference-tail and expectation
-statistic the exact machinery computes from its sample frequencies;
+statistic the exact machinery computes.  One table lists each statistic
+once: its name, the per-use function of the four levels whose mean it is,
+and its exact value from the channel module's formulas.  The estimator
+averages every function over one joint histogram of the drawn levels, so
 agreement is evidence the convolution formulas and the sampler describe the
 same level distributions.  The coupling check verifies, analytically, the
 quantile-coupling identities that tie the difference-level variables
@@ -97,91 +100,64 @@ class MCStatsReport:
         return {e.name: e for e in self.entries}
 
 
+def _statistics(spec: ChannelSpec) -> list:
+    """Every statistic the model computes, in report order.
+
+    A row is (name, f, exact): f maps one use's levels n = (n11, n12, n21,
+    n22) to the value whose mean the statistic is, and exact is that mean
+    from channel's formulas, never from f, so the Monte Carlo estimate of
+    the row and its reference come from independent definitions.
+    """
+    links = spec.links()
+    at = {name: i for i, name in enumerate(_LINKS)}
+    layers = range(1, spec.q + 1)
+    rows = []
+    for x in _LINKS:
+        rows += [(f"tail:{x}:{l}", lambda n, i=at[x], l=l: n[i] >= l,
+                  tail(links[x], l)) for l in layers]
+    for x, y in _PAIRS:
+        rows += [(f"diff_tail:{x}-{y}:{l}", lambda n, i=at[x], j=at[y], l=l: n[i] - n[j] >= l,
+                  diff_tail(links[x], links[y], l)) for l in layers]
+    rows += [(f"expect:{x}", lambda n, i=at[x]: n[i], expect(links[x])) for x in _LINKS]
+    rows += [(f"expect_pos_diff:{x}-{y}", lambda n, i=at[x], j=at[y]: max(n[i] - n[j], 0),
+              expect_pos_diff(links[x], links[y])) for x, y in _PAIRS]
+    rows += [(f"expect_max:{x}:{y}", lambda n, i=at[x], j=at[y]: max(n[i], n[j]),
+              expect_max(links[x], links[y])) for x, y in _MAX_PAIRS]
+    return rows
+
+
 def exact_stats(spec: ChannelSpec) -> dict:
     """Every statistic the model computes, keyed like the MC estimates."""
-    out = {}
-    links = spec.links()
-    q = spec.q
-    for name in _LINKS:
-        for l in range(1, q + 1):
-            out[f"tail:{name}:{l}"] = tail(links[name], l)
-    for a, b in _PAIRS:
-        for l in range(1, q + 1):
-            out[f"diff_tail:{a}-{b}:{l}"] = diff_tail(links[a], links[b], l)
-    for name in _LINKS:
-        out[f"expect:{name}"] = expect(links[name])
-    for a, b in _PAIRS:
-        out[f"expect_pos_diff:{a}-{b}"] = expect_pos_diff(links[a], links[b])
-    for a, b in _MAX_PAIRS:
-        out[f"expect_max:{a}:{b}"] = expect_max(links[a], links[b])
-    return out
-
-
-def _prob_entry(name: str, hits: int, m: int) -> MCStatEntry:
-    p = hits / m
-    return MCStatEntry(name, Fraction(hits, m), math.sqrt(p * (1.0 - p) / m))
-
-
-def _mean_entry(name: str, weights, counts, m: int) -> MCStatEntry:
-    # weights[i] is the per-sample value whose histogram is counts
-    total = sum(int(w) * int(c) for w, c in zip(weights, counts))
-    sq = sum(int(w) ** 2 * int(c) for w, c in zip(weights, counts))
-    var = max(sq / m - (total / m) ** 2, 0.0)
-    return MCStatEntry(name, Fraction(total, m), math.sqrt(var / m))
+    return {name: exact for name, _, exact in _statistics(spec)}
 
 
 def mc_estimate_stats(cfg: SimConfig) -> MCStatsReport:
     """Empirical counterpart of exact_stats from the joint level histogram.
 
-    Estimates are exact fractions count/samples, so identical seeds give
-    identical reports; standard errors are the usual binomial/plug-in ones.
+    Estimates are exact fractions sum/samples, so identical seeds give
+    identical reports; standard errors are the plug-in ones, sqrt(var/n)
+    for the sample variance var of the statistic's per-use values.
     """
     import numpy as np
 
-    q = cfg.spec.q
-    side = q + 1
+    side = cfg.spec.q + 1
     counts = np.zeros(side ** 4, dtype=np.int64)
     for levels in _level_chunks(cfg):
         flat = ((levels[0] * side + levels[1]) * side + levels[2]) * side + levels[3]
         counts += np.bincount(flat, minlength=side ** 4)
     joint = counts.reshape((side,) * 4)
+    # the drawn level tuples with their counts
+    cells = [(n, int(joint[n])) for n in map(tuple, np.argwhere(joint).tolist())]
     m = cfg.samples
-    axis_of = {name: i for i, name in enumerate(_LINKS)}
     entries = []
-    singles = {name: joint.sum(axis=tuple(i for i in range(4) if i != axis_of[name]))
-               for name in _LINKS}
-    pair_counts = {}
-    for a, b in set(_PAIRS) | set(_MAX_PAIRS):
-        ia, ib = axis_of[a], axis_of[b]
-        marg = joint.sum(axis=tuple(i for i in range(4) if i not in (ia, ib)))
-        if ia > ib:
-            marg = marg.T
-        pair_counts[(a, b)] = marg  # rows index a's level, columns b's
-    for name in _LINKS:
-        c = singles[name]
-        for l in range(1, q + 1):
-            entries.append(_prob_entry(f"tail:{name}:{l}", int(c[l:].sum()), m))
-    for a, b in _PAIRS:
-        c2 = pair_counts[(a, b)]
-        for l in range(1, q + 1):
-            hits = sum(int(c2[i, k]) for i in range(side) for k in range(side) if i - k >= l)
-            entries.append(_prob_entry(f"diff_tail:{a}-{b}:{l}", hits, m))
-    for name in _LINKS:
-        entries.append(_mean_entry(f"expect:{name}", range(side), singles[name], m))
-    for a, b in _PAIRS:
-        c2 = pair_counts[(a, b)]
-        hist = [0] * side
-        for i in range(side):
-            for k in range(side):
-                hist[max(i - k, 0)] += int(c2[i, k])
-        entries.append(_mean_entry(f"expect_pos_diff:{a}-{b}", range(side), hist, m))
-    for a, b in _MAX_PAIRS:
-        c2 = pair_counts[(a, b)]
-        hist = [0] * side
-        for i in range(side):
-            for k in range(side):
-                hist[max(i, k)] += int(c2[i, k])
-        entries.append(_mean_entry(f"expect_max:{a}:{b}", range(side), hist, m))
+    for name, f, _ in _statistics(cfg.spec):
+        total = sq = 0
+        for n, c in cells:
+            v = f(n)
+            total += v * c
+            sq += v * v * c
+        entries.append(MCStatEntry(name, Fraction(total, m),
+                                   math.sqrt((sq * m - total * total) / m ** 3)))
     return MCStatsReport(samples=m, seed=cfg.seed, entries=tuple(entries))
 
 
@@ -247,7 +223,7 @@ class _PairView(NamedTuple):
 @lru_cache(maxsize=4096)
 def _pair_view(x: FadingPmf, y: FadingPmf) -> _PairView:
     pos = pos_diff_pmf(x, y)
-    nums = _diff_tails(x, y)[0]
+    nums = _diff_tails(x, y)
     dxy = x._den * y._den
     den = math.lcm(pos._den, dxy)
     return _PairView(

@@ -80,10 +80,11 @@ class CornerAllocation:
 
 def classify(spec: ChannelSpec) -> RegimeReport:
     """Evaluate all three per-layer condition pairs and label the regime."""
-    co = layer_coefficients(spec)
-    t11, t12 = co.tails["n11"], co.tails["n12"]
-    t21, t22 = co.tails["n21"], co.tails["n22"]
-    d1121, d2212 = co.diff_tails["n11-n21"], co.diff_tails["n22-n12"]
+    # the integer vectors share one positive denominator, so they compare
+    # as the probabilities do
+    ints = layer_coefficients(spec).integers[1]
+    t11, t12, t21, t22 = ints["n11"], ints["n12"], ints["n21"], ints["n22"]
+    d1121, d2212 = ints["n11-n21"], ints["n22-n12"]
     q = spec.q
     strong_1 = tuple(t12[i] >= t11[i] for i in range(q))
     strong_2 = tuple(t21[i] >= t22[i] for i in range(q))

@@ -12,9 +12,10 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from layercap import ChannelSpec, FadingPmf, RegionPolytope, outer_region
+from layercap import ChannelSpec, FadingPmf, HalfPlane, RegionPolytope, outer_region
 from layercap.cli import ChannelSpecFile, SpecFileError, main
 from layercap.corpus import random_moderate_spec
+import layercap.bounds as bounds
 import layercap.cli as cli
 import layercap.verification as verification
 from strategies import no_int_str_digit_limit, specs
@@ -113,6 +114,23 @@ def spec_json(spec: ChannelSpec, decimal: bool) -> str:
         for key, pmf in spec.links().items()
     )
     return f'{{"q": {spec.q}, {links}}}'
+
+
+@pytest.mark.parametrize("mode", ["exact", "grid"])
+def test_each_reported_constraint_builds_one_halfplane(monkeypatch, mode):
+    built = []
+
+    class Counted(HalfPlane):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(bounds, "HalfPlane", Counted)
+    spec = random_moderate_spec(random.Random(5), 4)
+    doc, _ = cli.region_document(ChannelSpecFile.parse(spec_json(spec, False)), mode, 8)
+    assert len(built) == len(doc["constraints"]) > 0
 
 
 def _two_mass_spec(x: Fraction) -> ChannelSpec:

@@ -72,8 +72,23 @@ def test_exact_and_estimated_names_agree():
     cfg = SimConfig(spec=spec, samples=256, seed=0)
     report = mc_estimate_stats(cfg)
     exact = exact_stats(spec)
-    assert sorted(e.name for e in report.entries) == sorted(exact)
+    assert [e.name for e in report.entries] == list(exact)
     assert report.by_name()["expect:n11"].estimate >= 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=specs(max_q=3))
+def test_every_statistic_is_the_mean_of_its_level_function(spec):
+    # each row's exact value, from the channel formulas, is the mean of its
+    # per-use function under the product pmf of the four links
+    masses = [pmf.masses for pmf in spec.links().values()]
+    cells = [(n, masses[0][n[0]] * masses[1][n[1]] * masses[2][n[2]] * masses[3][n[3]])
+             for n in itertools.product(range(spec.q + 1), repeat=4)]
+    rows = oracles._statistics(spec)
+    assert len(rows) == 8 * spec.q + 10
+    for name, f, exact in rows:
+        assert type(exact) is Fraction, name
+        assert sum((w * f(n) for n, w in cells), F(0)) == exact, name
 
 
 def test_constant_channel_estimates_are_exact():
