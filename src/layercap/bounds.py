@@ -19,8 +19,8 @@ region; that critical-weight enumeration is the primary mode, with a dense
 weight grid available as a cross-checking fallback.
 
 Evaluation goes through one BoundKernel per (spec, user), built once from
-the integers field of layer_coefficients.  It holds every quantity the
-bounds read as an integer numerator over that field's denominator D, the
+the integer vectors of layer_coefficients.  It holds every quantity the
+bounds read as an integer numerator over their denominator D, the
 coefficients' own M = lcm(L11*L21, L22*L12), with no second lcm taken here.
 Since alpha(l) >= 0, a kink sum is
 
@@ -43,13 +43,14 @@ bound is then one integer expression over r*D, for example
 
 and a bound costs O(log q) integer operations on numbers the size of r*D.
 
-The critical-weight and grid enumerations emit their bounds as BoundRows:
-the half-plane of each, ((r+m)*D, p*D, r*D*bound) for user 1, read off
-those numerators with no Fraction and no gcd, and intersect takes the rows
-as they are.  A WeightedBound, with its Fraction value and reduced
-half-plane, is built only for a row that is read, such as the constraints
-active_bounds reports; the lists of outer_halfplanes and grid_bounds read
-every row.
+The critical weights are integer triples (p, m, r) read off the sweeps'
+sorted keys, and they and the grid's weights emit their bounds as
+BoundRows: the half-plane of each, ((r+m)*D, p*D, r*D*bound) for user 1,
+read off those numerators with no Fraction and no gcd, and intersect takes
+the rows as they are.  A WeightedBound, with its Fraction weights, value
+and reduced half-plane, is built only for a row that is read: by
+active_bounds for the constraints it reports, or by outer_halfplanes and
+grid_bounds for every row.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 from typing import Optional
 
 from .channel import ChannelSpec, as_fraction, layer_coefficients
@@ -112,8 +113,8 @@ class WeightedBound:
 
     def __post_init__(self):
         # the range checks compare numerators and (positive) denominators as
-        # integers: a Fraction comparison costs several times as much, and a
-        # dense grid builds tens of thousands of bounds
+        # integers: a Fraction comparison costs several times as much, and
+        # grid_bounds at 256 steps builds 67,334 bounds
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         p, r = self.omega.numerator, self.omega.denominator
@@ -169,15 +170,17 @@ class _Sweep:
                 hi = mid
         return lo
 
-    def ratios(self) -> set:
-        """{0, 1} plus every key in [0, 1]: the kinks inside the weight range."""
-        return {Fraction(0), Fraction(1), *(Fraction(n, d) for n, d in self.keys if n <= d)}
-
-
-def _over_one_denominator(omega: Fraction, mu: Fraction) -> tuple:
-    """(p, m, r) with omega = p/r and mu = m/r."""
-    r = lcm(omega.denominator, mu.denominator)
-    return omega.numerator * (r // omega.denominator), mu.numerator * (r // mu.denominator), r
+    def kinks(self) -> list:
+        """The kinks inside the weight range, ascending, as reduced pairs:
+        (0, 1), each distinct key ratio in (0, 1), then (1, 1)."""
+        out, last = [(0, 1)], (0, 1)
+        for n, d in self.keys:
+            if n >= d:
+                break
+            if n * last[1] != last[0] * d:  # keys ascend: new iff unequal to the last
+                last, g = (n, d), gcd(n, d)
+                out.append((n // g, d // g))
+        return out + [(1, 1)]
 
 
 class BoundKernel:
@@ -235,10 +238,10 @@ _FRAMES = {1: ("n11", "n12", "n21"), 2: ("n22", "n21", "n12")}
 def bound_kernel(spec: ChannelSpec, user) -> BoundKernel:
     """The per-(spec, user) tables every bound of that user is evaluated from."""
     _check_user(user)
-    den, ints = layer_coefficients(spec).integers
-    n11, n12, n21 = _FRAMES[user]
+    co = layer_coefficients(spec)
+    ints, (n11, n12, n21) = co.ints, _FRAMES[user]
     t12 = ints[n12]
-    return BoundKernel(den, ints[n11], ints[n21], t12, ints[f"{n21}-{n11}"],
+    return BoundKernel(co.den, ints[n11], ints[n21], t12, ints[f"{n21}-{n11}"],
                        tuple(map(max, ints[f"{n11}-{n21}"], t12)),
                        *(ints[f"{name}{user}"] for name in ("alpha", "beta", "gamma")))
 
@@ -261,8 +264,25 @@ def bound_c(spec: ChannelSpec, user, omega, mu) -> Fraction:
     """Right-hand side of the c-family bound at weights (omega, mu), mu <= omega."""
     kernel = bound_kernel(spec, user)
     omega = _check_omega(omega)
-    p, m, r = _over_one_denominator(omega, _check_mu(omega, mu))
-    return Fraction(kernel.c(p, m, r), r * kernel.den)
+    (p, r), (m, s) = omega.as_integer_ratio(), _check_mu(omega, mu).as_integer_ratio()
+    t = lcm(r, s)
+    return Fraction(kernel.c(p * (t // r), m * (t // s), t), t * kernel.den)
+
+
+def _kink_weights(kernel: BoundKernel, family) -> list:
+    """critical_weights as integer triples (p, m, r), omega = p/r and
+    mu = m/r (m = 0 outside family c), in ascending (omega, mu) order."""
+    if family != "c":
+        sweep = kernel.beta if family == "a" else kernel.gamma
+        return [(n, 0, d) for n, d in sweep.kinks()]
+    # omega kinks as in family b, mu kinks along rays mu = s*omega: all cell
+    # corners of that subdivision of {0 <= mu <= omega <= 1} are products of
+    # an omega kink with a ray slope, and omega = 0 has the one corner (0, 0)
+    slopes = kernel.top.kinks()
+    out = [(0, 0, 1)]
+    for p, r in kernel.gamma.kinks()[1:]:
+        out += [(p * d, p * n, r * d) for n, d in slopes]
+    return out
 
 
 def critical_weights(spec: ChannelSpec, user, family):
@@ -274,19 +294,11 @@ def critical_weights(spec: ChannelSpec, user, family):
     constraints; ratio kinks above 1 fall outside the weight range and are
     dropped.
     """
-    _check_user(user)
-    _check_family(family)
-    kernel = bound_kernel(spec, user)
-    if family == "a":
-        return tuple(sorted(kernel.beta.ratios()))
-    if family == "b":
-        return tuple(sorted(kernel.gamma.ratios()))
-    # family c: omega kinks as in family b, mu kinks along rays mu = r*omega;
-    # all cell corners of that subdivision of {0 <= mu <= omega <= 1} are
-    # products of an omega kink with a ray slope
-    omegas = kernel.gamma.ratios()
-    slopes = kernel.top.ratios()
-    return tuple(sorted({(om, r * om) for om in omegas for r in slopes}))
+    _family_tag(user, family)
+    weights = _kink_weights(bound_kernel(spec, user), family)
+    if family == "c":
+        return tuple((Fraction(p, r), Fraction(m, r)) for p, m, r in weights)
+    return tuple(Fraction(p, r) for p, _, r in weights)
 
 
 class BoundRows(Sequence):
@@ -297,35 +309,35 @@ class BoundRows(Sequence):
 
     def __init__(self):
         self.rows = []  # Rows, for intersect
-        self._tags = []  # (family, omega, mu, r*D) per row
+        self._tags = []  # (family, D, p, m, r) per row
 
     def __len__(self):
         return len(self.rows)
 
     def __getitem__(self, i) -> WeightedBound:
-        family, omega, mu, den = self._tags[i]
-        return WeightedBound(family, omega, mu, Fraction(self.rows[i][2], den))
+        family, den, p, m, r = self._tags[i]
+        mu = Fraction(m, r) if family[1] == "c" else None
+        return WeightedBound(family, Fraction(p, r), mu, Fraction(self.rows[i][2], r * den))
 
     def extend(self, spec: ChannelSpec, tag: str, weights):
-        """Add family tag's rows at weights (omega, mu, p, m, r), where
-        omega = p/r and mu = m/r, and mu is None and m = 0 outside the
-        c-families."""
+        """Add family tag's rows at weights (p, m, r), where omega = p/r and
+        mu = m/r, and m = 0 outside the c-families."""
         kernel = bound_kernel(spec, int(tag[0]))
         den = kernel.den
         if tag[1] == "c":
-            values = [kernel.c(p, m, r) for _, _, p, m, r in weights]
+            values = [kernel.c(p, m, r) for p, m, r in weights]
         else:
             evaluate = kernel.a if tag[1] == "a" else kernel.b
-            values = [evaluate(p, r) for _, _, p, _, r in weights]
+            values = [evaluate(p, r) for p, _, r in weights]
         rows, tags, mirror = self.rows, self._tags, tag[0] == "2"
-        for (omega, mu, p, m, r), value in zip(weights, values):
+        for (p, m, r), value in zip(weights, values):
             # r*D > 0 makes (a, b) != (0, 0)
             if value < 0 or not 0 <= m <= p <= r:
-                raise ValueError(f"bound {tag} at omega={omega}, mu={mu}: needs a value "
+                raise ValueError(f"bound {tag} at omega={p}/{r}, mu={m}/{r}: needs a value "
                                  f">= 0, got {Fraction(value, r * den)}, and 0 <= mu <= omega <= 1")
             own, cross = (r + m) * den, p * den
             rows.append(Row((cross, own, value) if mirror else (own, cross, value)))
-            tags.append((tag, omega, mu, r * den))
+            tags.append((tag, den, p, m, r))
 
 
 def outer_rows(spec: ChannelSpec, families=FAMILIES) -> BoundRows:
@@ -333,13 +345,9 @@ def outer_rows(spec: ChannelSpec, families=FAMILIES) -> BoundRows:
     order given, omega ascending within a family."""
     out = BoundRows()
     for tag in families:
-        user, family = int(tag[0]), tag[1]
-        weights = critical_weights(spec, user, family)
-        if family == "c":
-            weights = [(om, mu, *_over_one_denominator(om, mu)) for om, mu in weights]
-        else:
-            weights = [(om, None, om.numerator, 0, om.denominator) for om in weights]
-        out.extend(spec, tag, weights)
+        if tag not in FAMILIES:
+            raise ValueError(f"unknown family {tag!r}")
+        out.extend(spec, tag, _kink_weights(bound_kernel(spec, int(tag[0])), tag[1]))
     return out
 
 
@@ -347,9 +355,8 @@ def grid_rows(spec: ChannelSpec, steps: int) -> BoundRows:
     """Dense-grid fallback: every family at omega = k/steps, mu = j/steps <= omega."""
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    w = [Fraction(k, steps) for k in range(steps + 1)]
-    line = [(w[k], None, k, 0, steps) for k in range(steps + 1)]
-    fan = [(w[k], w[j], k, j, steps) for k in range(steps + 1) for j in range(k + 1)]
+    line = [(k, 0, steps) for k in range(steps + 1)]
+    fan = [(k, j, steps) for k in range(steps + 1) for j in range(k + 1)]
     out = BoundRows()
     for user in (1, 2):
         for family, weights in (("a", line), ("b", line), ("c", fan)):

@@ -12,7 +12,7 @@ plotting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -140,9 +140,18 @@ class ChannelSpec:
         return {"n11": self.n11, "n12": self.n12, "n21": self.n21, "n22": self.n22}
 
 
+_COEFFICIENTS = ("alpha1", "beta1", "gamma1", "alpha2", "beta2", "gamma2")
+
+
+def _fraction_view(key) -> property:
+    return property(lambda self: tuple(Fraction(n, self.den) for n in self.ints[key]),
+                    doc=f"{key} as a tuple of Fractions, built from ints on each read")
+
+
 @dataclass(frozen=True)
 class LayerCoefficients:
-    """Per-layer coefficients of the weighted bounds, plus the tail tables.
+    """Per-layer coefficients of the weighted bounds, plus the tail tables,
+    as integer numerators over one positive denominator.
 
     For user 1 and layer l (vectors indexed by l-1):
 
@@ -150,24 +159,17 @@ class LayerCoefficients:
         beta1(l)  = [P(N22 >= l) - P(N21 - N11 >= l)]^+
         gamma1(l) = [P(N22 - N12 >= l) - P(N21 - N11 >= l)]^+
 
-    and user 2 by the swap n11<->n22, n12<->n21.  tails maps each link name
-    to (P(N >= 1), ..., P(N >= q)); diff_tails holds the four difference
-    tails "a-b" -> (P(N_a - N_b >= 1), ...).
-
-    integers is (M, ints), ints mapping each coefficient name, link name and
-    difference key above to its vector as integer numerators over M; it is
-    the same data as the Fraction fields, so repr and == leave it out.
+    and user 2 by the swap n11<->n22, n12<->n21.  ints maps each coefficient
+    name above to its vector, each link name to (P(N >= 1), ..., P(N >= q))
+    and each difference key "a-b" to (P(N_a - N_b >= 1), ...), all as
+    integer numerators over den.  alpha1 ... gamma2 read a coefficient
+    vector as Fractions.
     """
 
-    alpha1: tuple
-    beta1: tuple
-    gamma1: tuple
-    alpha2: tuple
-    beta2: tuple
-    gamma2: tuple
-    tails: dict
-    diff_tails: dict
-    integers: tuple = field(repr=False, compare=False)
+    den: int
+    ints: dict
+
+    alpha1, beta1, gamma1, alpha2, beta2, gamma2 = map(_fraction_view, _COEFFICIENTS)
 
 
 def _same_q(a: FadingPmf, b: FadingPmf):
@@ -247,16 +249,14 @@ def pos_diff_pmf(a: FadingPmf, b: FadingPmf) -> FadingPmf:
 _LINKS = ("n11", "n12", "n21", "n22")
 # the difference tails "x-y" that the coefficients of both users read
 _PAIRS = (("n11", "n21"), ("n21", "n11"), ("n22", "n12"), ("n12", "n22"))
-_COEFFICIENTS = ("alpha1", "beta1", "gamma1", "alpha2", "beta2", "gamma2")
 
 
 @lru_cache(maxsize=4096)
 def layer_coefficients(spec: ChannelSpec) -> LayerCoefficients:
     """All six coefficient vectors and the tail tables they are built from.
 
-    Everything is computed on integers over the common denominator
-    M = lcm(L11*L21, L22*L12), L the lcm of a link's mass denominators; they
-    are kept as the integers field, and every Fraction field is read off it.
+    Everything is computed and kept as integers over the common denominator
+    M = lcm(L11*L21, L22*L12), L the lcm of a link's mass denominators.
     """
     links = spec.links()
     dens = {name: pmf._den for name, pmf in links.items()}
@@ -282,16 +282,7 @@ def layer_coefficients(spec: ChannelSpec) -> LayerCoefficients:
     ints.update(zip(_COEFFICIENTS,
                     user(ints["n21"], ints["n22"], ints["n21-n11"], ints["n22-n12"])
                     + user(ints["n12"], ints["n11"], ints["n12-n22"], ints["n11-n21"])))
-
-    def fractions(keys):
-        return {key: tuple(Fraction(n, common) for n in ints[key]) for key in keys}
-
-    return LayerCoefficients(
-        **fractions(_COEFFICIENTS),
-        tails=fractions(_LINKS),
-        diff_tails=fractions(f"{x}-{y}" for x, y in _PAIRS),
-        integers=(common, ints),
-    )
+    return LayerCoefficients(common, ints)
 
 
 def swap_users(spec: ChannelSpec) -> ChannelSpec:

@@ -15,13 +15,13 @@ those points between the two axes.  The hull is scanned on integer triples
 (a, b, c), a HalfPlane's reduced ones or a Row as the bounds module emits
 it, unreduced, with a 3x3 integer determinant as orientation test, in
 O(P log P) for P planes; on operands of _FILTER_BITS or more the float
-orientation of the dual points decides first.  The presort is ratio_order: a correctly rounded
-float key, with runs of equal keys settled by cross-multiplying.
-Neighbours on the chain cross at the vertices in counterclockwise order,
-one Fraction per coordinate, and RegionPolytope checks that order instead
-of hulling again, with the same filtered orientation test.  The chain also
-names the planes along the region's edges; the region records them, and
-active_planes reads them back.
+orientation of the dual points decides first.  The presort is ratio_order:
+a correctly rounded float key, with runs of equal keys settled by
+cross-multiplying.  Neighbours on the chain cross at the vertices in
+counterclockwise order, one Fraction per coordinate, and RegionPolytope
+checks that order instead of hulling again, with the same filtered
+orientation test.  The chain also names the planes along the region's
+edges; the region records them, and active_planes reads them back.
 """
 
 from __future__ import annotations

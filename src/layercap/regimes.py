@@ -82,7 +82,7 @@ def classify(spec: ChannelSpec) -> RegimeReport:
     """Evaluate all three per-layer condition pairs and label the regime."""
     # the integer vectors share one positive denominator, so they compare
     # as the probabilities do
-    ints = layer_coefficients(spec).integers[1]
+    ints = layer_coefficients(spec).ints
     t11, t12, t21, t22 = ints["n11"], ints["n12"], ints["n21"], ints["n22"]
     d1121, d2212 = ints["n11-n21"], ints["n22-n12"]
     q = spec.q
@@ -151,14 +151,15 @@ def weak_corner(spec: ChannelSpec, omega_A) -> CornerAllocation:
     if not 0 < omega_A <= 1:
         raise ValueError(f"omega_A must lie in (0, 1], got {omega_A}")
     co = layer_coefficients(spec)
+    alpha, gamma = co.alpha1, co.gamma1
     e11, lift = expect(spec.n11), expect_pos_diff(spec.n21, spec.n11)
     private = frozenset(
         l for l in range(1, spec.q + 1)
-        if omega_A * co.gamma1[l - 1] >= co.alpha1[l - 1]
+        if omega_A * gamma[l - 1] >= alpha[l - 1]
     )
     common = frozenset(range(1, spec.q + 1)) - private
-    r1 = e11 - sum((co.alpha1[l - 1] for l in private), Fraction(0))
-    r2 = lift + sum((co.gamma1[l - 1] for l in private), Fraction(0))
+    r1 = e11 - sum((alpha[l - 1] for l in private), Fraction(0))
+    r2 = lift + sum((gamma[l - 1] for l in private), Fraction(0))
     # the split is chosen so the corner saturates the omega_A bound exactly;
     # anything else means the weak gating above let a bad channel through
     if r1 + omega_A * r2 != bound_b(spec, 1, omega_A):

@@ -5,7 +5,10 @@ layer by layer, with plain Fraction sums, [.]^+ and max, from tails and
 difference tails alone; user 2 goes through swap_users.  Every path into
 the kernel is checked against it: bound_a/b/c, the critical-weight bounds
 of outer_halfplanes and the weight grid of grid_bounds, including the
-half-plane each bound builds from the kernel's integers.
+half-plane each bound builds from the kernel's integers.  The critical
+weights, enumerated in integers, are checked against a Fraction enumeration
+through sets and sorts, and every row of outer_rows and grid_rows against
+the half-plane of the bound it reads back as.
 """
 
 from fractions import Fraction
@@ -25,6 +28,7 @@ from layercap import (
     swap_users,
     tail,
 )
+from layercap.bounds import grid_rows, outer_rows
 from strategies import specs, unit_rationals
 
 F = Fraction
@@ -64,20 +68,44 @@ def plane_of(wb):
     return HalfPlane(wb.omega, own, wb.value)
 
 
-def ratios(spec, user):
-    """Every kink ratio of the user's three sweeps that lies in [0, 1]."""
+def sweeps(spec, user):
+    """{0, 1} plus the per-layer kink ratios in [0, 1] of each of the user's
+    three sweeps: alpha/beta, alpha/gamma and P(N12 >= l)/P(N11 >= l)."""
     sp = spec if user == 1 else swap_users(spec)
-    out = set()
+    out = {"beta": {F(0), F(1)}, "gamma": {F(0), F(1)}, "top": {F(0), F(1)}}
     for l in range(1, sp.q + 1):
         clear = diff_tail(sp.n21, sp.n11, l)
         alpha = tail(sp.n21, l) - clear
-        for g in (tail(sp.n22, l) - clear, diff_tail(sp.n22, sp.n12, l) - clear):
+        for key, g in (("beta", tail(sp.n22, l) - clear),
+                       ("gamma", diff_tail(sp.n22, sp.n12, l) - clear)):
             if g > 0 and alpha <= g:
-                out.add(alpha / g)
+                out[key].add(alpha / g)
         t11, t12 = tail(sp.n11, l), tail(sp.n12, l)
         if t11 > 0 and t12 <= t11:
-            out.add(t12 / t11)
-    return sorted(out)
+            out["top"].add(t12 / t11)
+    return out
+
+
+def ratios(spec, user):
+    """Every kink ratio of the user's three sweeps that lies in [0, 1]."""
+    return sorted(set().union(*sweeps(spec, user).values()))
+
+
+def reference_weights(spec, user, family):
+    """The critical weights, enumerated in Fractions through sets and sorts:
+    a sweep's ratios for families a and b; for family c every omega kink of
+    the alpha/gamma sweep times every ray slope mu/omega of the top sweep."""
+    kinks = sweeps(spec, user)
+    if family != "c":
+        return tuple(sorted(kinks["beta" if family == "a" else "gamma"]))
+    return tuple(sorted({(om, s * om) for om in kinks["gamma"] for s in kinks["top"]}))
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=specs(), user=st.sampled_from((1, 2)))
+def test_critical_weights_match_reference(spec, user):
+    for family in "abc":
+        assert critical_weights(spec, user, family) == reference_weights(spec, user, family)
 
 
 @settings(max_examples=500, deadline=None)
@@ -112,6 +140,17 @@ def test_outer_halfplanes_order_and_values(spec):
         for wb in mine:
             assert wb.value == reference(spec, user, family, wb.omega, wb.mu)
             assert wb.halfplane() == plane_of(wb)
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=specs(), steps=st.none() | st.integers(1, 6))
+def test_every_row_is_its_bounds_halfplane(spec, steps):
+    # not only the rows active_bounds reads: each stored weight and value
+    # must give back the constraint its row was built from
+    rows = outer_rows(spec) if steps is None else grid_rows(spec, steps)
+    assert len(rows) == len(rows.rows)
+    for i, row in enumerate(rows.rows):
+        assert HalfPlane(*row) == rows[i].halfplane()
 
 
 @settings(max_examples=150, deadline=None)

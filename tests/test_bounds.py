@@ -27,6 +27,7 @@ from layercap import (
     outer_region,
     swap_users,
 )
+from layercap.bounds import outer_rows
 from layercap.corpus import random_spec, symmetric_bernoulli
 from strategies import specs, unit_rationals
 
@@ -256,6 +257,10 @@ def test_bound_argument_validation():
         moderate_bounds(MOD1, 1, "d", F(1, 2))
     with pytest.raises(ValueError):
         family_region(MOD1, 0, "a")
+    # outer_rows checks its family tags itself
+    for tag in ("1d", "3a"):
+        with pytest.raises(ValueError, match=f"unknown family '{tag}'"):
+            outer_rows(MOD1, (tag,))
 
 
 def test_families_constant():

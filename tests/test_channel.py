@@ -244,10 +244,9 @@ def coprime_specs(draw):
     return ChannelSpec(*links)
 
 
-@settings(max_examples=100, deadline=None)
-@given(spec=coprime_specs(), swap=st.booleans())
-def test_layer_coefficients_match_definition(spec, swap):
-    spec = swap_users(spec) if swap else spec
+def _check_integer_view(spec):
+    # every vector of ints, over den, is the per-mass Fraction definition of
+    # its key, and each coefficient property reads its vector as Fractions
     links = spec.links()
     q = spec.q
 
@@ -259,13 +258,15 @@ def test_layer_coefficients_match_definition(spec, swap):
         return sum((b.masses[m] * at_least(a, l + m) for m in range(q + 1)), F(0))
 
     co = layer_coefficients(spec)
+    assert co.den > 0
+    got = {key: tuple(F(n, co.den) for n in nums) for key, nums in co.ints.items()}
     layers = range(1, q + 1)
-    for key, vec in co.diff_tails.items():
-        a, b = (links[name] for name in key.split("-"))
-        assert vec == tuple(diff(a, b, l) for l in layers)
-        assert vec == tuple(diff_tail(a, b, l) for l in layers)
-    for name, vec in co.tails.items():
-        assert vec == tuple(at_least(links[name], l) for l in layers)
+    for name, pmf in links.items():
+        assert got.pop(name) == tuple(at_least(pmf, l) for l in layers), name
+    for x, y in (("n11", "n21"), ("n21", "n11"), ("n22", "n12"), ("n12", "n22")):
+        vec = got.pop(f"{x}-{y}")
+        assert vec == tuple(diff(links[x], links[y], l) for l in layers), (x, y)
+        assert vec == tuple(diff_tail(links[x], links[y], l) for l in layers), (x, y)
     for user, (n11, n12, n21, n22) in ((1, ("n11", "n12", "n21", "n22")),
                                        (2, ("n22", "n21", "n12", "n11"))):
         n11, n12, n21, n22 = (links[n] for n in (n11, n12, n21, n22))
@@ -273,24 +274,23 @@ def test_layer_coefficients_match_definition(spec, swap):
         alpha = tuple(at_least(n21, l) - c for l, c in zip(layers, clear))
         beta = tuple(max(at_least(n22, l) - c, 0) for l, c in zip(layers, clear))
         gamma = tuple(max(diff(n22, n12, l) - c, 0) for l, c in zip(layers, clear))
-        assert (getattr(co, f"alpha{user}"), getattr(co, f"beta{user}"),
-                getattr(co, f"gamma{user}")) == (alpha, beta, gamma)
+        for name, vec in (("alpha", alpha), ("beta", beta), ("gamma", gamma)):
+            key = f"{name}{user}"
+            assert got.pop(key) == vec, key
+            assert getattr(co, key) == vec, key
+    assert not got, sorted(got)
 
 
-def _check_integer_view(co):
-    # every integer vector over M is the public Fraction vector of its key
-    den, ints = co.integers
-    public = {**co.tails, **co.diff_tails, **{key: getattr(co, key) for key in (
-        "alpha1", "beta1", "gamma1", "alpha2", "beta2", "gamma2")}}
-    assert set(ints) == set(public)
-    for key, nums in ints.items():
-        assert tuple(F(n, den) for n in nums) == public[key], key
+@settings(max_examples=100, deadline=None)
+@given(spec=coprime_specs(), swap=st.booleans())
+def test_layer_coefficients_match_definition(spec, swap):
+    _check_integer_view(swap_users(spec) if swap else spec)
 
 
 @settings(max_examples=300, deadline=None)
 @given(spec=specs())
 def test_integer_view_matches_the_fraction_view(spec):
-    _check_integer_view(layer_coefficients(spec))
+    _check_integer_view(spec)
 
 
 def test_integer_view_matches_past_the_int_str_digit_limit():
@@ -300,4 +300,4 @@ def test_integer_view_matches_past_the_int_str_digit_limit():
         spec = ChannelSpec(*(FadingPmf([1 - 3 * x, x, 2 * x]) for x in (
             F(1, 3 ** 10000), F(1, 10 ** 5000), F(1, 7 ** 5200), F(1, 2 ** 15000))))
         assert min(len(str(pmf.masses[1].denominator)) for pmf in spec.links().values()) > 4300
-        _check_integer_view(layer_coefficients(spec))
+        _check_integer_view(spec)
