@@ -9,8 +9,10 @@ averages every function over one joint histogram of the drawn levels, so
 agreement is evidence the convolution formulas and the sampler describe the
 same level distributions.  The coupling check verifies, analytically, the
 quantile-coupling identities that tie the difference-level variables
-together.  Only the two sampling functions import numpy, so the exact
-suites, which import this module too, do not pay for it.
+together; it decides them on integers and builds Fractions only for a
+report's entries when they are read.  Only _cell_counts and
+mc_estimate_stats import numpy, so the exact suites, which import this
+module too, do not pay for it.
 """
 
 from __future__ import annotations
@@ -53,20 +55,29 @@ class SimConfig:
             raise ValueError(f"samples must be >= 1, got {self.samples}")
 
 
-def _level_chunks(cfg: SimConfig):
-    """Yield (q+1)-level draws as an (4, m) int array per chunk.
+def _cell_counts(cfg: SimConfig):
+    """Joint histogram of the drawn levels, flat: cell ((n11*s + n12)*s +
+    n21)*s + n22, for s = q+1, counts the uses that drew those levels.
 
-    Each chunk gets its own counter-based stream keyed by (seed, chunk
-    index), so aggregate results do not depend on how chunks are scheduled
-    and reruns are bit-identical.
+    A link's level for its uniform draw u is the number of cdf[0..q-1] at or
+    below u: for a non-decreasing cdf, the inverse-cdf level
+    min(#{k : cdf[k] <= u}, q), also when the float cumsum ends below 1.
+    Each 2^16-use chunk gets its own counter-based stream keyed by (seed,
+    chunk index), so aggregate results do not depend on how chunks are
+    scheduled and reruns are bit-identical.
     """
     import numpy as np
 
+    q = cfg.spec.q
+    side = q + 1
     cdfs = [
-        np.cumsum([float(m) for m in cfg.spec.links()[link].masses])
+        np.cumsum([float(m) for m in cfg.spec.links()[link].masses])[:q]
         for link in _LINKS
     ]
-    q = cfg.spec.q
+    counts = np.zeros(side ** 4, dtype=np.int64)
+    # every partial index n11, n11*s + n12, ... is below s^4, so the
+    # narrowest dtype holding s^4 - 1 never wraps, and narrow is fast
+    cell = np.min_scalar_type(side ** 4 - 1)
     done = 0
     chunk = 0
     while done < cfg.samples:
@@ -75,12 +86,15 @@ def _level_chunks(cfg: SimConfig):
             np.random.Philox(key=[cfg.seed % (1 << 64), chunk])
         )
         u = gen.random((4, m))
-        levels = np.empty((4, m), dtype=np.int64)
-        for i, cdf in enumerate(cdfs):
-            levels[i] = np.minimum(np.searchsorted(cdf, u[i], side="right"), q)
-        yield levels
+        flat = np.zeros(m, dtype=cell)
+        for row, cdf in zip(u, cdfs):
+            flat *= side
+            for c in cdf:
+                flat += row >= c
+        counts += np.bincount(flat, minlength=side ** 4)
         done += m
         chunk += 1
+    return counts
 
 
 @dataclass(frozen=True)
@@ -140,12 +154,7 @@ def mc_estimate_stats(cfg: SimConfig) -> MCStatsReport:
     """
     import numpy as np
 
-    side = cfg.spec.q + 1
-    counts = np.zeros(side ** 4, dtype=np.int64)
-    for levels in _level_chunks(cfg):
-        flat = ((levels[0] * side + levels[1]) * side + levels[2]) * side + levels[3]
-        counts += np.bincount(flat, minlength=side ** 4)
-    joint = counts.reshape((side,) * 4)
+    joint = _cell_counts(cfg).reshape((cfg.spec.q + 1,) * 4)
     # the drawn level tuples with their counts
     cells = [(n, int(joint[n])) for n in map(tuple, np.argwhere(joint).tolist())]
     m = cfg.samples
@@ -186,22 +195,7 @@ class CouplingEntry:
 
     @property
     def ok(self) -> bool:
-        # Fractions are kept reduced, so equal values have equal numerator
-        # and denominator; comparing those costs a third of Fraction.__eq__,
-        # and the coupling suite reads ok on 101,250 entries
-        g, h, a, b = self.lhs_gamma, self.rhs_gamma, self.lhs_alpha, self.rhs_alpha
-        return (g.numerator == h.numerator and g.denominator == h.denominator
-                and a.numerator == b.numerator and a.denominator == b.denominator)
-
-
-@dataclass(frozen=True)
-class CouplingReport:
-    entries: tuple
-    order_ok: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.order_ok and all(e.ok for e in self.entries)
+        return self.lhs_gamma == self.rhs_gamma and self.lhs_alpha == self.rhs_alpha
 
 
 class _PairView(NamedTuple):
@@ -210,13 +204,15 @@ class _PairView(NamedTuple):
     tails[l-1] and diff_tails[l-1] are P((N_x - N_y)^+ >= l), once from the
     mass convolution of pos_diff_pmf and once from _diff_tails, as integer
     numerators over den; alphas[l-1] is the pair (P(L < l <= N_x), alpha(l))
-    for L = (N_x - N_y)^+, and dominated says L <= N_x under the coupling.
+    for L = (N_x - N_y)^+, and alpha_ok says the two agree at every layer;
+    dominated says L <= N_x under the coupling.
     """
 
     den: int
     tails: tuple
     diff_tails: tuple
     alphas: tuple
+    alpha_ok: bool
     dominated: bool
 
 
@@ -226,14 +222,42 @@ def _pair_view(x: FadingPmf, y: FadingPmf) -> _PairView:
     nums = _diff_tails(x, y)
     dxy = x._den * y._den
     den = math.lcm(pos._den, dxy)
+    alphas = tuple((prob_sandwich(pos, x, l), tail(x, l) - diff_tail(x, y, l))
+                   for l in range(1, x.q + 1))
     return _PairView(
         den=den,
         tails=tuple(t * (den // pos._den) for t in pos._int_tails[1:-1]),
         diff_tails=tuple(n * (den // dxy) for n in nums),
-        alphas=tuple((prob_sandwich(pos, x, l), tail(x, l) - diff_tail(x, y, l))
-                     for l in range(1, x.q + 1)),
+        alphas=alphas,
+        alpha_ok=all(lhs == rhs for lhs, rhs in alphas),
         dominated=dominates(x, pos),
     )
+
+
+class CouplingReport(NamedTuple):
+    """coupling_check's verdict on one channel, from the pair views of
+    A = (n21, n11) and B = (n22, n12).
+
+    ok and order_ok are decided on the views' integers when the report is
+    made; entries, the Fraction values of both identities layer by layer,
+    are built from the same integers on each read.
+    """
+
+    ok: bool
+    order_ok: bool
+    view_a: _PairView
+    view_b: _PairView
+
+    @property
+    def entries(self) -> tuple:
+        a, b = self.view_a, self.view_b
+        den = a.den * b.den
+        return tuple(
+            CouplingEntry(l, Fraction(max(tb * a.den - ta * b.den, 0), den),
+                          Fraction(max(ub * a.den - ua * b.den, 0), den), *alpha)
+            for l, (ta, tb, ua, ub, alpha) in enumerate(
+                zip(a.tails, b.tails, a.diff_tails, b.diff_tails, a.alphas), 1)
+        )
 
 
 def coupling_check(spec: ChannelSpec) -> CouplingReport:
@@ -246,24 +270,17 @@ def coupling_check(spec: ChannelSpec) -> CouplingReport:
     pointwise.
 
     Everything but gamma depends on the pair A = (n21, n11) alone and is
-    read off its cached view.  P(L < l <= M) = [P(M >= l) - P(L >= l)]^+,
+    decided once on its cached view.  P(L < l <= M) = [P(M >= l) - P(L >= l)]^+,
     so both sides of the gamma identity are integer differences over the
-    product of the views' denominators, with B = (n22, n12) giving M.
+    product of the views' denominators, with B = (n22, n12) giving M; they
+    are compared as integers, and no Fraction is made unless the report's
+    entries are read.
     """
     a = _pair_view(spec.n21, spec.n11)
     b = _pair_view(spec.n22, spec.n12)
-    den = a.den * b.den
-    entries = []
-    for l, (ta, tb, ua, ub, (lhs_alpha, rhs_alpha)) in enumerate(
-            zip(a.tails, b.tails, a.diff_tails, b.diff_tails, a.alphas), 1):
-        lhs = max(tb * a.den - ta * b.den, 0)
-        rhs = max(ub * a.den - ua * b.den, 0)
-        lhs_gamma = Fraction(lhs, den)
-        entries.append(CouplingEntry(
-            l=l,
-            lhs_gamma=lhs_gamma,
-            rhs_gamma=lhs_gamma if rhs == lhs else Fraction(rhs, den),
-            lhs_alpha=lhs_alpha,
-            rhs_alpha=rhs_alpha,
-        ))
-    return CouplingReport(entries=tuple(entries), order_ok=a.dominated)
+    ok = a.dominated and a.alpha_ok
+    for ta, tb, ua, ub in zip(a.tails, b.tails, a.diff_tails, b.diff_tails):
+        lhs, rhs = tb * a.den - ta * b.den, ub * a.den - ua * b.den
+        # max(lhs, 0) == max(rhs, 0), as CouplingReport.entries clamps them
+        ok = ok and (lhs == rhs or (lhs <= 0 and rhs <= 0))
+    return CouplingReport(ok, a.dominated, a, b)

@@ -5,15 +5,15 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from layercap import ChannelSpec, FadingPmf, diff_tail, pos_diff_pmf, tail
 from layercap.channel import dominates
 from layercap.corpus import examples, random_spec, symmetric_bernoulli
 from layercap.oracles import (
     CouplingEntry,
-    CouplingReport,
     SimConfig,
     coupling_check,
     exact_stats,
@@ -101,6 +101,53 @@ def test_constant_channel_estimates_are_exact():
         assert entry.stderr == 0.0
 
 
+def reference_cell_counts(cfg):
+    # the inverse-cdf levels by searchsorted over the same Philox draws,
+    # as a (4, m) level array per chunk, then the flat joint-cell histogram
+    q = cfg.spec.q
+    side = q + 1
+    cdfs = [np.cumsum([float(m) for m in pmf.masses]) for pmf in cfg.spec.links().values()]
+    counts = np.zeros(side ** 4, dtype=np.int64)
+    done = chunk = 0
+    while done < cfg.samples:
+        m = min(oracles._CHUNK, cfg.samples - done)
+        gen = np.random.Generator(np.random.Philox(key=[cfg.seed % (1 << 64), chunk]))
+        u = gen.random((4, m))
+        levels = np.empty((4, m), dtype=np.int64)
+        for i, cdf in enumerate(cdfs):
+            levels[i] = np.minimum(np.searchsorted(cdf, u[i], side="right"), q)
+        flat = ((levels[0] * side + levels[1]) * side + levels[2]) * side + levels[3]
+        counts += np.bincount(flat, minlength=side ** 4)
+        done += m
+        chunk += 1
+    return counts
+
+
+def assert_same_cell_counts(cfg):
+    got, want = oracles._cell_counts(cfg), reference_cell_counts(cfg)
+    assert got.dtype == want.dtype and np.array_equal(got, want), cfg
+    assert int(got.sum()) == cfg.samples
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=specs(max_q=4), samples=st.integers(1, 3000), seed=st.integers(0, 2 ** 64 - 1))
+def test_cell_counts_match_searchsorted_levels(spec, samples, seed):
+    assert_same_cell_counts(SimConfig(spec, samples, seed))
+
+
+def test_cell_counts_when_the_float_cdf_ends_below_one():
+    pmf = FadingPmf([F(1, 6), F(2, 3), F(1, 6)])
+    assert np.cumsum([float(m) for m in pmf.masses])[-1] < 1.0
+    spec = ChannelSpec(pmf, FadingPmf.point(2, 2), pmf, FadingPmf([F(1, 2), F(0), F(1, 2)]))
+    assert_same_cell_counts(SimConfig(spec, 5000, 3))
+
+
+@pytest.mark.parametrize("samples", [1, 65_535, 65_537, 140_000])
+def test_cell_counts_across_chunk_boundaries(samples):
+    assert_same_cell_counts(SimConfig(examples()["det"], samples, 7))
+    assert_same_cell_counts(SimConfig(examples()["moderate"], samples, 7))
+
+
 def test_montecarlo_suite_fails_on_a_changed_rerun(monkeypatch):
     # every other report is drawn with another seed but keeps the requested
     # one, so the rerun differs in its estimates except on the constant det
@@ -176,19 +223,22 @@ def reference_coupling_check(spec):
     # L <= N21 pointwise under the coupling iff every cdf of L is at least N21's
     order_ok = all(1 - tail(l_pmf, n + 1) >= 1 - tail(spec.n21, n + 1)
                    for n in range(spec.q + 1))
-    return CouplingReport(entries=tuple(entries), order_ok=order_ok)
+    return tuple(entries), order_ok
 
 
 def assert_same_report(spec):
-    got, want = coupling_check(spec), reference_coupling_check(spec)
-    assert got.order_ok == want.order_ok, spec
-    assert len(got.entries) == len(want.entries) == spec.q
-    for g, w in zip(got.entries, want.entries):
+    got = coupling_check(spec)
+    want_entries, want_order_ok = reference_coupling_check(spec)
+    assert got.order_ok == want_order_ok, spec
+    assert len(got.entries) == len(want_entries) == spec.q
+    for g, w in zip(got.entries, want_entries):
         assert g == w, (spec, g.l)
         # equal Fractions, not merely equal values of another type
         for field in dataclasses.fields(w):
             assert type(getattr(g, field.name)) is type(getattr(w, field.name))
-    assert got == want
+    assert (got.entries, got.order_ok) == (want_entries, want_order_ok)
+    # the verdict, decided on integers, agrees with the Fraction entries
+    assert got.ok == (want_order_ok and all(e.ok for e in want_entries)), spec
 
 
 @pytest.fixture
@@ -229,13 +279,48 @@ def test_coupling_suite_catches_changed_pos_diff_tails(monkeypatch, fresh_pair_v
 
     monkeypatch.setattr(oracles, "pos_diff_pmf", mutant)
     report = coupling_check(ChannelSpec(n11=y, n12=y, n21=x, n22=x))
-    assert report.order_ok
+    # both pairs read the changed convolution, so gamma still holds and
+    # only the alpha identity fails
+    assert report.order_ok and not report.ok
     assert report.entries[0].lhs_alpha == F(1, 4) != report.entries[0].rhs_alpha
+    assert all(e.lhs_gamma == e.rhs_gamma for e in report.entries)
     result = verification.verify_coupling()
     assert not result.ok
     assert result.lines[0].startswith("[coupling] ") and "/50625 channels" in result.lines[0]
     assert not result.lines[0].startswith("[coupling] 50625/")
     assert any("first failure at" in line for line in result.lines)
+
+
+def test_coupling_suite_catches_changed_diff_tails(monkeypatch, fresh_pair_views):
+    # for the one pair N21 = 1, N11 = 0 (or N22 = 1, N12 = 0), drop the
+    # difference tail P(N_x - N_y >= 1) from 1 to 0; the alpha identities
+    # read channel's own diff_tail and the order reads pos_diff_pmf, so both
+    # still hold and only the gamma comparison can catch the change
+    x, y = FadingPmf.point(1, 2), FadingPmf.point(0, 2)
+    real = oracles._diff_tails
+
+    def mutant(a, b):
+        nums = real(a, b)
+        if (a, b) == (x, y):
+            return (nums[0] - 1,) + nums[1:]
+        return nums
+
+    monkeypatch.setattr(oracles, "_diff_tails", mutant)
+    view = oracles._pair_view(x, y)
+    assert view.alpha_ok and view.dominated
+    assert view.diff_tails != view.tails
+    # L = 1 and M = 2: P(L < 1 <= M) = 0, but the mutant's tails say L = 0
+    report = coupling_check(ChannelSpec(n11=y, n12=y, n21=x, n22=FadingPmf.point(2, 2)))
+    assert report.order_ok and not report.ok
+    assert [e.lhs_alpha == e.rhs_alpha for e in report.entries] == [True, True]
+    assert [e.lhs_gamma == e.rhs_gamma for e in report.entries] == [False, True]
+    result = verification.verify_coupling()
+    assert not result.ok
+    assert result.lines == (
+        "[coupling] 50230/50625 channels satisfy both identities and the pointwise order",
+        "[coupling]   first failure at (FadingPmf([0, 0, 1]), FadingPmf([1, 0, 0]), "
+        "FadingPmf([0, 0, 1]), FadingPmf([0, 1, 0]))",
+    )
 
 
 def test_coupling_suite_catches_broken_dominance(monkeypatch, fresh_pair_views):
@@ -250,7 +335,10 @@ def test_coupling_suite_catches_broken_dominance(monkeypatch, fresh_pair_views):
         return real(a, b)
 
     monkeypatch.setattr(oracles, "pos_diff_pmf", mutant)
-    assert not coupling_check(ChannelSpec(n11=y, n12=y, n21=x, n22=x)).order_ok
+    report = coupling_check(ChannelSpec(n11=y, n12=y, n21=x, n22=x))
+    # both identities still hold, so only the order fails
+    assert not report.order_ok and not report.ok
+    assert all(e.ok for e in report.entries)
     result = verification.verify_coupling()
     assert not result.ok
     assert any("first failure at" in line for line in result.lines)
