@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 
@@ -28,53 +28,94 @@ def as_fraction(value) -> Fraction:
     return Fraction(value)
 
 
+def _digits(n: int) -> int:
+    """The decimal digit count of n >= 1, with no int -> str conversion."""
+    # 2^(b-1) <= n < 2^b puts floor(log10 n) at k or k - 1, k = floor(b log10 2)
+    k = int(n.bit_length() * 0.30102999566398119521)
+    return k + (n >= 10 ** k)
+
+
+def _brief_ratio(num: int, den: int) -> str:
+    """num/den (den > 0) for an error message: exact when short, else a
+    short float and the digit count, so that a rational of any size prints
+    in a few dozen characters and with no int -> str conversion."""
+    r = Fraction(num, den)
+    n, d = r.numerator, r.denominator
+    if n.bit_length() + d.bit_length() <= 128:
+        return str(r)
+    dn, dd = _digits(abs(n)), _digits(d)
+    try:
+        value = f"{n / d:#.6g}"
+    except OverflowError:
+        value = f"about 1e+{dn - dd}"
+    return f"{value} (a {dn + dd:,}-digit rational)"
+
+
 class FadingPmf:
     """Exact pmf of a fading level on {0, ..., q}.
 
     masses[n] = P(N = n); q is implied by the length of the mass vector.
-    Instances are immutable and hashable; the tail vector, as integer
-    numerators over the lcm of the mass denominators, and the hash are
-    computed once, so tail lookups and cache keys cost O(1).
+    Instances are immutable and hashable.  A pmf is held as its tail vector
+    of integer numerators over den, the lcm of the reduced mass
+    denominators: _int_tails[l] = den * P(N >= l) for l in 0..q+1.  The tails
+    and their hash are computed once, so tail lookups and cache keys cost
+    O(1); masses are built as Fractions on first read.
     """
 
-    __slots__ = ("_masses", "_hash", "_den", "_int_tails")
+    __slots__ = ("_den", "_int_tails", "_hash", "_masses")
 
     def __init__(self, masses):
-        entries = tuple(as_fraction(m) for m in masses)
-        if not entries:
+        self._init_pairs([(m.numerator, m.denominator) for m in map(as_fraction, masses)])
+
+    @classmethod
+    def from_pairs(cls, pairs) -> "FadingPmf":
+        """Build from a sequence of integer pairs (n, d), the mass n/d of
+        each level in order; d > 0, and n/d need not be reduced."""
+        pmf = cls.__new__(cls)
+        pmf._init_pairs(pairs)
+        return pmf
+
+    def _init_pairs(self, pairs):
+        # the one constructor: the masses over the lcm of their denominators,
+        # their suffix sums, then the common factor divided out, which leaves
+        # the lcm of the reduced denominators, so equal pmfs have equal tails
+        if not pairs:
             raise ValueError("pmf needs at least the level-0 mass")
-        if any(m < 0 for m in entries):
-            raise ValueError("pmf masses must be nonnegative")
-        # the masses as integers over den, the lcm of their denominators, and
-        # their suffix sums: int_tails[l] = den * P(N >= l) for l in 0..q+1
-        den = lcm(*(m.denominator for m in entries))
+        dens = [d for _, d in pairs]
+        if min(dens) < 1:
+            raise ValueError("pmf mass denominators must be positive")
+        den = lcm(*dens)
         int_tails = [0]
-        for m in reversed(entries):
-            int_tails.append(int_tails[-1] + m.numerator * (den // m.denominator))
+        for n, d in reversed(pairs):
+            if n < 0:
+                raise ValueError("pmf masses must be nonnegative")
+            int_tails.append(int_tails[-1] + n * (den // d))
         int_tails.reverse()
         if int_tails[0] != den:
-            raise ValueError(f"pmf masses must sum to 1, got {Fraction(int_tails[0], den)}")
-        self._masses = entries
-        self._hash = hash(entries)
-        self._den = den
-        self._int_tails = tuple(int_tails)
+            raise ValueError(f"pmf masses must sum to 1, got {_brief_ratio(int_tails[0], den)}")
+        g = gcd(*int_tails)
+        self._den = den // g
+        self._int_tails = tuple(t // g for t in int_tails)
+        self._hash = hash(self._int_tails)
+        self._masses = None
 
     @classmethod
     def point(cls, level: int, q: int) -> "FadingPmf":
         """Deterministic link: P(N = level) = 1."""
         if not 0 <= level <= q:
             raise ValueError(f"level {level} outside {{0..{q}}}")
-        return cls(tuple(Fraction(int(n == level)) for n in range(q + 1)))
+        return cls.from_pairs([(int(n == level), 1) for n in range(q + 1)])
 
     @classmethod
     def bernoulli(cls, p) -> "FadingPmf":
         """Single-layer link: P(N = 1) = p, P(N = 0) = 1 - p."""
         p = as_fraction(p)
-        return cls((1 - p, p))
+        return cls.from_pairs([(p.denominator - p.numerator, p.denominator),
+                               (p.numerator, p.denominator)])
 
     @classmethod
     def uniform(cls, q: int) -> "FadingPmf":
-        return cls((Fraction(1, q + 1),) * (q + 1))
+        return cls.from_pairs([(1, q + 1)] * (q + 1))
 
     @classmethod
     def from_tails(cls, tails) -> "FadingPmf":
@@ -88,16 +129,19 @@ class FadingPmf:
 
     @property
     def q(self) -> int:
-        return len(self._masses) - 1
+        return len(self._int_tails) - 2
 
     @property
     def masses(self) -> tuple:
+        if self._masses is None:
+            t, den = self._int_tails, self._den
+            self._masses = tuple(Fraction(t[n] - t[n + 1], den) for n in range(len(t) - 1))
         return self._masses
 
     def mass(self, n: int) -> Fraction:
         if not 0 <= n <= self.q:
             raise ValueError(f"level {n} outside {{0..{self.q}}}")
-        return self._masses[n]
+        return self.masses[n]
 
     def __eq__(self, other):
         if not isinstance(other, FadingPmf):
@@ -110,7 +154,7 @@ class FadingPmf:
         return self._hash
 
     def __repr__(self):
-        return "FadingPmf([%s])" % ", ".join(str(m) for m in self._masses)
+        return "FadingPmf([%s])" % ", ".join(str(m) for m in self.masses)
 
 
 @dataclass(frozen=True)
@@ -237,13 +281,16 @@ def pos_diff_pmf(a: FadingPmf, b: FadingPmf) -> FadingPmf:
     """Distribution of (N_a - N_b)^+ for independent levels, again on {0..q}."""
     _same_q(a, b)
     q = a.q
-    masses = [Fraction(0)] * (q + 1)
+    at, bt = a._int_tails, b._int_tails
+    # the mass convolution, on the mass numerators over L_a and L_b
+    nums = [0] * (q + 1)
     for m in range(q + 1):
-        if b.masses[m] == 0:
-            continue
-        for n in range(q + 1):
-            masses[max(n - m, 0)] += b.masses[m] * a.masses[n]
-    return FadingPmf(masses)
+        bm = bt[m] - bt[m + 1]
+        if bm:
+            for n in range(q + 1):
+                nums[max(n - m, 0)] += bm * (at[n] - at[n + 1])
+    den = a._den * b._den
+    return FadingPmf.from_pairs([(n, den) for n in nums])
 
 
 _LINKS = ("n11", "n12", "n21", "n22")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,20 +39,106 @@ class SpecFileError(ValueError):
     """A channel spec file could not be interpreted."""
 
 
+# The largest |exponent| a decimal mass literal may carry.  "1e-N" is a
+# rational with an (N+1)-digit denominator, so without a cap the exponent,
+# not the length of the spec, would set what reading it costs: ten bytes,
+# "1e-9999999", would ask for a 10,000,000-digit integer.  No spec in the
+# tests, the corpus or the benchmark writes an exponent at all; the cap
+# leaves room for masses as small as 10^-1000.
+MAX_EXPONENT = 1000
+
+# a decimal literal with an exponent, in the grammar Fraction reads; group 1
+# is the exponent.  Left to re's cache, so that it is compiled only when a
+# literal needs it, not at every start-up
+_EXPONENT = (r"\s*[-+]?(?=\d|\.\d)(?:\d+(?:_\d+)*)?(?:\.(?:\d+(?:_\d+)*)?)?"
+             r"[eE]([-+]?\d+(?:_\d+)*)\s*")
+
+
+def _clip(text: str, width: int = 40) -> str:
+    """text, or its head and its length when longer than width, so that an
+    error line echoing spec content stays short."""
+    if len(text) <= width:
+        return text
+    return f"{text[:width]}... ({len(text):,} characters)"
+
+
 def _rational(raw, where):
     # bool is an int subclass, so it has to be rejected first
     if isinstance(raw, bool):
         raise SpecFileError(f"{where}: expected a rational, got a boolean")
     if isinstance(raw, int):
         return Fraction(raw)
-    if isinstance(raw, Fraction):
-        return raw
     if isinstance(raw, str):
         try:
             return Fraction(raw.strip())
         except (ValueError, ZeroDivisionError) as exc:
-            raise SpecFileError(f"{where}: not a rational: {raw!r}") from exc
+            raise SpecFileError(f"{where}: not a rational: {_clip(repr(raw))}") from exc
     raise SpecFileError(f"{where}: expected a rational, got {type(raw).__name__}")
+
+
+class _JsonNumber:
+    """A JSON number literal kept as its text, so that _mass reads it
+    exactly.  Not a str, so that a label or q written as a number is still
+    rejected."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        self.text = text
+
+
+def _json_int(text: str):
+    # past the int <-> str digit limit, kept as text too: _mass then reports
+    # it on its entry, where json.loads would raise a bare ValueError
+    try:
+        return int(text)
+    except ValueError:
+        return _JsonNumber(text)
+
+
+def _exponent_over_cap(exponent: str) -> bool:
+    digits = exponent.lstrip("+-").replace("_", "")
+    if not digits.isascii():
+        digits = "".join(str(int(c)) for c in digits)
+    digits = digits.lstrip("0")
+    return len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT
+
+
+def _mass(raw, where) -> tuple:
+    """One mass as an integer pair (n, d), d > 0, of the value _rational
+    gives for raw (for a JSON number, for its text), or the SpecFileError
+    it raises.
+
+    Plain ASCII-digit literals n, n/d, i.f, .f and i. are read with str
+    methods and int(); every other literal goes through _rational, after a
+    decimal exponent has been checked against MAX_EXPONENT.
+    """
+    if type(raw) is int:
+        return raw, 1
+    text = raw.text if type(raw) is _JsonNumber else raw
+    if type(text) is str:
+        if text.isascii():
+            try:
+                if text.isdigit():
+                    return int(text), 1
+                num, slash, den = text.partition("/")
+                if slash:
+                    if num.isdigit() and den.isdigit():
+                        d = int(den)
+                        if d:
+                            return int(num), d
+                else:
+                    whole, dot, frac = text.partition(".")
+                    if dot and (whole + frac).isdigit():
+                        return int(whole + frac), 10 ** len(frac)
+            except ValueError:
+                pass  # past the int <-> str digit limit: _rational reports it
+        exp = re.fullmatch(_EXPONENT, text)
+        if exp and _exponent_over_cap(exp[1]):
+            raise SpecFileError(f"{where}: decimal exponent larger than {MAX_EXPONENT} "
+                                f"in magnitude: {_clip(repr(text))}")
+    value = _rational(text, where)
+    return value.numerator, value.denominator
 
 
 @dataclass(frozen=True)
@@ -64,19 +151,21 @@ class ChannelSpecFile:
 
     @classmethod
     def parse(cls, text: str, default_label: str = "channel") -> "ChannelSpecFile":
-        # parse_float=Fraction turns JSON decimals into exact rationals by
-        # reading their digits literally, so 0.9 means exactly 9/10
+        # numbers stay literal text until _mass reads them exactly, so 0.9
+        # means exactly 9/10
         try:
-            doc = json.loads(text, parse_float=Fraction)
+            doc = json.loads(text, parse_float=_JsonNumber, parse_int=_json_int)
         except json.JSONDecodeError as exc:
             raise SpecFileError(
                 f"line {exc.lineno} column {exc.colno}: {exc.msg}"
             ) from exc
+        except RecursionError as exc:
+            raise SpecFileError("JSON nested too deeply") from exc
         if not isinstance(doc, dict):
             raise SpecFileError("top level must be a JSON object")
         unknown = sorted(set(doc) - {"q", "label", *_LINKS})
         if unknown:
-            raise SpecFileError("unknown keys: " + ", ".join(unknown))
+            raise SpecFileError("unknown keys: " + _clip(", ".join(unknown)))
         if "q" not in doc:
             raise SpecFileError("missing key: q")
         q = doc["q"]
@@ -93,16 +182,15 @@ class ChannelSpecFile:
                 raise SpecFileError(f"missing key: {key}")
             entries = doc[key]
             if not isinstance(entries, list):
-                raise SpecFileError(f"{key}: expected an array of {q + 1} masses")
+                raise SpecFileError(f"{key}: expected an array of {_clip(str(q + 1))} masses")
             if len(entries) != q + 1:
                 raise SpecFileError(
-                    f"{key}: expected {q + 1} masses for q={q}, got {len(entries)}"
+                    f"{key}: expected {_clip(str(q + 1))} masses for q={_clip(str(q))}, "
+                    f"got {len(entries)}"
                 )
-            masses = [
-                _rational(raw, f"{key}[{i}]") for i, raw in enumerate(entries)
-            ]
+            pairs = [_mass(raw, f"{key}[{i}]") for i, raw in enumerate(entries)]
             try:
-                pmfs[key] = FadingPmf(masses)
+                pmfs[key] = FadingPmf.from_pairs(pairs)
             except ValueError as exc:
                 raise SpecFileError(f"{key}: {exc}") from exc
         spec = ChannelSpec(
@@ -291,6 +379,17 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    """argparse type for --seed: the 64-bit key of the Monte Carlo streams."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if not 0 <= value < 1 << 64:
+        raise argparse.ArgumentTypeError(f"must be in [0, 2^64), got {value}")
+    return value
+
+
 def _emit(text: str, out) -> int:
     if out is None:
         sys.stdout.write(text)
@@ -365,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
         "suite", choices=("deterministic", "coupling", "montecarlo", "inclusions")
     )
     verify.add_argument("--samples", type=_positive_int, default=10 ** 6)
-    verify.add_argument("--seed", type=int, default=0)
+    verify.add_argument("--seed", type=_seed, default=0)
     verify.set_defaults(func=cmd_verify)
     return parser
 

@@ -75,7 +75,7 @@ def random_pmf(rng: random.Random, q: int, max_denominator: int = 8) -> FadingPm
     masses = [0] * (q + 1)
     for _ in range(den):
         masses[rng.randint(0, q)] += 1
-    return FadingPmf([Fraction(k, den) for k in masses])
+    return FadingPmf.from_pairs([(k, den) for k in masses])
 
 
 def random_spec(rng: random.Random, q: int, max_denominator: int = 8) -> ChannelSpec:

@@ -53,6 +53,8 @@ class SimConfig:
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError(f"samples must be >= 1, got {self.samples}")
+        if not 0 <= self.seed < 1 << 64:
+            raise ValueError(f"seed must be in [0, 2^64), got {self.seed}")
 
 
 def _cell_counts(cfg: SimConfig):
@@ -82,8 +84,9 @@ def _cell_counts(cfg: SimConfig):
     chunk = 0
     while done < cfg.samples:
         m = min(_CHUNK, cfg.samples - done)
+        # a uint64 array: a list holding a seed >= 2^63 would become float64
         gen = np.random.Generator(
-            np.random.Philox(key=[cfg.seed % (1 << 64), chunk])
+            np.random.Philox(key=np.array([cfg.seed, chunk], dtype=np.uint64))
         )
         u = gen.random((4, m))
         flat = np.zeros(m, dtype=cell)

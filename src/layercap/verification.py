@@ -67,7 +67,7 @@ def _small_pmfs() -> list:
     for a in range(5):
         for b in range(5 - a):
             c = 4 - a - b
-            out.append(FadingPmf([Fraction(a, 4), Fraction(b, 4), Fraction(c, 4)]))
+            out.append(FadingPmf.from_pairs([(a, 4), (b, 4), (c, 4)]))
     return out
 
 

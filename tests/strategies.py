@@ -38,15 +38,21 @@ def unit_rationals():
 
 
 @contextlib.contextmanager
-def no_int_str_digit_limit():
-    # as cli.main does, but restored afterwards, so the result does not
-    # depend on an earlier main() call in the same session
+def int_str_digit_limit(limit):
+    # Python's limit on int <-> str conversion set to limit (0: none) and
+    # restored afterwards, so the result does not depend on an earlier
+    # main() call in the same session, which lifts it for the process
     if not hasattr(sys, "set_int_max_str_digits"):
         yield
         return
     old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
+    sys.set_int_max_str_digits(limit)
     try:
         yield
     finally:
         sys.set_int_max_str_digits(old)
+
+
+def no_int_str_digit_limit():
+    """As cli.main does."""
+    return int_str_digit_limit(0)

@@ -1,5 +1,6 @@
 """Fading pmf plumbing: tails, difference tails, expectations, coefficients."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -114,6 +115,28 @@ def test_pmf_equality_is_mass_equality(a, b):
     assert (a == b) == (a.masses == b.masses)
     if a == b:
         assert hash(a) == hash(b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(weights=st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=6).filter(any),
+       scales=st.lists(st.integers(1, 60), min_size=6, max_size=6))
+def test_pmf_from_integer_pairs_equals_the_fraction_pmf(weights, scales):
+    # the pairs are unreduced, each over its own multiple of the total
+    total = sum(weights)
+    pairs = [(w * k, total * k) for w, k in zip(weights, scales)]
+    from_pairs = FadingPmf.from_pairs(pairs)
+    from_fractions = FadingPmf([F(n, d) for n, d in pairs])
+    # the pmf holds integers only until its masses are read
+    assert from_pairs._masses is None
+    assert all(type(t) is int for t in (from_pairs._den, *from_pairs._int_tails))
+    masses = tuple(F(w, total) for w in weights)
+    den = math.lcm(*(m.denominator for m in masses))
+    tails = tuple(den * sum(masses[l:], F(0)) for l in range(len(masses) + 1))
+    for pmf in (from_pairs, from_fractions):
+        assert pmf._den == den and pmf._int_tails == tails
+        assert pmf.masses == masses
+        assert repr(pmf) == "FadingPmf([%s])" % ", ".join(map(str, masses))
+    assert from_pairs == from_fractions and hash(from_pairs) == hash(from_fractions)
 
 
 def test_diff_tail_pinned_values():

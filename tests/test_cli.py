@@ -18,7 +18,7 @@ from layercap.corpus import random_moderate_spec
 import layercap.bounds as bounds
 import layercap.cli as cli
 import layercap.verification as verification
-from strategies import no_int_str_digit_limit, specs
+from strategies import int_str_digit_limit, no_int_str_digit_limit, specs
 
 F = Fraction
 
@@ -85,11 +85,98 @@ def test_spec_file_parsing_forms():
         lambda d: d + "garbage",
         lambda d: d.replace('"q": 1', '"q": 1, "n13": [1]'),
         lambda d: d.replace('"n22": ["1/10", "9/10"]', '"n22": ["-1/10", "11/10"]'),
+        # JSON numbers are read as exact text, yet are never strings or ints
+        lambda d: d.replace('"q": 1', '"q": 1, "label": 1.5'),
+        lambda d: d.replace('"q": 1', '"q": 1.0'),
+        lambda d: "[" * 100_000 + "]" * 100_000,
     ],
 )
 def test_spec_file_rejects_malformed_input(mangle):
     with pytest.raises(SpecFileError):
         ChannelSpecFile.parse(mangle(WEAK_SPEC))
+
+
+def _reference_or_error(raw):
+    try:
+        return cli._rational(raw, "n11[0]")
+    except SpecFileError as exc:
+        return str(exc)
+
+
+def _exponent(literal):
+    # the exponent of a literal Fraction has read: the text after its E
+    return int(literal.strip().lower().rpartition("e")[2])
+
+
+# single characters, so that no drawn exponent has more than 5 digits and
+# the reference reads every literal in well under a second
+LITERAL_PIECES = st.lists(st.sampled_from(list("0159\u0663_./eE-+ x")), max_size=6).map("".join)
+LITERAL_FORMS = st.one_of(
+    st.from_regex(r"[0-9]{1,30}|[0-9]{1,20}/[0-9]{1,20}|[0-9]{0,20}\.[0-9]{0,20}", fullmatch=True),
+    st.from_regex(r"\s?[-+]?\d{0,6}(_\d{1,3})?(\.\d{0,6})?([eE][-+]?\d{1,4}(_\d)?)?\s?",
+                  fullmatch=True),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(literal=LITERAL_PIECES | LITERAL_FORMS)
+@example(literal=".5")
+@example(literal="5.")
+@example(literal=".")
+@example(literal="1/0")
+@example(literal=" 1/2 ")
+@example(literal="007/010")
+@example(literal="0.50")
+@example(literal="-1/2")
+@example(literal="+.5e1")
+@example(literal="1_0")
+@example(literal="1e1000")
+@example(literal="1e-1001")
+def test_mass_reader_matches_the_fraction_reference(literal):
+    # the pair read, as a string or as a JSON number's text, has the value
+    # Fraction reads from the literal, or both raise the same message; only
+    # a literal whose exponent is past the cap is refused with its own
+    want = _reference_or_error(literal)
+    for raw in (literal, cli._JsonNumber(literal)):
+        try:
+            n, d = cli._mass(raw, "n11[0]")
+        except SpecFileError as exc:
+            if "decimal exponent" in str(exc):
+                assert abs(_exponent(literal)) > cli.MAX_EXPONENT
+                assert str(exc) == (f"n11[0]: decimal exponent larger than {cli.MAX_EXPONENT} "
+                                    f"in magnitude: {literal!r}")
+            else:
+                assert str(exc) == want
+            continue
+        assert type(n) is int and type(d) is int and d > 0
+        assert F(n, d) == want
+        if "e" in literal.lower():
+            assert abs(_exponent(literal)) <= cli.MAX_EXPONENT
+
+
+def test_unreduced_masses_give_the_canonical_pmf():
+    halves = ChannelSpecFile.parse(WEAK_SPEC.replace('[0.1, 0.9]', '["2/4", "0.50"]'))
+    plain = ChannelSpecFile.parse(WEAK_SPEC.replace('[0.1, 0.9]', '["1/2", "1/2"]'))
+    a, b = halves.spec.n11, plain.spec.n11
+    assert a._den == b._den == 2 and a._int_tails == b._int_tails == (2, 1, 0)
+    assert a == b and hash(a) == hash(b)
+
+
+@pytest.mark.parametrize("literal,accepted", [
+    ("1e-1000", True), ("5E+0000000000000000000001000", True), ("0.5e1000", True),
+    ("1e-1001", False), ("1e+1_001", False), ("1e-\u0661\u0660\u0660\u0661", False),
+    ("0e1001", False), ("1e-99999999", False),
+])
+def test_decimal_exponents_are_capped(literal, accepted):
+    for raw in (literal, cli._JsonNumber(literal)):
+        if accepted:
+            n, d = cli._mass(raw, "n11[1]")
+            assert F(n, d) == F(literal)
+            continue
+        with pytest.raises(SpecFileError) as exc:
+            cli._mass(raw, "n11[1]")
+        assert str(exc.value) == (f"n11[1]: decimal exponent larger than {cli.MAX_EXPONENT} "
+                                  f"in magnitude: {literal!r}")
 
 
 def _mass_json(m: Fraction, decimal: bool) -> str:
@@ -152,6 +239,65 @@ def test_spec_json_round_trip_past_the_int_str_digit_limit(base, power, decimal)
     with no_int_str_digit_limit():
         spec = _two_mass_spec(F(1, base ** power))
         assert ChannelSpecFile.parse(spec_json(spec, decimal)).spec == spec
+
+
+# n11 holds 1 and the masses 10^-1000, 3^-2000, 7^-1100, 11^-1000 and
+# 13^-1000, so it sums to a rational of over 8,600 digits, past the
+# int -> str digit limit
+BIG_DENOMINATORS = (10 ** 1000, 3 ** 2000, 7 ** 1100, 11 ** 1000, 13 ** 1000)
+BIG_SUM_SPEC = json.dumps({
+    "q": 5, "n11": [1, "1e-1000", *(f"1/{d}" for d in BIG_DENOMINATORS[1:])],
+    **{k: [1, 0, 0, 0, 0, 0] for k in ("n12", "n21", "n22")}})
+
+
+def test_a_long_mass_sum_is_reported_short():
+    total = 1 + sum(F(1, d) for d in BIG_DENOMINATORS)
+    with no_int_str_digit_limit():
+        digits = len(str(total.numerator)) + len(str(total.denominator))
+    assert digits > 2 * 4300
+    message = f"n11: pmf masses must sum to 1, got 1.00000 (a {digits:,}-digit rational)"
+    # outside cli.main under the default limit, and with it lifted
+    for limit in (getattr(sys.int_info, "default_max_str_digits", 0), 0):
+        with int_str_digit_limit(limit), pytest.raises(SpecFileError) as exc:
+            ChannelSpecFile.parse(BIG_SUM_SPEC)
+        assert str(exc.value) == message
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python has no int <-> str digit limit")
+@pytest.mark.parametrize("literal", [
+    "1" + "0" * 5000, json.dumps("1/1" + "0" * 5000), "0." + "0" * 4999 + "1"],
+    ids=["integer", "string", "decimal"])  # ids: outside the lifted limit
+def test_a_mass_past_the_digit_limit_is_a_spec_error_outside_main(literal):
+    text = WEAK_SPEC.replace('"n11": [0.1, 0.9]', f'"n11": [{literal}, 0]')
+    with int_str_digit_limit(sys.int_info.default_max_str_digits):
+        with pytest.raises(SpecFileError) as exc:
+            ChannelSpecFile.parse(text)
+    shown = repr(json.loads(literal) if literal.startswith('"') else literal)
+    assert str(exc.value) == f"n11[0]: not a rational: {shown[:40]}... ({len(shown):,} characters)"
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=60)
+    | st.floats(allow_nan=False, allow_infinity=False) | st.fractions().map(str),
+    lambda inner: st.lists(inner, max_size=6) | st.dictionaries(
+        st.sampled_from(["q", "label", "n11", "n12", "n21", "n22"]) | st.text(max_size=60),
+        inner, max_size=7),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(doc=JSON_VALUES | st.builds(lambda q, links: {"q": q, **links}, st.integers(-1, 3),
+                                   st.fixed_dictionaries({k: JSON_VALUES for k in cli._LINKS})))
+def test_every_spec_error_is_one_short_line(doc):
+    # the spec is read, or refused by one line of at most 200 characters
+    # with a short path; the floats come out of json.dumps with exponents
+    try:
+        ChannelSpecFile.parse(json.dumps(doc))
+    except SpecFileError as exc:
+        line = f"error: ch.json: {exc}"
+        assert "\n" not in line and len(line) <= 200, line
 
 
 def test_region_json_pinned_det(tmp_path, capsys):
@@ -383,13 +529,44 @@ def test_verify_inclusions_seeded(capsys):
     assert "[inclusions] PASS" in capsys.readouterr().out
 
 
-def run_fresh(code):
-    """Run code in a fresh interpreter that imports layercap from this checkout."""
+def run_fresh_argv(argv, timeout=None):
+    """Run the interpreter on argv, importing layercap from this checkout."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
-    return subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True)
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True,
+                          text=True, timeout=timeout)
+
+
+def run_fresh(code):
+    """Run code in a fresh interpreter that imports layercap from this checkout."""
+    return run_fresh_argv(["-c", code])
+
+
+def test_a_huge_decimal_exponent_is_refused_at_once(tmp_path):
+    # reading 1e-99999999 exactly would build a 100,000,000-digit integer
+    path = write(tmp_path, "exp.json",
+                 WEAK_SPEC.replace('"n11": [0.1, 0.9]', '"n11": [1e-99999999, 1]'))
+    run = run_fresh_argv(["-m", "layercap.cli", "region", "--spec", path], timeout=20)
+    assert run.returncode == cli.EXIT_PARSE and run.stdout == ""
+    assert run.stderr == (f"error: {path}: n11[0]: decimal exponent larger than "
+                          f"{cli.MAX_EXPONENT} in magnitude: '1e-99999999'\n")
+
+
+def test_a_negative_seed_is_a_usage_error():
+    # it used to key the Monte Carlo streams as seed 0 did
+    run = run_fresh_argv(["-m", "layercap.cli", "verify", "montecarlo", "--samples", "1000",
+                          "--seed", "-1"], timeout=20)
+    assert run.returncode == cli.EXIT_PARSE and run.stdout == ""
+    assert "argument --seed: must be in [0, 2^64), got -1" in run.stderr
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64), "x"])
+def test_seeds_outside_64_bits_are_usage_errors(capsys, seed):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "inclusions", "--seed", seed])
+    assert exc.value.code == cli.EXIT_PARSE
+    assert "argument --seed: " in capsys.readouterr().err
 
 
 def test_region_and_classify_load_only_the_core(tmp_path):

@@ -40,6 +40,25 @@ def test_sim_config_validation():
     spec = const_spec(1, 1, 1, 1, 1)
     with pytest.raises(ValueError):
         SimConfig(spec=spec, samples=0, seed=0)
+    for seed in (-1, 2 ** 64):
+        with pytest.raises(ValueError, match="seed must be in"):
+            SimConfig(spec=spec, samples=1, seed=seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 63 - 1), chunk=st.integers(0, 100))
+def test_seeds_below_2_63_keep_their_streams(seed, chunk):
+    # a list key [seed, chunk] was the keying before it became a uint64 array
+    old = np.random.Philox(key=[seed, chunk]).random_raw(8)
+    new = np.random.Philox(key=np.array([seed, chunk], np.uint64)).random_raw(8)
+    assert np.array_equal(old, new)
+
+
+def test_seeds_past_2_63_give_distinct_streams():
+    # as a list key these seeds became the same float64
+    spec = symmetric_bernoulli(F(1, 2), F(1, 2))
+    a, b = (oracles._cell_counts(SimConfig(spec, 1000, 2 ** 63 + k)) for k in (1, 2))
+    assert not np.array_equal(a, b)
 
 
 def test_same_seed_reproduces_exactly():
@@ -111,7 +130,7 @@ def reference_cell_counts(cfg):
     done = chunk = 0
     while done < cfg.samples:
         m = min(oracles._CHUNK, cfg.samples - done)
-        gen = np.random.Generator(np.random.Philox(key=[cfg.seed % (1 << 64), chunk]))
+        gen = np.random.Generator(np.random.Philox(key=np.array([cfg.seed, chunk], np.uint64)))
         u = gen.random((4, m))
         levels = np.empty((4, m), dtype=np.int64)
         for i, cdf in enumerate(cdfs):
