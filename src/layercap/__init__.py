@@ -18,8 +18,6 @@ from .bounds import (
     bound_c,
     critical_weights,
     family_region,
-    grid_bounds,
-    outer_halfplanes,
     outer_region,
 )
 from .channel import (

@@ -85,17 +85,22 @@ def _family_tag(user, family) -> str:
 
 
 def _check_omega(omega) -> Fraction:
-    omega = as_fraction(omega)
-    if not 0 <= omega <= 1:
-        raise ValueError(f"omega must lie in [0, 1], got {omega}")
-    return omega
+    """omega as a Fraction in [0, 1].  Both weight checks compare numerators
+    with positive denominators as integers: a Fraction comparison costs
+    several times as much."""
+    value = as_fraction(omega)
+    if not 0 <= value.numerator <= value.denominator:
+        raise ValueError(f"omega must lie in [0, 1], got {value}")
+    return value
 
 
 def _check_mu(omega: Fraction, mu) -> Fraction:
     """mu as a Fraction in [0, omega], for an omega that passed _check_omega."""
-    if mu is None or not 0 <= as_fraction(mu) <= omega:
-        raise ValueError(f"mu must lie in [0, omega], got mu={mu}, omega={omega}")
-    return as_fraction(mu)
+    if mu is not None:
+        value = as_fraction(mu)
+        if 0 <= value.numerator * omega.denominator <= omega.numerator * value.denominator:
+            return value
+    raise ValueError(f"mu must lie in [0, omega], got mu={mu}, omega={omega}")
 
 
 @dataclass(frozen=True)
@@ -112,19 +117,12 @@ class WeightedBound:
     value: Fraction
 
     def __post_init__(self):
-        # the range checks compare numerators and (positive) denominators as
-        # integers: a Fraction comparison costs several times as much, and
-        # grid_bounds at 256 steps builds 67,334 bounds
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
-        p, r = self.omega.numerator, self.omega.denominator
-        if not 0 <= p <= r:
-            raise ValueError(f"omega must lie in [0, 1], got {self.omega}")
-        mu = self.mu
+        omega = _check_omega(self.omega)
         if self.family.endswith("c"):
-            if mu is None or not 0 <= mu.numerator * r <= p * mu.denominator:
-                raise ValueError(f"c-family needs mu in [0, omega], got {mu}")
-        elif mu is not None:
+            _check_mu(omega, self.mu)
+        elif self.mu is not None:
             raise ValueError("mu only applies to c-families")
         if self.value.numerator < 0:
             raise ValueError(f"bound value must be nonnegative, got {self.value}")

@@ -62,20 +62,6 @@ def _clip(text: str, width: int = 40) -> str:
     return f"{text[:width]}... ({len(text):,} characters)"
 
 
-def _rational(raw, where):
-    # bool is an int subclass, so it has to be rejected first
-    if isinstance(raw, bool):
-        raise SpecFileError(f"{where}: expected a rational, got a boolean")
-    if isinstance(raw, int):
-        return Fraction(raw)
-    if isinstance(raw, str):
-        try:
-            return Fraction(raw.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise SpecFileError(f"{where}: not a rational: {_clip(repr(raw))}") from exc
-    raise SpecFileError(f"{where}: expected a rational, got {type(raw).__name__}")
-
-
 class _JsonNumber:
     """A JSON number literal kept as its text, so that _mass reads it
     exactly.  Not a str, so that a label or q written as a number is still
@@ -105,39 +91,44 @@ def _exponent_over_cap(exponent: str) -> bool:
 
 
 def _mass(raw, where) -> tuple:
-    """One mass as an integer pair (n, d), d > 0, of the value _rational
-    gives for raw (for a JSON number, for its text), or the SpecFileError
-    it raises.
+    """One mass as an integer pair (n, d), d > 0, of the value Fraction
+    reads from raw (for a JSON number, from its text), or a SpecFileError.
 
     Plain ASCII-digit literals n, n/d, i.f, .f and i. are read with str
-    methods and int(); every other literal goes through _rational, after a
+    methods and int(); every other literal goes through Fraction, after a
     decimal exponent has been checked against MAX_EXPONENT.
     """
     if type(raw) is int:
         return raw, 1
     text = raw.text if type(raw) is _JsonNumber else raw
-    if type(text) is str:
-        if text.isascii():
-            try:
-                if text.isdigit():
-                    return int(text), 1
-                num, slash, den = text.partition("/")
-                if slash:
-                    if num.isdigit() and den.isdigit():
-                        d = int(den)
-                        if d:
-                            return int(num), d
-                else:
-                    whole, dot, frac = text.partition(".")
-                    if dot and (whole + frac).isdigit():
-                        return int(whole + frac), 10 ** len(frac)
-            except ValueError:
-                pass  # past the int <-> str digit limit: _rational reports it
-        exp = re.fullmatch(_EXPONENT, text)
-        if exp and _exponent_over_cap(exp[1]):
-            raise SpecFileError(f"{where}: decimal exponent larger than {MAX_EXPONENT} "
-                                f"in magnitude: {_clip(repr(text))}")
-    value = _rational(text, where)
+    if not isinstance(text, str):
+        # JSON true and false: bool is an int subclass, but not int itself
+        kind = "a boolean" if isinstance(text, bool) else type(text).__name__
+        raise SpecFileError(f"{where}: expected a rational, got {kind}")
+    if text.isascii():
+        try:
+            if text.isdigit():
+                return int(text), 1
+            num, slash, den = text.partition("/")
+            if slash:
+                if num.isdigit() and den.isdigit():
+                    d = int(den)
+                    if d:
+                        return int(num), d
+            else:
+                whole, dot, frac = text.partition(".")
+                if dot and (whole + frac).isdigit():
+                    return int(whole + frac), 10 ** len(frac)
+        except ValueError:
+            pass  # past the int <-> str digit limit: Fraction reports it
+    exp = re.fullmatch(_EXPONENT, text)
+    if exp and _exponent_over_cap(exp[1]):
+        raise SpecFileError(f"{where}: decimal exponent larger than {MAX_EXPONENT} "
+                            f"in magnitude: {_clip(repr(text))}")
+    try:
+        value = Fraction(text.strip())
+    except (ValueError, ZeroDivisionError) as exc:
+        raise SpecFileError(f"{where}: not a rational: {_clip(repr(text))}") from exc
     return value.numerator, value.denominator
 
 
@@ -165,7 +156,9 @@ class ChannelSpecFile:
             raise SpecFileError("top level must be a JSON object")
         unknown = sorted(set(doc) - {"q", "label", *_LINKS})
         if unknown:
-            raise SpecFileError("unknown keys: " + _clip(", ".join(unknown)))
+            # a key that would break the line (a newline, say) shows as its repr
+            shown = (k if k.isprintable() else repr(k) for k in unknown)
+            raise SpecFileError("unknown keys: " + _clip(", ".join(shown)))
         if "q" not in doc:
             raise SpecFileError("missing key: q")
         q = doc["q"]
@@ -279,14 +272,6 @@ def render_csv(region: RegionPolytope) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _svg_header(width: int, height: int) -> str:
-    return (
-        '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">'
-    )
-
-
 def render_svg(spec_file: ChannelSpecFile, region: RegionPolytope) -> str:
     """Static polygon plot; weak channels get Fig-style annotations."""
     ml, mt, inner = 64, 20, 400
@@ -302,11 +287,12 @@ def render_svg(spec_file: ChannelSpecFile, region: RegionPolytope) -> str:
     def fy(r) -> float:
         return mt + inner - float(r) / ymax * inner
 
-    parts = [_svg_header(width, height)]
-    parts.append(
+    parts = [
+        '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">',
         f'<rect x="{ml}" y="{mt}" width="{inner}" height="{inner}" '
-        'fill="white" stroke="black" stroke-width="1"/>'
-    )
+        'fill="white" stroke="black" stroke-width="1"/>',
+    ]
     pts = " ".join(f"{fx(r1):.2f},{fy(r2):.2f}" for r1, r2 in region.vertices)
     parts.append(
         f'<polygon points="{pts}" fill="#c8d8ee" fill-opacity="0.7" '
@@ -368,26 +354,18 @@ def render_svg(spec_file: ChannelSpecFile, region: RegionPolytope) -> str:
     return "\n".join(parts) + "\n"
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for the counts that must be at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
-def _seed(text: str) -> int:
-    """argparse type for --seed: the 64-bit key of the Monte Carlo streams."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if not 0 <= value < 1 << 64:
-        raise argparse.ArgumentTypeError(f"must be in [0, 2^64), got {value}")
-    return value
+def _int_type(ok, requirement: str):
+    """argparse type for an integer n with ok(n); requirement is what the
+    error line says n must be."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{requirement}, got {value}")
+        return value
+    return parse
 
 
 def _emit(text: str, out) -> int:
@@ -442,6 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
         "erasure interference channels.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    positive = _int_type(lambda n: n >= 1, "must be at least 1")
 
     region = sub.add_parser("region", help="compute the outer-bound polytope")
     region.add_argument("--spec", required=True, help="channel spec file (JSON)")
@@ -449,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     region.add_argument("--format", choices=("json", "csv", "svg"), default="json")
     region.add_argument("--mode", choices=("exact", "grid"), default="exact")
     region.add_argument(
-        "--grid-steps", type=_positive_int, default=256, dest="grid_steps",
+        "--grid-steps", type=positive, default=256, dest="grid_steps",
         help="weight-grid resolution for --mode grid",
     )
     region.set_defaults(func=cmd_region)
@@ -463,15 +442,20 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument(
         "suite", choices=("deterministic", "coupling", "montecarlo", "inclusions")
     )
-    verify.add_argument("--samples", type=_positive_int, default=10 ** 6)
-    verify.add_argument("--seed", type=_seed, default=0)
+    verify.add_argument("--samples", type=positive, default=10 ** 6)
+    # the 64-bit key of the Monte Carlo streams
+    seed = _int_type(lambda n: 0 <= n < 1 << 64, "must be in [0, 2^64)")
+    verify.add_argument("--seed", type=seed, default=0)
     verify.set_defaults(func=cmd_verify)
     return parser
 
 
 def main(argv=None) -> int:
     # exact outputs of q >= 8 specs pass Python's default 4300-digit limit on
-    # int <-> str conversion, and spec masses may too
+    # int <-> str conversion, and spec masses may too.  The limit stays lifted
+    # when main returns, since the benchmark's output checks read main's
+    # outputs back in the same process; a library caller that formats q >= 8
+    # results without main lifts it itself
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
     args = build_parser().parse_args(argv)

@@ -17,10 +17,6 @@ from .bounds import bound_a, bound_b, bound_c, outer_region
 from .geometry import HalfPlane, RegionPolytope, intersect
 
 
-def _pos(v: int) -> int:
-    return v if v > 0 else 0
-
-
 @dataclass(frozen=True)
 class DetChannel:
     """Constant link levels; q is the largest of the four."""
@@ -54,11 +50,11 @@ class DetChannel:
 
 def _constraints(ch: DetChannel):
     n11, n12, n21, n22 = ch.n11, ch.n12, ch.n21, ch.n22
-    sum_b = max(n11, n21) + _pos(n22 - n21)
-    sum_c = max(n22, n12) + _pos(n11 - n12)
-    sum_d = max(_pos(n11 - n21), n12) + max(_pos(n22 - n12), n21)
-    two_one = max(n11, n12) + _pos(n11 - n21) + max(_pos(n22 - n12), n21)
-    one_two = max(n22, n21) + _pos(n22 - n12) + max(_pos(n11 - n21), n12)
+    sum_b = max(n11, n21) + max(n22 - n21, 0)
+    sum_c = max(n22, n12) + max(n11 - n12, 0)
+    sum_d = max(max(n11 - n21, 0), n12) + max(max(n22 - n12, 0), n21)
+    two_one = max(n11, n12) + max(n11 - n21, 0) + max(max(n22 - n12, 0), n21)
+    one_two = max(n22, n21) + max(n22 - n12, 0) + max(max(n11 - n21, 0), n12)
     return sum_b, sum_c, sum_d, two_one, one_two
 
 

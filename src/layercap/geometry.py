@@ -379,27 +379,13 @@ def intersect(planes) -> RegionPolytope:
     """Polytope of all (R1, R2) >= 0 satisfying every half-plane.
 
     planes are HalfPlanes or Rows.  A plane with c = 0 pins each rate it
-    involves to 0, which leaves a segment on an axis or the origin.
-    Otherwise each plane is <(a/c, b/c), z> <= 1, so the region is the polar
-    of the down-closed hull of those dual points.  That hull's chain from
-    (A, 0) to (0, B), A and B the largest a/c and b/c, is exactly the set of
-    non-redundant planes, and each pair of neighbours on it meets in one
-    region vertex, in chain order.  The chain is one scan over the planes
-    presorted by the direction of (a, b) (ratio_order on (b, a)), with a 3x3
-    integer determinant as the orientation test: O(P log P) integer
-    operations, and one Fraction per vertex coordinate.  Of planes that
-    share a direction only the tightest can be on the chain, and of
-    identical ones the first.  The vertex tuple is the origin, (A, 0), the
-    crossings and (0, B), less repeats.
-
-    When the caps' c reach _FILTER_BITS bits, floats decide first
-    (_filtered_chain): a determinant's sign is that of orient2d on the dual
-    points, taken from floats when |orient2d| exceeds the forward error
-    bound _orient derives, 8u times the float permanent (u = 2**-53), and
-    from the integers otherwise; a same-direction test runs only on equal
-    ratio_order keys.  A dual coordinate past the float range, or below its
-    normal range, sends its tests to the integers.  Either scan gives the
-    same chain, so the result does not depend on the gate.
+    involves to 0, which leaves a segment on an axis or the origin.  The
+    vertex tuple is the origin, the R1-axis point, the crossings of
+    neighbours on the dual hull chain and the R2-axis point, less repeats.
+    When the caps' c reach _FILTER_BITS bits the scan is _filtered_chain,
+    whose float orientation tests fall back to the integers unless
+    certified; both scans give the same chain, so the result does not
+    depend on the gate.
 
     The region records for active_planes the planes that carry an edge or,
     when a pinned rate leaves fewer than 3 vertices, touch a vertex.  Raises

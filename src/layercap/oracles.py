@@ -113,9 +113,6 @@ class MCStatsReport:
     seed: int
     entries: tuple
 
-    def by_name(self) -> dict:
-        return {e.name: e for e in self.entries}
-
 
 def _statistics(spec: ChannelSpec) -> list:
     """Every statistic the model computes, in report order.
@@ -177,14 +174,9 @@ def mc_estimate_stats(cfg: SimConfig) -> MCStatsReport:
 # of one shared uniform draw v.  That keeps every marginal and turns joint
 # events into interval arithmetic on cdf values: {X >= l} is {v > F_X(l-1)}.
 
-def _cdf(pmf: FadingPmf, n: int) -> Fraction:
-    """P(N <= n) for 0 <= n <= q."""
-    return 1 - tail(pmf, n + 1)
-
-
 def prob_sandwich(low: FadingPmf, high: FadingPmf, l: int) -> Fraction:
     """P(low-variable < l <= high-variable) under the shared uniform."""
-    gap = _cdf(low, l - 1) - _cdf(high, l - 1)
+    gap = tail(high, l) - tail(low, l)
     return gap if gap > 0 else Fraction(0)
 
 

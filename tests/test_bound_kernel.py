@@ -23,12 +23,10 @@ from layercap import (
     bound_c,
     critical_weights,
     diff_tail,
-    grid_bounds,
-    outer_halfplanes,
     swap_users,
     tail,
 )
-from layercap.bounds import grid_rows, outer_rows
+from layercap.bounds import grid_bounds, grid_rows, outer_halfplanes, outer_rows
 from strategies import specs, unit_rationals
 
 F = Fraction

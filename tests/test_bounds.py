@@ -20,14 +20,12 @@ from layercap import (
     critical_weights,
     expect,
     family_region,
-    grid_bounds,
     intersect,
     moderate_bounds,
-    outer_halfplanes,
     outer_region,
     swap_users,
 )
-from layercap.bounds import outer_rows
+from layercap.bounds import grid_bounds, outer_halfplanes, outer_rows
 from layercap.corpus import random_spec, symmetric_bernoulli
 from strategies import specs, unit_rationals
 
@@ -242,13 +240,15 @@ def test_bound_argument_validation():
         bound_a(MOD1, 3, F(1, 2))
     with pytest.raises(ValueError):
         bound_a(MOD1, 1, F(3, 2))
-    # one mu check, one message, for both callers that take a mu
+    # one mu check, one message, for every caller that takes a mu
     for mu in (F(3, 4), F(-1, 4), None):
         mu_error = re.escape(f"mu must lie in [0, omega], got mu={mu}, omega=1/2")
         with pytest.raises(ValueError, match=mu_error):
             bound_c(MOD1, 1, F(1, 2), mu)
         with pytest.raises(ValueError, match=mu_error):
             moderate_bounds(MOD1, 1, "c", F(1, 2), mu)
+        with pytest.raises(ValueError, match=mu_error):
+            WeightedBound(family="1c", omega=F(1, 2), mu=mu, value=F(1))
     # one family check, one message, for both callers that take a family
     family_error = "family must be 'a', 'b' or 'c', got 'd'"
     with pytest.raises(ValueError, match=family_error):

@@ -96,11 +96,16 @@ def test_spec_file_rejects_malformed_input(mangle):
         ChannelSpecFile.parse(mangle(WEAK_SPEC))
 
 
-def _reference_or_error(raw):
+def _reference_or_error(literal):
+    # what Fraction reads from the literal, or the message a literal it
+    # refuses gets: the repr, or its first 40 characters and its length
     try:
-        return cli._rational(raw, "n11[0]")
-    except SpecFileError as exc:
-        return str(exc)
+        return F(literal.strip())
+    except (ValueError, ZeroDivisionError):
+        shown = repr(literal)
+        if len(shown) > 40:
+            shown = f"{shown[:40]}... ({len(shown):,} characters)"
+        return f"n11[0]: not a rational: {shown}"
 
 
 def _exponent(literal):
@@ -152,6 +157,14 @@ def test_mass_reader_matches_the_fraction_reference(literal):
         assert F(n, d) == want
         if "e" in literal.lower():
             assert abs(_exponent(literal)) <= cli.MAX_EXPONENT
+
+
+@pytest.mark.parametrize("raw,kind", [(True, "a boolean"), (None, "NoneType"), ([1], "list"),
+                                      ({"n": 1}, "dict")])
+def test_a_mass_neither_number_nor_string_is_named_by_type(raw, kind):
+    with pytest.raises(SpecFileError) as exc:
+        cli._mass(raw, "n11[0]")
+    assert str(exc.value) == f"n11[0]: expected a rational, got {kind}"
 
 
 def test_unreduced_masses_give_the_canonical_pmf():
@@ -290,6 +303,7 @@ JSON_VALUES = st.recursive(
 @settings(max_examples=60, deadline=None)
 @given(doc=JSON_VALUES | st.builds(lambda q, links: {"q": q, **links}, st.integers(-1, 3),
                                    st.fixed_dictionaries({k: JSON_VALUES for k in cli._LINKS})))
+@example(doc={"\n": None})
 def test_every_spec_error_is_one_short_line(doc):
     # the spec is read, or refused by one line of at most 200 characters
     # with a short path; the floats come out of json.dumps with exponents
@@ -620,5 +634,6 @@ def test_region_prints_numbers_past_the_int_str_digit_limit(tmp_path, capsys):
     assert main(["region", "--spec", path]) == cli.EXIT_OK
     doc = json.loads(capsys.readouterr().out)
     assert max(len(x) for pair in doc["vertices"] for x in pair) > 4300
-    assert [(Fraction(x), Fraction(y)) for x, y in doc["vertices"]] == list(
-        outer_region(spec).vertices)
+    with no_int_str_digit_limit():
+        assert [(Fraction(x), Fraction(y)) for x, y in doc["vertices"]] == list(
+            outer_region(spec).vertices)

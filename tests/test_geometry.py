@@ -16,12 +16,10 @@ from layercap import (
     UnboundedRegionError,
     WeightedBound,
     active_bounds,
-    grid_bounds,
     intersect,
-    outer_halfplanes,
 )
 from layercap import geometry
-from layercap.bounds import grid_rows, outer_rows
+from layercap.bounds import grid_bounds, grid_rows, outer_halfplanes, outer_rows
 from layercap.corpus import random_moderate_spec, random_spec
 from layercap.geometry import Row, active_planes, ratio_order
 from strategies import MIXED_WEIGHTS, SMALL_WEIGHTS, specs
