@@ -44,13 +44,17 @@ bound is then one integer expression over r*D, for example
 and a bound costs O(log q) integer operations on numbers the size of r*D.
 
 The critical weights are integer triples (p, m, r) read off the sweeps'
-sorted keys, and they and the grid's weights emit their bounds as
-BoundRows: the half-plane of each, ((r+m)*D, p*D, r*D*bound) for user 1,
-read off those numerators with no Fraction and no gcd, and intersect takes
-the rows as they are.  A WeightedBound, with its Fraction weights, value
-and reduced half-plane, is built only for a row that is read: by
-active_bounds for the constraints it reports, or by outer_halfplanes and
-grid_bounds for every row.
+sorted keys, each with the index of its first key: the count of keys
+below it, so the piece the bisection would find.  A critical-weight bound
+is read on those pieces, a grid bound bisects.  Both emit their bounds as
+BoundRows: the half-plane of each over D, (r+m, p, r*D*bound) for user 1,
+meaning (r+m)*R1 + p*R2 <= r*bound, read off those numerators with no
+Fraction and no gcd.  The rows carry D once, as their den, and
+intersect(rows, den) takes them as they are, with D never multiplied in.
+A WeightedBound, with its Fraction weights, value and reduced half-plane,
+is built only for a row that is read: by active_bounds for the
+constraints it reports, or by outer_halfplanes and grid_bounds for every
+row.
 """
 
 from __future__ import annotations
@@ -169,16 +173,20 @@ class _Sweep:
         return lo
 
     def kinks(self) -> list:
-        """The kinks inside the weight range, ascending, as reduced pairs:
-        (0, 1), each distinct key ratio in (0, 1), then (1, 1)."""
-        out, last = [(0, 1)], (0, 1)
-        for n, d in self.keys:
+        """The kinks inside the weight range, ascending, as reduced pairs
+        with the index of their first key, (n, d, k): (0, 1, 0), each
+        distinct key ratio in (0, 1), then (1, 1).  k counts the keys below
+        n/d, what below(n, d) returns, so it indexes the kink's piece."""
+        out, last = [(0, 1, 0)], (0, 1)
+        for k, (n, d) in enumerate(self.keys):
             if n >= d:
                 break
             if n * last[1] != last[0] * d:  # keys ascend: new iff unequal to the last
                 last, g = (n, d), gcd(n, d)
-                out.append((n // g, d // g))
-        return out + [(1, 1)]
+                out.append((n // g, d // g, k))
+        else:
+            k = len(self.keys)
+        return out + [(1, 1, k)]
 
 
 class BoundKernel:
@@ -227,6 +235,17 @@ class BoundKernel:
         own, rest = self._top[self.top.below(m, p)]
         return r * const + p * (slope + rest) + m * own
 
+    def at_kinks(self, family, kinks) -> list:
+        """r*D times the family's bound at each kink (p, m, r, i, j) of
+        _kink_weights, read on the pieces the kink sits at: i of the
+        family's omega sweep, j of the top sweep.  No bisection runs."""
+        if family == "c":
+            c, top = self._c, self._top
+            return [r * c[i][0] + p * (c[i][1] + top[j][1]) + m * top[j][0]
+                    for p, m, r, i, j in kinks]
+        pieces = self._a if family == "a" else self._b
+        return [r * pieces[i][0] + p * pieces[i][1] for p, _, r, i, _ in kinks]
+
 
 # link names of (N11, N12, N21) in each user's frame
 _FRAMES = {1: ("n11", "n12", "n21"), 2: ("n22", "n21", "n12")}
@@ -268,18 +287,21 @@ def bound_c(spec: ChannelSpec, user, omega, mu) -> Fraction:
 
 
 def _kink_weights(kernel: BoundKernel, family) -> list:
-    """critical_weights as integer triples (p, m, r), omega = p/r and
-    mu = m/r (m = 0 outside family c), in ascending (omega, mu) order."""
+    """critical_weights as integer tuples (p, m, r, i, j), omega = p/r and
+    mu = m/r (m = 0 outside family c), in ascending (omega, mu) order, with
+    the pieces the weights sit at: i of the family's omega sweep, j of the
+    top sweep (0 outside family c), what below() returns there."""
     if family != "c":
         sweep = kernel.beta if family == "a" else kernel.gamma
-        return [(n, 0, d) for n, d in sweep.kinks()]
+        return [(n, 0, d, k, 0) for n, d, k in sweep.kinks()]
     # omega kinks as in family b, mu kinks along rays mu = s*omega: all cell
     # corners of that subdivision of {0 <= mu <= omega <= 1} are products of
     # an omega kink with a ray slope, and omega = 0 has the one corner (0, 0)
+    # on the first piece of both sweeps
     slopes = kernel.top.kinks()
-    out = [(0, 0, 1)]
-    for p, r in kernel.gamma.kinks()[1:]:
-        out += [(p * d, p * n, r * d) for n, d in slopes]
+    out = [(0, 0, 1, 0, 0)]
+    for p, r, i in kernel.gamma.kinks()[1:]:
+        out += [(p * d, p * n, r * d, i, j) for n, d, j in slopes]
     return out
 
 
@@ -295,57 +317,56 @@ def critical_weights(spec: ChannelSpec, user, family):
     _family_tag(user, family)
     weights = _kink_weights(bound_kernel(spec, user), family)
     if family == "c":
-        return tuple((Fraction(p, r), Fraction(m, r)) for p, m, r in weights)
-    return tuple(Fraction(p, r) for p, _, r in weights)
+        return tuple((Fraction(p, r), Fraction(m, r)) for p, m, r, _, _ in weights)
+    return tuple(Fraction(p, r) for p, _, r, _, _ in weights)
 
 
 class BoundRows(Sequence):
-    """Bounds as Rows of their half-planes, for intersect; item i is the
-    WeightedBound of row i, built when it is read."""
+    """One spec's bounds as Rows of their half-planes over the kernel's
+    denominator D, for intersect(rows, den); item i is the WeightedBound of
+    row i, built when it is read."""
 
-    __slots__ = ("rows", "_tags")
+    __slots__ = ("den", "rows", "_tags")
 
-    def __init__(self):
-        self.rows = []  # Rows, for intersect
-        self._tags = []  # (family, D, p, m, r) per row
+    def __init__(self, spec: ChannelSpec):
+        self.den = layer_coefficients(spec).den  # D, each bound kernel's den
+        self.rows = []  # Rows (a, b, c), each a*R1 + b*R2 <= c/den
+        self._tags = []  # (family, p, m, r) per row
 
     def __len__(self):
         return len(self.rows)
 
     def __getitem__(self, i) -> WeightedBound:
-        family, den, p, m, r = self._tags[i]
+        family, p, m, r = self._tags[i]
         mu = Fraction(m, r) if family[1] == "c" else None
-        return WeightedBound(family, Fraction(p, r), mu, Fraction(self.rows[i][2], r * den))
+        return WeightedBound(family, Fraction(p, r), mu, Fraction(self.rows[i][2], r * self.den))
 
-    def extend(self, spec: ChannelSpec, tag: str, weights):
-        """Add family tag's rows at weights (p, m, r), where omega = p/r and
-        mu = m/r, and m = 0 outside the c-families."""
-        kernel = bound_kernel(spec, int(tag[0]))
-        den = kernel.den
-        if tag[1] == "c":
-            values = [kernel.c(p, m, r) for p, m, r in weights]
-        else:
-            evaluate = kernel.a if tag[1] == "a" else kernel.b
-            values = [evaluate(p, r) for p, _, r in weights]
+    def extend(self, tag: str, weights, values):
+        """Add family tag's rows at weights (p, m, r, ...), where omega = p/r
+        and mu = m/r, m = 0 outside the c-families, with values r*D times
+        the bound there."""
         rows, tags, mirror = self.rows, self._tags, tag[0] == "2"
-        for (p, m, r), value in zip(weights, values):
-            # r*D > 0 makes (a, b) != (0, 0)
+        for (p, m, r, *_), value in zip(weights, values):
+            # r > 0 makes (a, b) != (0, 0)
             if value < 0 or not 0 <= m <= p <= r:
                 raise ValueError(f"bound {tag} at omega={p}/{r}, mu={m}/{r}: needs a value "
-                                 f">= 0, got {Fraction(value, r * den)}, and 0 <= mu <= omega <= 1")
-            own, cross = (r + m) * den, p * den
-            rows.append(Row((cross, own, value) if mirror else (own, cross, value)))
-            tags.append((tag, den, p, m, r))
+                                 f">= 0, got {Fraction(value, r * self.den)}, and "
+                                 "0 <= mu <= omega <= 1")
+            rows.append(Row((p, r + m, value) if mirror else (r + m, p, value)))
+            tags.append((tag, p, m, r))
 
 
 def outer_rows(spec: ChannelSpec, families=FAMILIES) -> BoundRows:
     """Bounds of the given families at their critical weights, in the
-    order given, omega ascending within a family."""
-    out = BoundRows()
+    order given, omega ascending within a family; each bound is read on
+    the sweep pieces its kink indexes."""
+    out = BoundRows(spec)
     for tag in families:
         if tag not in FAMILIES:
             raise ValueError(f"unknown family {tag!r}")
-        out.extend(spec, tag, _kink_weights(bound_kernel(spec, int(tag[0])), tag[1]))
+        kernel = bound_kernel(spec, int(tag[0]))
+        weights = _kink_weights(kernel, tag[1])
+        out.extend(tag, weights, kernel.at_kinks(tag[1], weights))
     return out
 
 
@@ -355,16 +376,19 @@ def grid_rows(spec: ChannelSpec, steps: int) -> BoundRows:
         raise ValueError(f"steps must be >= 1, got {steps}")
     line = [(k, 0, steps) for k in range(steps + 1)]
     fan = [(k, j, steps) for k in range(steps + 1) for j in range(k + 1)]
-    out = BoundRows()
+    out = BoundRows(spec)
     for user in (1, 2):
-        for family, weights in (("a", line), ("b", line), ("c", fan)):
-            out.extend(spec, f"{user}{family}", weights)
+        kernel = bound_kernel(spec, user)
+        out.extend(f"{user}a", line, [kernel.a(p, r) for p, _, r in line])
+        out.extend(f"{user}b", line, [kernel.b(p, r) for p, _, r in line])
+        out.extend(f"{user}c", fan, [kernel.c(p, m, r) for p, m, r in fan])
     return out
 
 
 def family_region(spec: ChannelSpec, user, family) -> RegionPolytope:
     """Region cut out by a single family over all of its weights."""
-    return intersect(outer_rows(spec, (_family_tag(user, family),)).rows)
+    rows = outer_rows(spec, (_family_tag(user, family),))
+    return intersect(rows.rows, rows.den)
 
 
 def outer_halfplanes(spec: ChannelSpec) -> list:
@@ -374,7 +398,8 @@ def outer_halfplanes(spec: ChannelSpec) -> list:
 
 def outer_region(spec: ChannelSpec) -> RegionPolytope:
     """The full outer bound: intersection of every family's half-planes."""
-    return intersect(outer_rows(spec).rows)
+    rows = outer_rows(spec)
+    return intersect(rows.rows, rows.den)
 
 
 def grid_bounds(spec: ChannelSpec, steps: int) -> list:
@@ -385,21 +410,24 @@ def grid_bounds(spec: ChannelSpec, steps: int) -> list:
 def active_bounds(bounds, region: RegionPolytope) -> list:
     """Bounds whose half-planes support the region along an edge.
 
-    The region must be intersect's result on the bounds' half-planes or
-    rows, in the bounds' order; it records which of those planes are active
-    (active_planes), and only those bounds are read.  Identical half-planes
-    keep only the first occurrence, so the family order of outer_halfplanes
-    decides the reported provenance.  Degenerate regions (< 3 vertices)
+    The region must be intersect's result on the bounds' half-planes, or
+    on their rows over their den, in the bounds' order; it records which of
+    those planes are active, and at which scale (active_planes), and only
+    those bounds are read.  Identical half-planes keep only the first
+    occurrence, so the family order of outer_halfplanes decides the
+    reported provenance.  Degenerate regions (< 3 vertices)
     only require tightness at one vertex.  Raises ValueError when a
     reported bound's half-plane is not the plane the region recorded.
     """
     out = []
-    for i, (a, b, c) in active_planes(region, len(bounds)):
+    den, records = active_planes(region, len(bounds))
+    for i, (a, b, c) in records:
         wb = bounds[i]
         p = wb.halfplane()
-        # the recorded row is a positive multiple of the plane iff every
-        # 2x2 minor vanishes: both have a, b >= 0, not both zero
-        if a * p.b != b * p.a or a * p.c != c * p.a or b * p.c != c * p.b:
+        # the recorded row, (a*den, b*den, c) at one scale, is a positive
+        # multiple of the plane iff every 2x2 minor vanishes: both have
+        # a, b >= 0, not both zero
+        if a * p.b != b * p.a or a * den * p.c != c * p.a or b * den * p.c != c * p.b:
             raise ValueError("the region was not intersected from these bounds")
         out.append(wb)
     return out

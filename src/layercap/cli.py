@@ -221,7 +221,7 @@ def region_document(
     spec = spec_file.spec
     # the bounds stay integer rows; only the active ones become WeightedBounds
     bounds = grid_rows(spec, grid_steps) if mode == "grid" else outer_rows(spec)
-    region = intersect(bounds.rows)
+    region = intersect(bounds.rows, bounds.den)
     active = active_bounds(bounds, region)
     doc = {
         "label": spec_file.label,

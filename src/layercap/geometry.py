@@ -13,15 +13,21 @@ Intersection works in the polar dual: a plane with c > 0 is the point
 (a/c, b/c), and the region's non-redundant planes are the hull chain of
 those points between the two axes.  The hull is scanned on integer triples
 (a, b, c), a HalfPlane's reduced ones or a Row as the bounds module emits
-it, unreduced, with a 3x3 integer determinant as orientation test, in
-O(P log P) for P planes; on operands of _FILTER_BITS or more the float
-orientation of the dual points decides first.  The presort is ratio_order:
-a correctly rounded float key, with runs of equal keys settled by
+it, unreduced and over the bounds' common denominator den (the plane
+a*R1 + b*R2 <= c/den), with a 3x3 integer determinant as orientation
+test, in O(P log P) for P planes; one positive scale for every row leaves
+each orientation's sign, so den enters only the vertices.  On operands of
+_FILTER_BITS or more the float orientation of the dual points decides
+first; float keys and dual points read a and b times one power of two near
+den, which keeps their order and signs.  The presort is ratio_order: a
+correctly rounded float key, with runs of equal keys settled by
 cross-multiplying.  Neighbours on the chain cross at the vertices in
-counterclockwise order, one Fraction per coordinate, and RegionPolytope
-checks that order instead of hulling again, with the same filtered
-orientation test.  The chain also names the planes along the region's
-edges; the region records them, and active_planes reads them back.
+counterclockwise order, one Fraction num/(det*den) per coordinate, taken
+as (num/det)/den where det divides num, as for the rows of one bound piece
+crossing at its apex.  RegionPolytope checks that order instead of hulling
+again, with the same filtered orientation test.  The chain also names the
+planes along the region's edges; the region records them and den, and
+active_planes reads them back.
 """
 
 from __future__ import annotations
@@ -87,9 +93,11 @@ class HalfPlane:
 
 
 class Row(tuple):
-    """The constraint a*R1 + b*R2 <= c as its integer triple, not reduced,
-    as the bounds module emits it (and checks it) for intersect.  As with
-    HalfPlane, two rows are equal iff they describe the same constraint."""
+    """The constraint a*R1 + b*R2 <= c/den as its integer triple, not
+    reduced, as the bounds module emits it for intersect, den kept apart.
+    As with HalfPlane, two rows over one den are equal iff they describe the
+    same constraint.  A Row never equals a plain tuple; intersect records
+    plain tuples, so records do not depend on which of the two came in."""
 
     __slots__ = ()
     a, b, c = (property(itemgetter(k)) for k in range(3))
@@ -269,12 +277,15 @@ def ratio_order(pairs) -> tuple:
     return order, keys
 
 
-def _axis_cap(rows, axis) -> list:
+def _axis_cap(rows, axis, shift=0) -> list:
     # indices, in input order, of the rows with the largest a/c (axis 0) or
     # b/c (axis 1) over those with a > 0 (b > 0): the rows through the
     # region's axis point, or the rows with c = 0, which pin the rate to 0.
-    # Only rows with the largest float key can hold it, as in ratio_order
-    pairs = {i: (row[axis], row[2]) for i, row in enumerate(rows) if row[axis]}
+    # Only rows with the largest float key can hold it, as in ratio_order.
+    # a and b are scaled by 2**shift, one factor for every row, so a row's
+    # key keeps the order of a/c while a small a over a large c does not
+    # underflow to a key of 0
+    pairs = {i: (row[axis] << shift, row[2]) for i, row in enumerate(rows) if row[axis]}
     keys = _ratio_keys(pairs.values())
     top = max(keys)
     ids = [i for i, key in zip(pairs, keys) if key == top]
@@ -292,7 +303,7 @@ def _axis_cap(rows, axis) -> list:
 # filtered scan took 1.01x and 1.03x the exact scan's time on grid_dense
 # rows at 61 and 110 cap bits, and 0.91x and 0.86x at 158 and 206; on
 # exact_deep rows it took 0.88-0.95x from 65 bits.  exact_bignum's own row
-# sets took 0.37-0.46x
+# sets took 0.37-0.46x, and 0.40-0.49x as rows over D (60 seed-1 specs)
 _FILTER_BITS = 160
 
 
@@ -332,15 +343,17 @@ def _chain(rows, order, first, last) -> list:
     return chain
 
 
-def _filtered_chain(rows, order, keys, first, last) -> list:
+def _filtered_chain(rows, order, keys, first, last, shift) -> list:
     # _chain with floats deciding first.  Every row has c > 0, so the sign
     # of three rows' determinant is c1*c2*c3 times orient2d of their dual
     # points (a/c, b/c): _orient decides it when it can certify it, and
     # the cross product for the exact test is computed only when needed.
+    # The dual points are taken times 2**shift, as in _axis_cap: one
+    # positive factor keeps every orientation's sign.
     # Two rows with different ratio_order keys b/(a+b) have different
     # directions, so only equal keys are cross-multiplied.  Entries are
     # [row, index, dual point, cross product or None]
-    chain = [[first, None, (_ratio(first[0], first[2]), 0.0), None]]
+    chain = [[first, None, (_ratio(first[0] << shift, first[2]), 0.0), None]]
 
     def push(row, i, point):
         a, b, c = row
@@ -369,48 +382,60 @@ def _filtered_chain(rows, order, keys, first, last) -> list:
                 if c * u >= w * a:
                     continue
                 chain.pop()
-        push(row, i, (_ratio(a, c), _ratio(b, c)))
+        push(row, i, (_ratio(a << shift, c), _ratio(b << shift, c)))
         top_key = keys[i]
-    push(last, None, (0.0, _ratio(last[1], last[2])))
+    push(last, None, (0.0, _ratio(last[1] << shift, last[2])))
     return chain
 
 
-def intersect(planes) -> RegionPolytope:
+def _over(num, det, den) -> Fraction:
+    # num/(det*den), det != 0.  Rows through one point of a bound piece,
+    # (const/den, slope/den) over the rows' common den, meet there, so most
+    # crossings divide exactly and only (num/det)/den is left to reduce
+    q, rem = divmod(num, det)
+    return Fraction(num, det * den) if rem else Fraction(q, den)
+
+
+def intersect(planes, den=1) -> RegionPolytope:
     """Polytope of all (R1, R2) >= 0 satisfying every half-plane.
 
-    planes are HalfPlanes or Rows.  A plane with c = 0 pins each rate it
-    involves to 0, which leaves a segment on an axis or the origin.  The
-    vertex tuple is the origin, the R1-axis point, the crossings of
-    neighbours on the dual hull chain and the R2-axis point, less repeats.
-    When the caps' c reach _FILTER_BITS bits the scan is _filtered_chain,
-    whose float orientation tests fall back to the integers unless
-    certified; both scans give the same chain, so the result does not
-    depend on the gate.
+    planes are HalfPlanes or integer triples (a, b, c), Rows or tuples, read
+    as a*R1 + b*R2 <= c/den, one den > 0 for all of them; a HalfPlane's c
+    is read over den too.  A plane with c = 0 pins each rate it involves to
+    0, which leaves a segment on an axis or the origin.  The vertex tuple is
+    the origin, the R1-axis point, the crossings of neighbours on the dual
+    hull chain and the R2-axis point, less repeats.  When the caps' c reach
+    _FILTER_BITS bits the scan is _filtered_chain, whose float orientation
+    tests fall back to the integers unless certified; both scans give the
+    same chain, so the result does not depend on the gate.
 
-    The region records for active_planes the planes that carry an edge or,
-    when a pinned rate leaves fewer than 3 vertices, touch a vertex.  Raises
-    UnboundedRegionError when no plane bounds R1 or none bounds R2.
+    The region records for active_planes den and the planes that carry an
+    edge or, when a pinned rate leaves fewer than 3 vertices, touch a
+    vertex.  Raises UnboundedRegionError when no plane bounds R1 or none
+    bounds R2.
     """
-    rows = [p if type(p) is Row else (p.a, p.b, p.c) for p in planes]
+    rows = [p if isinstance(p, tuple) else (p.a, p.b, p.c) for p in planes]
     if not any(a for a, _, _ in rows):
         raise UnboundedRegionError("no constraint bounds R1")
     if not any(b for _, b, _ in rows):
         raise UnboundedRegionError("no constraint bounds R2")
-    top1, top2 = _axis_cap(rows, 0), _axis_cap(rows, 1)
+    # 2**shift <= den: the float keys and dual points read a and b times it
+    shift = den.bit_length() - 1
+    top1, top2 = _axis_cap(rows, 0, shift), _axis_cap(rows, 1, shift)
     a1, _, c1 = rows[top1[0]]
     _, b2, c2 = rows[top2[0]]
     zero = Fraction(0)
-    points = [(zero, zero), (Fraction(c1, a1), zero)]
+    points = [(zero, zero), (Fraction(c1, a1 * den), zero)]
     if c1 and c2:  # no rate pinned, so every row has c > 0
         order, keys = ratio_order([(b, a) for a, b, _ in rows])
         if max(c1, c2).bit_length() < _FILTER_BITS:
             chain = _chain(rows, order, (a1, 0, c1), (0, b2, c2))
         else:
-            chain = _filtered_chain(rows, order, keys, (a1, 0, c1), (0, b2, c2))
+            chain = _filtered_chain(rows, order, keys, (a1, 0, c1), (0, b2, c2), shift)
         # each neighbour pair's crossing, by Cramer's rule
         for (a, b, c), (u, v, w) in pairwise(entry[0] for entry in chain):
             det = a * v - u * b
-            points.append((Fraction(c * v - w * b, det), Fraction(a * w - u * c, det)))
+            points.append((_over(c * v - w * b, det, den), _over(a * w - u * c, det, den)))
         # every scanned chain row turns strictly, so it carries an edge; a
         # cap does unless a slanted row also runs through its axis point
         active = [entry[1] for entry in chain[1:-1]]
@@ -426,18 +451,20 @@ def intersect(planes) -> RegionPolytope:
             if a * c1 == c * a1 or b * c2 == c * b2:
                 first.setdefault(HalfPlane(a, b, c), i)
         active = list(first.values())
-    points.append((zero, Fraction(c2, b2)))
+    points.append((zero, Fraction(c2, b2 * den)))
     # drop repeats: a chain end whose line meets its axis point repeats that
     # point, and a pinned rate puts an axis point on the origin
     region = RegionPolytope(points[:1] + [p for p, prev in zip(points[1:], points)
                                           if p != prev and p != points[0]])
-    region._active = (len(rows), tuple((i, rows[i]) for i in sorted(active)))
+    region._active = (len(rows), den, tuple((i, tuple(rows[i])) for i in sorted(active)))
     return region
 
 
 def active_planes(region: RegionPolytope, count: int) -> tuple:
-    """Pairs (index, (a, b, c)) of the active planes, as intersect recorded
-    them for a region it built from `count` planes; ValueError otherwise."""
+    """(den, records): the records (index, (a, b, c)) of the active planes,
+    plain integer triples each read as a*R1 + b*R2 <= c/den, as intersect
+    recorded them for a region it built from `count` planes; ValueError
+    otherwise."""
     if region._active is None or region._active[0] != count:
         raise ValueError(f"the region was not intersected from {count} planes")
-    return region._active[1]
+    return region._active[1:]

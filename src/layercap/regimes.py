@@ -135,7 +135,8 @@ def strong_region(spec: ChannelSpec) -> RegionPolytope:
 def weak_region(spec: ChannelSpec) -> RegionPolytope:
     """Capacity region under weak interference: the two b-family regions meet."""
     _require(spec, "weak")
-    return intersect(outer_rows(spec, ("1b", "2b")).rows)
+    rows = outer_rows(spec, ("1b", "2b"))
+    return intersect(rows.rows, rows.den)
 
 
 def weak_sum_capacity(spec: ChannelSpec) -> Fraction:

@@ -8,15 +8,21 @@ of outer_halfplanes and the weight grid of grid_bounds, including the
 half-plane each bound builds from the kernel's integers.  The critical
 weights, enumerated in integers, are checked against a Fraction enumeration
 through sets and sorts, and every row of outer_rows and grid_rows against
-the half-plane of the bound it reads back as.
+the half-plane of the bound it reads back as.  outer_rows reads each
+critical-weight bound on the sweep pieces its kink indexes, with no
+bisection; every such value is checked against the bisecting kernel
+methods at the same weight.
 """
 
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from layercap import (
     FAMILIES,
+    ChannelSpec,
+    FadingPmf,
     HalfPlane,
     bound_a,
     bound_b,
@@ -26,7 +32,15 @@ from layercap import (
     swap_users,
     tail,
 )
-from layercap.bounds import grid_bounds, grid_rows, outer_halfplanes, outer_rows
+from layercap.bounds import (
+    _kink_weights,
+    _Sweep,
+    bound_kernel,
+    grid_bounds,
+    grid_rows,
+    outer_halfplanes,
+    outer_rows,
+)
 from strategies import specs, unit_rationals
 
 F = Fraction
@@ -147,8 +161,8 @@ def test_every_row_is_its_bounds_halfplane(spec, steps):
     # must give back the constraint its row was built from
     rows = outer_rows(spec) if steps is None else grid_rows(spec, steps)
     assert len(rows) == len(rows.rows)
-    for i, row in enumerate(rows.rows):
-        assert HalfPlane(*row) == rows[i].halfplane()
+    for i, (a, b, c) in enumerate(rows.rows):
+        assert HalfPlane(a * rows.den, b * rows.den, c) == rows[i].halfplane()
 
 
 @settings(max_examples=150, deadline=None)
@@ -166,3 +180,54 @@ def test_grid_bounds_match_reference(spec, steps):
         assert isinstance(wb.value, Fraction)
         assert wb.value == reference(spec, int(wb.family[0]), wb.family[1], wb.omega, wb.mu)
         assert wb.halfplane() == plane_of(wb)
+
+
+def weighted_spec(*weights):
+    return ChannelSpec(*(FadingPmf([F(w, sum(ws)) for w in ws]) for ws in weights))
+
+
+# each has, in some sweep of some user, two layers of one kink ratio in
+# (0, 1), a layer with alpha = 0 (ratio 0) and a layer of ratio above 1
+KINK_EDGE_SPECS = [
+    weighted_spec([0, 3, 3, 3], [0, 3, 2, 2], [0, 2, 0, 0], [2, 0, 2, 2]),
+    weighted_spec([2, 2, 3], [3, 2, 3], [2, 3, 0], [2, 2, 3]),
+]
+
+
+def kink_value_mismatches(spec):
+    """The critical weights (tag, p, m, r) at which outer_rows's value
+    differs from the bisecting kernel's r*D*bound at the same weight."""
+    table = outer_rows(spec)
+    expected = []
+    for tag in FAMILIES:
+        kernel = bound_kernel(spec, int(tag[0]))
+        for p, m, r, *_ in _kink_weights(kernel, tag[1]):
+            value = kernel.c(p, m, r) if tag[1] == "c" else getattr(kernel, tag[1])(p, r)
+            expected.append((tag, p, m, r, value))
+    assert len(expected) == len(table)
+    return [e[:4] for e, (_, _, c) in zip(expected, table.rows) if c != e[4]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=specs(max_q=6))
+@example(spec=KINK_EDGE_SPECS[0])
+@example(spec=KINK_EDGE_SPECS[1])
+def test_kink_indexed_values_equal_the_bisected_ones(spec):
+    # small weights make repeated ratios, alpha = 0 layers and ratios of 1
+    # or more common
+    assert kink_value_mismatches(spec) == []
+
+
+@pytest.mark.parametrize("step", [-1, 1])
+def test_an_off_by_one_kink_index_fails_the_value_check(monkeypatch, step):
+    # a bound is continuous at its kinks, so only some kinks tell a wrong
+    # piece: +1 at omega = 0 past an alpha > 0 layer and at omega = 1 past a
+    # ratio above 1; -1 anywhere past the first piece
+    kinks = _Sweep.kinks
+    monkeypatch.setattr(_Sweep, "kinks",
+                        lambda self: [(n, d, k + step) for n, d, k in kinks(self)])
+    for spec in KINK_EDGE_SPECS:
+        try:
+            assert kink_value_mismatches(spec)
+        except IndexError:  # a piece index past the last
+            pass

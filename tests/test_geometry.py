@@ -443,12 +443,12 @@ def assert_rows_match_reference(table):
     # half-plane, intersected, then the tight-vertex scan
     bounds = list(table)
     reference = intersect([wb.halfplane() for wb in bounds])
-    region = intersect(table.rows)
+    region = intersect(table.rows, table.den)
     assert region.vertices == reference.vertices
     assert (constraint_list(active_bounds(table, region))
             == constraint_list(reference_active_bounds(bounds, reference)))
-    assert [i for i, _ in active_planes(region, len(table))] == [
-        i for i, _ in active_planes(reference, len(bounds))]
+    assert [i for i, _ in active_planes(region, len(table))[1]] == [
+        i for i, _ in active_planes(reference, len(bounds))[1]]
 
 
 @settings(max_examples=150, deadline=None)
@@ -517,8 +517,7 @@ def assert_filtered_scan_matches_the_reference(rows):
     # the exact scan would raise here, so the filtered one ran
     with mock.patch.object(geometry, "_chain", side_effect=AssertionError("exact scan")):
         region = intersect(rows)
-    active = tuple((i, tuple(row)) for i, row in active_planes(region, len(rows)))
-    assert (region.vertices, active) == reference_intersect(rows)
+    assert (region.vertices, active_planes(region, len(rows))[1]) == reference_intersect(rows)
 
 
 def rescaled(rows, rng, bits):
@@ -533,7 +532,8 @@ def rescaled(rows, rng, bits):
 def test_filtered_scan_matches_the_reference_on_moderate_specs(seed, q, bits):
     # moderate specs at q 3-7 carry caps of 274-4,735 bits, past the gate
     rng = random.Random(seed)
-    rows = outer_rows(random_moderate_spec(rng, q)).rows
+    table = outer_rows(random_moderate_spec(rng, q))
+    rows = [(a * table.den, b * table.den, c) for a, b, c in table.rows]
     assert_filtered_scan_matches_the_reference(rescaled(rows, rng, bits) if bits else rows)
 
 
@@ -557,7 +557,80 @@ def test_small_operands_keep_the_exact_scan():
     with mock.patch.object(geometry, "_filtered_chain",
                            side_effect=AssertionError("filtered scan")):
         for table in tables:
-            intersect(table.rows)
+            intersect(table.rows, table.den)
+
+
+# -- rows over a common denominator ---------------------------------------------------
+
+
+@st.composite
+def rows_over_den(draw):
+    """(rows, den): integer rows (a, b, c), each read as a*R1 + b*R2 <= c/den.
+
+    den is 1, small, of 200-600 bits or of 3,000 bits or more.  The last
+    two put the caps' c past the filter's gate; at 200-600 bits a dual
+    point's float stays in range whether or not it is shifted, so the
+    filter certifies its orientations, and from 3,000 bits it underflows
+    unless shifted.  A row runs through one of a few points (X/den, Y/den),
+    as the bounds of one piece run through its apex, so that neighbours
+    cross by exact division, or has a free c; each axis has a cap, and
+    c = 0 pins a rate now and then.
+    """
+    den = draw(st.just(1) | st.integers(2, 1000) | st.integers(1 << 200, 1 << 600)
+               | st.integers(1 << 3000, 1 << 3100))
+    rate = st.builds(lambda k, low: k * den + low, st.integers(0, 7), st.integers(0, den - 1))
+    points = draw(st.lists(st.tuples(rate, rate), min_size=1, max_size=3))
+    coeff = st.integers(1, 9) | st.integers(1, 1 << 70)
+
+    def c_of(a, b):
+        if draw(st.booleans()):
+            x, y = draw(st.sampled_from(points))
+            return a * x + b * y
+        return draw(rate)
+
+    rows = []
+    for a, b in draw(st.lists(st.tuples(coeff | st.just(0), coeff | st.just(0)).filter(any),
+                              min_size=1, max_size=8)):
+        rows.append((a, b, c_of(a, b)))
+    for a, b in ((draw(coeff), 0), (0, draw(coeff))):
+        rows.append((a, b, c_of(a, b) or draw(st.integers(0, 1))))
+    return draw(st.permutations(rows)), den
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn=rows_over_den())
+@example(drawn=([(1, 0, 3 << 3000), (0, 1, 3 << 3000), (1, 1, 5 << 3000), (2, 1, 8 << 3000)],
+                1 << 3000))
+def test_rows_over_den_equal_the_rows_times_den(drawn):
+    rows, den = drawn
+    region = intersect(rows, den)
+    reference = intersect([(a * den, b * den, c) for a, b, c in rows])
+    assert region.vertices == reference.vertices
+    got, want = active_planes(region, len(rows)), active_planes(reference, len(rows))
+    assert got[0] == den and want[0] == 1
+    assert [(i, (a * den, b * den, c)) for i, (a, b, c) in got[1]] == list(want[1])
+
+
+def test_rows_over_den_match_the_halfplanes_on_a_q9_moderate_spec():
+    # caps of thousands of bits: the filtered scan runs on rows over D
+    spec = random_moderate_spec(random.Random(7), 9)
+    table, bounds = outer_rows(spec), outer_halfplanes(spec)
+    with mock.patch.object(geometry, "_filtered_chain", wraps=geometry._filtered_chain) as scan:
+        region = intersect(table.rows, table.den)
+    assert scan.called
+    reference = intersect([wb.halfplane() for wb in bounds])
+    assert region.vertices == reference.vertices
+    assert active_bounds(table, region) == active_bounds(bounds, reference)
+
+
+@settings(max_examples=100, deadline=None)
+@given(planes=pinned_planes() | slanted_planes())
+def test_row_and_tuple_inputs_give_equal_records(planes):
+    rows = [(p.a, p.b, p.c) for p in planes]
+    records = active_planes(intersect(rows), len(rows))
+    assert active_planes(intersect([Row(r) for r in rows]), len(rows)) == records
+    assert active_planes(intersect(planes), len(rows)) == records
+    assert all(type(row) is tuple for _, row in records[1])
 
 
 def exact_sign(r1, r2, r3):
