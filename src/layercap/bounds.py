@@ -43,18 +43,21 @@ bound is then one integer expression over r*D, for example
 
 and a bound costs O(log q) integer operations on numbers the size of r*D.
 
-The critical weights are integer triples (p, m, r) read off the sweeps'
-sorted keys, each with the index of its first key: the count of keys
-below it, so the piece the bisection would find.  A critical-weight bound
-is read on those pieces, a grid bound bisects.  Both emit their bounds as
-BoundRows: the half-plane of each over D, (r+m, p, r*D*bound) for user 1,
-meaning (r+m)*R1 + p*R2 <= r*bound, read off those numerators with no
-Fraction and no gcd.  The rows carry D once, as their den, and
-intersect(rows, den) takes them as they are, with D never multiplied in.
-A WeightedBound, with its Fraction weights, value and reduced half-plane,
-is built only for a row that is read: by active_bounds for the
-constraints it reports, or by outer_halfplanes and grid_bounds for every
-row.
+That one expression is every family's bound, read on the pieces its
+weights sit at: i of the family's omega sweep and j of the top sweep, a
+term the a- and b-families leave at zero.  A weight is the integer tuple
+(p, m, r, i, j).  The critical weights are read off the sweeps' sorted
+keys with their pieces known, the index of each kink's first key: the
+count of keys below it, so the piece bisection would find.  Grid weights,
+and the weights of bound_a/b/c, find theirs by bisection (locate).  Both
+enumerations run one loop and emit their bounds as BoundRows: the
+half-plane of each over D, (r+m, p, r*D*bound) for user 1, meaning
+(r+m)*R1 + p*R2 <= r*bound, read off those numerators with no Fraction
+and no gcd.  The rows carry D once, as their den, and intersect(rows, den)
+takes them as they are, with D never multiplied in.  A WeightedBound, with
+its Fraction weights, value and reduced half-plane, is built only for a
+row that is read: by active_bounds for the constraints it reports, or by
+outer_halfplanes and grid_bounds for every row.
 """
 
 from __future__ import annotations
@@ -189,6 +192,10 @@ class _Sweep:
         return out + [(1, 1, k)]
 
 
+# the a- and b-families have no top term: one piece, zero
+_NO_TOP = ((0, 0),)
+
+
 class BoundKernel:
     """One user's three bound families as integers over one denominator D.
 
@@ -196,13 +203,13 @@ class BoundKernel:
     are alpha/beta (a-family kinks), alpha/gamma (b- and c-family kinks) and
     P(N12 >= l)/P(N11 >= l) (the c-family top term).  Between two kinks of
     its sweep a bound is affine in omega: with the layers below omega = p/r
-    counted by the sweep, r*D times the a- or b-bound is r*const + p*slope
-    for the (const, slope) that _a or _b holds at that count; _c and _top
-    do the same for the c-family's two sums.  The methods return integer
-    numerators over r*D; only this module turns them into Fractions.
+    counted by the sweep, r*D times the bound is r*const + p*slope for the
+    family's (const, slope) at that count, plus the top term m*own + p*rest
+    for the (own, rest) at the count of top keys below mu/omega.  at returns
+    integer numerators over r*D; only this module turns them into Fractions.
     """
 
-    __slots__ = ("den", "beta", "gamma", "top", "_a", "_b", "_c", "_top")
+    __slots__ = ("den", "beta", "gamma", "top", "_pieces")
 
     def __init__(self, den, t11, t21, t12, clear, cross, alpha, beta, gamma):
         # t11, t21, t12: tails; clear: P(N21 - N11 >= l); cross:
@@ -213,38 +220,28 @@ class BoundKernel:
         self.gamma = _Sweep(alpha, gamma)
         self.top = _Sweep(t12, t11)
         b_slope = e21 + sum(cross) - e11
-        self._a = [(e11 - n, lift + d) for n, d in zip(self.beta.nums, self.beta.dens)]
-        self._b = [(e11 - n, b_slope + d) for n, d in zip(self.gamma.nums, self.gamma.dens)]
-        self._c = [(e11 - n, lift + d) for n, d in zip(self.gamma.nums, self.gamma.dens)]
+        gamma = list(zip(self.gamma.nums, self.gamma.dens))
         # top term mu*X + omega*(E12 - Y): (X, E12 - Y) per piece
-        self._top = [(x, e12 - y) for x, y in zip(self.top.dens, self.top.nums)]
+        top = [(x, e12 - y) for x, y in zip(self.top.dens, self.top.nums)]
+        self._pieces = {  # (const, slope) per omega piece, then the top pieces
+            "a": ([(e11 - n, lift + d) for n, d in zip(self.beta.nums, self.beta.dens)], _NO_TOP),
+            "b": ([(e11 - n, b_slope + d) for n, d in gamma], _NO_TOP),
+            "c": ([(e11 - n, lift + d) for n, d in gamma], top),
+        }
 
-    def a(self, p, r) -> int:
-        """r*D times the a-family bound at omega = p/r."""
-        const, slope = self._a[self.beta.below(p, r)]
-        return r * const + p * slope
+    def locate(self, family, weights) -> list:
+        """The weights (p, m, r), omega = p/r and mu = m/r, as (p, m, r, i, j)
+        with their pieces found by bisection: i of the family's omega sweep,
+        j of the top sweep, which is 0 at m = 0."""
+        sweep, top = self.beta if family == "a" else self.gamma, self.top
+        return [(p, m, r, sweep.below(p, r), top.below(m, p)) for p, m, r in weights]
 
-    def b(self, p, r) -> int:
-        """r*D times the b-family bound at omega = p/r."""
-        const, slope = self._b[self.gamma.below(p, r)]
-        return r * const + p * slope
-
-    def c(self, p, m, r) -> int:
-        """r*D times the c-family bound at omega = p/r, mu = m/r <= omega."""
-        const, slope = self._c[self.gamma.below(p, r)]
-        own, rest = self._top[self.top.below(m, p)]
-        return r * const + p * (slope + rest) + m * own
-
-    def at_kinks(self, family, kinks) -> list:
-        """r*D times the family's bound at each kink (p, m, r, i, j) of
-        _kink_weights, read on the pieces the kink sits at: i of the
-        family's omega sweep, j of the top sweep.  No bisection runs."""
-        if family == "c":
-            c, top = self._c, self._top
-            return [r * c[i][0] + p * (c[i][1] + top[j][1]) + m * top[j][0]
-                    for p, m, r, i, j in kinks]
-        pieces = self._a if family == "a" else self._b
-        return [r * pieces[i][0] + p * pieces[i][1] for p, _, r, i, _ in kinks]
+    def at(self, family, weights) -> list:
+        """r*D times the family's bound at each weight (p, m, r, i, j), read
+        on the pieces i and j it sits at; no bisection runs."""
+        pieces, top = self._pieces[family]
+        return [r * pieces[i][0] + p * (pieces[i][1] + top[j][1]) + m * top[j][0]
+                for p, m, r, i, j in weights]
 
 
 # link names of (N11, N12, N21) in each user's frame
@@ -263,34 +260,35 @@ def bound_kernel(spec: ChannelSpec, user) -> BoundKernel:
                        *(ints[f"{name}{user}"] for name in ("alpha", "beta", "gamma")))
 
 
+def _bound(spec: ChannelSpec, user, family, omega: Fraction, mu=0) -> Fraction:
+    kernel = bound_kernel(spec, user)
+    (p, r), (m, s) = omega.as_integer_ratio(), mu.as_integer_ratio()
+    t = lcm(r, s)
+    [value] = kernel.at(family, kernel.locate(family, [(p * (t // r), m * (t // s), t)]))
+    return Fraction(value, t * kernel.den)
+
+
 def bound_a(spec: ChannelSpec, user, omega) -> Fraction:
     """Right-hand side of the a-family bound at weight omega."""
-    kernel = bound_kernel(spec, user)
-    p, r = _check_omega(omega).as_integer_ratio()
-    return Fraction(kernel.a(p, r), r * kernel.den)
+    return _bound(spec, user, "a", _check_omega(omega))
 
 
 def bound_b(spec: ChannelSpec, user, omega) -> Fraction:
     """Right-hand side of the b-family bound at weight omega."""
-    kernel = bound_kernel(spec, user)
-    p, r = _check_omega(omega).as_integer_ratio()
-    return Fraction(kernel.b(p, r), r * kernel.den)
+    return _bound(spec, user, "b", _check_omega(omega))
 
 
 def bound_c(spec: ChannelSpec, user, omega, mu) -> Fraction:
     """Right-hand side of the c-family bound at weights (omega, mu), mu <= omega."""
-    kernel = bound_kernel(spec, user)
     omega = _check_omega(omega)
-    (p, r), (m, s) = omega.as_integer_ratio(), _check_mu(omega, mu).as_integer_ratio()
-    t = lcm(r, s)
-    return Fraction(kernel.c(p * (t // r), m * (t // s), t), t * kernel.den)
+    return _bound(spec, user, "c", omega, _check_mu(omega, mu))
 
 
 def _kink_weights(kernel: BoundKernel, family) -> list:
     """critical_weights as integer tuples (p, m, r, i, j), omega = p/r and
     mu = m/r (m = 0 outside family c), in ascending (omega, mu) order, with
     the pieces the weights sit at: i of the family's omega sweep, j of the
-    top sweep (0 outside family c), what below() returns there."""
+    top sweep (0 outside family c), what locate bisects there."""
     if family != "c":
         sweep = kernel.beta if family == "a" else kernel.gamma
         return [(n, 0, d, k, 0) for n, d, k in sweep.kinks()]
@@ -342,11 +340,11 @@ class BoundRows(Sequence):
         return WeightedBound(family, Fraction(p, r), mu, Fraction(self.rows[i][2], r * self.den))
 
     def extend(self, tag: str, weights, values):
-        """Add family tag's rows at weights (p, m, r, ...), where omega = p/r
+        """Add family tag's rows at weights (p, m, r, i, j), where omega = p/r
         and mu = m/r, m = 0 outside the c-families, with values r*D times
         the bound there."""
         rows, tags, mirror = self.rows, self._tags, tag[0] == "2"
-        for (p, m, r, *_), value in zip(weights, values):
+        for (p, m, r, _, _), value in zip(weights, values):
             # r > 0 makes (a, b) != (0, 0)
             if value < 0 or not 0 <= m <= p <= r:
                 raise ValueError(f"bound {tag} at omega={p}/{r}, mu={m}/{r}: needs a value "
@@ -356,18 +354,24 @@ class BoundRows(Sequence):
             tags.append((tag, p, m, r))
 
 
-def outer_rows(spec: ChannelSpec, families=FAMILIES) -> BoundRows:
-    """Bounds of the given families at their critical weights, in the
-    order given, omega ascending within a family; each bound is read on
-    the sweep pieces its kink indexes."""
+def _rows(spec: ChannelSpec, families, weights_of) -> BoundRows:
+    """The families' bounds, in the order given, at the weights
+    (p, m, r, i, j) that weights_of(kernel, family) returns."""
     out = BoundRows(spec)
     for tag in families:
         if tag not in FAMILIES:
             raise ValueError(f"unknown family {tag!r}")
         kernel = bound_kernel(spec, int(tag[0]))
-        weights = _kink_weights(kernel, tag[1])
-        out.extend(tag, weights, kernel.at_kinks(tag[1], weights))
+        weights = weights_of(kernel, tag[1])
+        out.extend(tag, weights, kernel.at(tag[1], weights))
     return out
+
+
+def outer_rows(spec: ChannelSpec, families=FAMILIES) -> BoundRows:
+    """Bounds of the given families at their critical weights, in the
+    order given, omega ascending within a family; each bound is read on
+    the sweep pieces its kink indexes."""
+    return _rows(spec, families, _kink_weights)
 
 
 def grid_rows(spec: ChannelSpec, steps: int) -> BoundRows:
@@ -376,13 +380,8 @@ def grid_rows(spec: ChannelSpec, steps: int) -> BoundRows:
         raise ValueError(f"steps must be >= 1, got {steps}")
     line = [(k, 0, steps) for k in range(steps + 1)]
     fan = [(k, j, steps) for k in range(steps + 1) for j in range(k + 1)]
-    out = BoundRows(spec)
-    for user in (1, 2):
-        kernel = bound_kernel(spec, user)
-        out.extend(f"{user}a", line, [kernel.a(p, r) for p, _, r in line])
-        out.extend(f"{user}b", line, [kernel.b(p, r) for p, _, r in line])
-        out.extend(f"{user}c", fan, [kernel.c(p, m, r) for p, m, r in fan])
-    return out
+    return _rows(spec, FAMILIES,
+                 lambda kernel, family: kernel.locate(family, fan if family == "c" else line))
 
 
 def family_region(spec: ChannelSpec, user, family) -> RegionPolytope:
@@ -407,27 +406,21 @@ def grid_bounds(spec: ChannelSpec, steps: int) -> list:
     return list(grid_rows(spec, steps))
 
 
-def active_bounds(bounds, region: RegionPolytope) -> list:
+def active_bounds(rows: BoundRows, region: RegionPolytope) -> list:
     """Bounds whose half-planes support the region along an edge.
 
-    The region must be intersect's result on the bounds' half-planes, or
-    on their rows over their den, in the bounds' order; it records which of
-    those planes are active, and at which scale (active_planes), and only
-    those bounds are read.  Identical half-planes keep only the first
-    occurrence, so the family order of outer_halfplanes decides the
-    reported provenance.  Degenerate regions (< 3 vertices)
-    only require tightness at one vertex.  Raises ValueError when a
-    reported bound's half-plane is not the plane the region recorded.
+    rows are the BoundRows the region was intersected from, as
+    intersect(rows.rows, rows.den); the region records which of them are
+    active (active_planes), and only those are read as WeightedBounds.
+    Identical half-planes keep only the first occurrence, so the family
+    order of the rows decides the reported provenance.  Degenerate regions
+    (< 3 vertices) only require tightness at one vertex.  Raises TypeError
+    for anything but BoundRows, and ValueError unless the region recorded
+    the rows' den and, for each active row, that row.
     """
-    out = []
-    den, records = active_planes(region, len(bounds))
-    for i, (a, b, c) in records:
-        wb = bounds[i]
-        p = wb.halfplane()
-        # the recorded row, (a*den, b*den, c) at one scale, is a positive
-        # multiple of the plane iff every 2x2 minor vanishes: both have
-        # a, b >= 0, not both zero
-        if a * p.b != b * p.a or a * den * p.c != c * p.a or b * den * p.c != c * p.b:
-            raise ValueError("the region was not intersected from these bounds")
-        out.append(wb)
-    return out
+    if not isinstance(rows, BoundRows):
+        raise TypeError(f"active_bounds takes BoundRows, got {type(rows).__name__}")
+    den, records = active_planes(region, len(rows))
+    if den != rows.den or any(row != tuple(rows.rows[i]) for i, row in records):
+        raise ValueError("the region was not intersected from these rows")
+    return [rows[i] for i, _ in records]

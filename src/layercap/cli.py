@@ -47,6 +47,14 @@ class SpecFileError(ValueError):
 # leaves room for masses as small as 10^-1000.
 MAX_EXPONENT = 1000
 
+# The largest --grid-steps.  Grid mode evaluates (N+1)(N+2)/2 c-family
+# bounds per user at N steps, so N, not the spec, sets its time and memory.
+# On the README's q = 1 weak spec (Python 3.11, 2-core VM) 256 steps took
+# 0.6 s and 47 MB peak RSS, 512 took 2.3 s and 141 MB, and the cap 9.8 s
+# and 518 MB; "100000", six bytes of command line, would ask for 5*10^9
+# bounds.
+MAX_GRID_STEPS = 1024
+
 # a decimal literal with an exponent, in the grammar Fraction reads; group 1
 # is the exponent.  Left to re's cache, so that it is compiled only when a
 # literal needs it, not at every start-up
@@ -428,7 +436,9 @@ def build_parser() -> argparse.ArgumentParser:
     region.add_argument("--format", choices=("json", "csv", "svg"), default="json")
     region.add_argument("--mode", choices=("exact", "grid"), default="exact")
     region.add_argument(
-        "--grid-steps", type=positive, default=256, dest="grid_steps",
+        "--grid-steps", default=256, dest="grid_steps",
+        type=_int_type(lambda n: 1 <= n <= MAX_GRID_STEPS,
+                       f"must be at least 1 and at most {MAX_GRID_STEPS}"),
         help="weight-grid resolution for --mode grid",
     )
     region.set_defaults(func=cmd_region)

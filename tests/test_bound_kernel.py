@@ -10,8 +10,9 @@ weights, enumerated in integers, are checked against a Fraction enumeration
 through sets and sorts, and every row of outer_rows and grid_rows against
 the half-plane of the bound it reads back as.  outer_rows reads each
 critical-weight bound on the sweep pieces its kink indexes, with no
-bisection; every such value is checked against the bisecting kernel
-methods at the same weight.
+bisection; every kink's pieces are checked against the ones the kernel's
+locator bisects at the same weight, and its value against the bound read
+on those.
 """
 
 from fractions import Fraction
@@ -195,17 +196,20 @@ KINK_EDGE_SPECS = [
 
 
 def kink_value_mismatches(spec):
-    """The critical weights (tag, p, m, r) at which outer_rows's value
-    differs from the bisecting kernel's r*D*bound at the same weight."""
+    """The critical weights (tag, p, m, r) whose kink pieces (i, j) differ
+    from the ones the locator bisects at the same weight, or at which
+    outer_rows's value differs from the bound on the bisected pieces."""
     table = outer_rows(spec)
     expected = []
     for tag in FAMILIES:
         kernel = bound_kernel(spec, int(tag[0]))
-        for p, m, r, *_ in _kink_weights(kernel, tag[1]):
-            value = kernel.c(p, m, r) if tag[1] == "c" else getattr(kernel, tag[1])(p, r)
-            expected.append((tag, p, m, r, value))
+        kinks = _kink_weights(kernel, tag[1])
+        located = kernel.locate(tag[1], [kink[:3] for kink in kinks])
+        expected += [(tag, kink, where, value) for kink, where, value
+                     in zip(kinks, located, kernel.at(tag[1], located))]
     assert len(expected) == len(table)
-    return [e[:4] for e, (_, _, c) in zip(expected, table.rows) if c != e[4]]
+    return [(tag, *kink[:3]) for (tag, kink, where, value), (_, _, c)
+            in zip(expected, table.rows) if kink != where or c != value]
 
 
 @settings(max_examples=300, deadline=None)
@@ -220,9 +224,8 @@ def test_kink_indexed_values_equal_the_bisected_ones(spec):
 
 @pytest.mark.parametrize("step", [-1, 1])
 def test_an_off_by_one_kink_index_fails_the_value_check(monkeypatch, step):
-    # a bound is continuous at its kinks, so only some kinks tell a wrong
-    # piece: +1 at omega = 0 past an alpha > 0 layer and at omega = 1 past a
-    # ratio above 1; -1 anywhere past the first piece
+    # a shifted index differs from the bisected piece at every kink; the
+    # values tell it only at some, since a bound is continuous at its kinks
     kinks = _Sweep.kinks
     monkeypatch.setattr(_Sweep, "kinks",
                         lambda self: [(n, d, k + step) for n, d, k in kinks(self)])

@@ -178,9 +178,9 @@ def test_finite_constraints_imply_continuum():
 
 
 def test_active_bounds_strong_example():
-    bounds = outer_halfplanes(STRONG1)
+    rows = outer_rows(STRONG1)
     region = outer_region(STRONG1)
-    active = active_bounds(bounds, region)
+    active = active_bounds(rows, region)
     assert {(b.family, b.omega) for b in active} == {
         ("1a", F(0)),
         ("2a", F(0)),

@@ -491,6 +491,19 @@ def test_nonpositive_counts_are_usage_errors(tmp_path, capsys, argv, flag):
     assert "Traceback" not in err
 
 
+def test_grid_steps_past_the_cap_are_usage_errors(capsys):
+    # parsed only: a grid at the cap takes seconds and hundreds of MB
+    cap = cli.MAX_GRID_STEPS
+    parse = cli.build_parser().parse_args
+    assert parse(["region", "--spec", "ch.json", "--grid-steps", str(cap)]).grid_steps == cap
+    with pytest.raises(SystemExit) as exc:
+        parse(["region", "--spec", "ch.json", "--grid-steps", str(cap + 1)])
+    assert exc.value.code == cli.EXIT_PARSE
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "layercap region: error: argument --grid-steps: must be at least 1 and at most "
+        f"{cap}, got {cap + 1}")
+
+
 MUTE_SPEC = """{
   "q": 1,
   "n11": [1, 0],

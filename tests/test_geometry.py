@@ -19,7 +19,7 @@ from layercap import (
     intersect,
 )
 from layercap import geometry
-from layercap.bounds import grid_bounds, grid_rows, outer_halfplanes, outer_rows
+from layercap.bounds import grid_rows, outer_halfplanes, outer_rows
 from layercap.corpus import random_moderate_spec, random_spec
 from layercap.geometry import Row, active_planes, ratio_order
 from strategies import MIXED_WEIGHTS, SMALL_WEIGHTS, specs
@@ -316,19 +316,25 @@ def test_intersect_matches_brute_force_without_caps(planes):
     assert set(intersect(planes).vertices) == brute_vertices(planes)
 
 
-def reference_active_bounds(bounds, region):
-    """The tight-vertex scan that active_bounds replaces."""
+def tight_indices(planes, region):
+    """The tight-vertex scan that active_planes replaces: the index of the
+    first of identical planes tight at two vertices of the region, or at
+    one when it has fewer than 3."""
     needed = 2 if len(region.vertices) >= 3 else 1
     seen = set()
     out = []
-    for wb in bounds:
-        plane = wb.halfplane()
+    for i, plane in enumerate(planes):
         if plane in seen:
             continue
         seen.add(plane)
         if sum(1 for v in region.vertices if plane.tight(v)) >= needed:
-            out.append(wb)
+            out.append(i)
     return out
+
+
+def reference_active_bounds(bounds, region):
+    """The bounds that the tight-vertex scan finds active."""
+    return [bounds[i] for i in tight_indices([wb.halfplane() for wb in bounds], region)]
 
 
 @st.composite
@@ -354,27 +360,30 @@ def bound_sets(draw):
 @settings(max_examples=400, deadline=None)
 @given(bounds=bound_sets())
 def test_active_bounds_matches_tight_vertex_scan(bounds):
-    region = intersect([wb.halfplane() for wb in bounds])
-    assert active_bounds(bounds, region) == reference_active_bounds(bounds, region)
+    planes = [wb.halfplane() for wb in bounds]
+    region = intersect(planes)
+    active = [i for i, _ in active_planes(region, len(planes))[1]]
+    assert active == tight_indices(planes, region)
 
 
 def test_active_bounds_matches_tight_vertex_scan_on_specs():
     rng = random.Random(11)
     for q in (1, 2, 3, 4):
         spec = random_spec(rng, q)
-        for bounds in (outer_halfplanes(spec), grid_bounds(spec, 6)):
-            region = intersect([wb.halfplane() for wb in bounds])
-            assert active_bounds(bounds, region) == reference_active_bounds(bounds, region)
+        for rows in (outer_rows(spec), grid_rows(spec, 6)):
+            region = intersect(rows.rows, rows.den)
+            assert active_bounds(rows, region) == reference_active_bounds(list(rows), region)
 
 
 def test_active_bounds_needs_the_region_of_its_bounds():
-    bounds = outer_halfplanes(random_spec(random.Random(3), 2))
-    with pytest.raises(ValueError):
-        active_bounds(bounds, RegionPolytope([(0, 0), (1, 0), (0, 1)]))
-    with pytest.raises(ValueError):
-        active_bounds(bounds[1:], intersect([wb.halfplane() for wb in bounds]))
-    with pytest.raises(ValueError):
-        active_bounds(bounds[::-1], intersect([wb.halfplane() for wb in bounds]))
+    rows = outer_rows(random_spec(random.Random(3), 2))
+    for region in (RegionPolytope([(0, 0), (1, 0), (0, 1)]),  # not intersected
+                   intersect(rows.rows[1:], rows.den),  # another count
+                   intersect(rows.rows[::-1], rows.den),  # same count and den
+                   intersect(rows.rows, 2 * rows.den)):  # another den
+        with pytest.raises(ValueError):
+            active_bounds(rows, region)
+    pytest.raises(TypeError, active_bounds, list(rows), intersect(rows.rows, rows.den))
 
 
 def test_rows_equal_iff_their_constraints_are():
@@ -620,7 +629,7 @@ def test_rows_over_den_match_the_halfplanes_on_a_q9_moderate_spec():
     assert scan.called
     reference = intersect([wb.halfplane() for wb in bounds])
     assert region.vertices == reference.vertices
-    assert active_bounds(table, region) == active_bounds(bounds, reference)
+    assert active_bounds(table, region) == reference_active_bounds(bounds, reference)
 
 
 @settings(max_examples=100, deadline=None)
