@@ -7,12 +7,16 @@ once: its name, the per-use function of the four levels whose mean it is,
 and its exact value from the channel module's formulas.  The estimator
 averages every function over one joint histogram of the drawn levels, so
 agreement is evidence the convolution formulas and the sampler describe the
-same level distributions.  The coupling check verifies, analytically, the
+same level distributions.  The draws are Philox's raw 64-bit words, each
+cdf value turned into the integer threshold a word must reach for its
+uniform double to reach that value, so the histogram is that of the doubles
+without converting a word.  The coupling check verifies, analytically, the
 quantile-coupling identities that tie the difference-level variables
-together; it decides them on integers and builds Fractions only for a
-report's entries when they are read.  Only _cell_counts and
-mc_estimate_stats import numpy, so the exact suites, which import this
-module too, do not pay for it.
+together.  Its verdict, coupling_holds, reads only the integer views of two
+link pairs, so a batch of channels can share the views of its pairs;
+Fractions are built only for a report's entries when they are read.  Only
+_cell_counts and mc_estimate_stats import numpy, so the exact suites, which
+import this module too, do not pay for it.
 """
 
 from __future__ import annotations
@@ -57,6 +61,14 @@ class SimConfig:
             raise ValueError(f"seed must be in [0, 2^64), got {self.seed}")
 
 
+def _word_threshold(c: float) -> int:
+    """The least 64-bit word r whose uniform double (r >> 11) * 2^-53 is at
+    least c, as numpy's generators map Philox's raw words to doubles; 2^64
+    or more when no word's double reaches c."""
+    # ldexp scales by a power of two, exactly, so ceil is exact too
+    return math.ceil(math.ldexp(c, 53)) << 11
+
+
 def _cell_counts(cfg: SimConfig):
     """Joint histogram of the drawn levels, flat: cell ((n11*s + n12)*s +
     n21)*s + n22, for s = q+1, counts the uses that drew those levels.
@@ -67,15 +79,20 @@ def _cell_counts(cfg: SimConfig):
     Each 2^16-use chunk gets its own counter-based stream keyed by (seed,
     chunk index), so aggregate results do not depend on how chunks are
     scheduled and reruns are bit-identical.
+
+    The draws are Philox's raw 64-bit words r, never converted to doubles:
+    u >= c holds exactly when r >= _word_threshold(c) = ceil(c * 2^53) * 2^11,
+    so each cdf value becomes that integer threshold, and one that no word
+    reaches is dropped.
     """
     import numpy as np
 
     q = cfg.spec.q
     side = q + 1
-    cdfs = [
-        np.cumsum([float(m) for m in cfg.spec.links()[link].masses])[:q]
-        for link in _LINKS
-    ]
+    thresholds = []
+    for link in _LINKS:
+        cdf = np.cumsum([float(m) for m in cfg.spec.links()[link].masses])[:q]
+        thresholds.append([np.uint64(t) for t in map(_word_threshold, cdf) if t < 1 << 64])
     counts = np.zeros(side ** 4, dtype=np.int64)
     # every partial index n11, n11*s + n12, ... is below s^4, so the
     # narrowest dtype holding s^4 - 1 never wraps, and narrow is fast
@@ -85,15 +102,14 @@ def _cell_counts(cfg: SimConfig):
     while done < cfg.samples:
         m = min(_CHUNK, cfg.samples - done)
         # a uint64 array: a list holding a seed >= 2^63 would become float64
-        gen = np.random.Generator(
-            np.random.Philox(key=np.array([cfg.seed, chunk], dtype=np.uint64))
-        )
-        u = gen.random((4, m))
+        words = np.random.Philox(
+            key=np.array([cfg.seed, chunk], dtype=np.uint64)
+        ).random_raw((4, m))
         flat = np.zeros(m, dtype=cell)
-        for row, cdf in zip(u, cdfs):
+        for row, link_thresholds in zip(words, thresholds):
             flat *= side
-            for c in cdf:
-                flat += row >= c
+            for t in link_thresholds:
+                flat += row >= t
         counts += np.bincount(flat, minlength=side ** 4)
         done += m
         chunk += 1
@@ -255,6 +271,25 @@ class CouplingReport(NamedTuple):
         )
 
 
+def coupling_holds(a: _PairView, b: _PairView) -> bool:
+    """The coupling verdict on a channel with pair views A = (n21, n11) and
+    B = (n22, n12): L <= N21 pointwise, the alpha identity at every layer,
+    and the gamma identity at every layer.
+
+    P(L < l <= M) = [P(M >= l) - P(L >= l)]^+, so both sides of the gamma
+    identity are integer differences over the product of the views'
+    denominators, compared as integers.
+    """
+    if not (a.dominated and a.alpha_ok):
+        return False
+    for ta, tb, ua, ub in zip(a.tails, b.tails, a.diff_tails, b.diff_tails):
+        lhs, rhs = tb * a.den - ta * b.den, ub * a.den - ua * b.den
+        # max(lhs, 0) == max(rhs, 0), as CouplingReport.entries clamps them
+        if lhs != rhs and (lhs > 0 or rhs > 0):
+            return False
+    return True
+
+
 def coupling_check(spec: ChannelSpec) -> CouplingReport:
     """Verify the shared-uniform coupling identities exactly, layer by layer.
 
@@ -265,17 +300,10 @@ def coupling_check(spec: ChannelSpec) -> CouplingReport:
     pointwise.
 
     Everything but gamma depends on the pair A = (n21, n11) alone and is
-    decided once on its cached view.  P(L < l <= M) = [P(M >= l) - P(L >= l)]^+,
-    so both sides of the gamma identity are integer differences over the
-    product of the views' denominators, with B = (n22, n12) giving M; they
-    are compared as integers, and no Fraction is made unless the report's
-    entries are read.
+    decided once on its cached view; gamma also reads B = (n22, n12), which
+    gives M.  coupling_holds decides the verdict on the views' integers, and
+    no Fraction is made unless the report's entries are read.
     """
     a = _pair_view(spec.n21, spec.n11)
     b = _pair_view(spec.n22, spec.n12)
-    ok = a.dominated and a.alpha_ok
-    for ta, tb, ua, ub in zip(a.tails, b.tails, a.diff_tails, b.diff_tails):
-        lhs, rhs = tb * a.den - ta * b.den, ub * a.den - ua * b.den
-        # max(lhs, 0) == max(rhs, 0), as CouplingReport.entries clamps them
-        ok = ok and (lhs == rhs or (lhs <= 0 and rhs <= 0))
-    return CouplingReport(ok, a.dominated, a, b)
+    return CouplingReport(coupling_holds(a, b), a.dominated, a, b)

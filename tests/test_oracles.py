@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -142,6 +143,25 @@ def reference_cell_counts(cfg):
     return counts
 
 
+@pytest.mark.parametrize("c", [0.0, 2.0 ** -53, 0.5, math.nextafter(0.5, 0), 1 - 2.0 ** -53,
+                               1.0, math.nextafter(1, 2)])
+def test_word_threshold_decides_the_double_comparison(c):
+    # the least word whose double (r >> 11) * 2^-53 reaches c, exactly; past
+    # 1 - 2^-53 it is beyond the last word, 2^64 - 1, which never reaches c
+    t = oracles._word_threshold(c)
+    assert t == math.ceil(F(c) * 2 ** 53) * 2 ** 11
+    edges = (0, t - 1, t, t + 1, t | 0x7FF, (t - 1) | 0x7FF, 2 ** 64 - 1)
+    for r in (r for r in edges if 0 <= r < 2 ** 64):
+        assert (r >= t) == ((r >> 11) * 2 ** -53 >= c), (c, r)
+
+
+def test_raw_words_map_to_the_generators_doubles():
+    key = np.array([2 ** 64 - 1, 3], np.uint64)
+    words = np.random.Philox(key=key).random_raw((4, 1000))
+    doubles = np.random.Generator(np.random.Philox(key=key)).random((4, 1000))
+    assert np.array_equal((words >> np.uint64(11)).astype(np.float64) * 2.0 ** -53, doubles)
+
+
 def assert_same_cell_counts(cfg):
     got, want = oracles._cell_counts(cfg), reference_cell_counts(cfg)
     assert got.dtype == want.dtype and np.array_equal(got, want), cfg
@@ -245,6 +265,30 @@ def reference_coupling_check(spec):
     return tuple(entries), order_ok
 
 
+def reference_coupling_lines():
+    # the suite's lines, from coupling_check on each channel as a ChannelSpec
+    pmfs = verification._small_pmfs()
+    total = bad = 0
+    first = None
+    for links in itertools.product(pmfs, repeat=4):
+        total += 1
+        if not coupling_check(ChannelSpec(*links)).ok:
+            bad += 1
+            if first is None:
+                first = links
+    lines = [f"[coupling] {total - bad}/{total} channels satisfy both identities "
+             "and the pointwise order"]
+    if first is not None:
+        lines.append(f"[coupling]   first failure at {first}")
+    return tuple(lines)
+
+
+def assert_suite_matches_reference():
+    result = verification.verify_coupling()
+    assert result.lines == reference_coupling_lines()
+    return result
+
+
 def assert_same_report(spec):
     got = coupling_check(spec)
     want_entries, want_order_ok = reference_coupling_check(spec)
@@ -277,6 +321,10 @@ def test_coupling_matches_reference_on_suite_channels():
         assert_same_report(ChannelSpec(*links))
 
 
+def test_coupling_suite_is_the_per_channel_check():
+    assert assert_suite_matches_reference().ok
+
+
 @settings(max_examples=200, deadline=None)
 @given(spec=specs(max_q=4, weights=MIXED_WEIGHTS))
 def test_coupling_matches_reference_on_drawn_specs(spec):
@@ -303,7 +351,7 @@ def test_coupling_suite_catches_changed_pos_diff_tails(monkeypatch, fresh_pair_v
     assert report.order_ok and not report.ok
     assert report.entries[0].lhs_alpha == F(1, 4) != report.entries[0].rhs_alpha
     assert all(e.lhs_gamma == e.rhs_gamma for e in report.entries)
-    result = verification.verify_coupling()
+    result = assert_suite_matches_reference()
     assert not result.ok
     assert result.lines[0].startswith("[coupling] ") and "/50625 channels" in result.lines[0]
     assert not result.lines[0].startswith("[coupling] 50625/")
@@ -333,7 +381,7 @@ def test_coupling_suite_catches_changed_diff_tails(monkeypatch, fresh_pair_views
     assert report.order_ok and not report.ok
     assert [e.lhs_alpha == e.rhs_alpha for e in report.entries] == [True, True]
     assert [e.lhs_gamma == e.rhs_gamma for e in report.entries] == [False, True]
-    result = verification.verify_coupling()
+    result = assert_suite_matches_reference()
     assert not result.ok
     assert result.lines == (
         "[coupling] 50230/50625 channels satisfy both identities and the pointwise order",
@@ -358,9 +406,30 @@ def test_coupling_suite_catches_broken_dominance(monkeypatch, fresh_pair_views):
     # both identities still hold, so only the order fails
     assert not report.order_ok and not report.ok
     assert all(e.ok for e in report.entries)
-    result = verification.verify_coupling()
+    result = assert_suite_matches_reference()
     assert not result.ok
     assert any("first failure at" in line for line in result.lines)
+
+
+def test_coupling_suite_reads_each_channels_own_pairs(monkeypatch, fresh_pair_views):
+    # the alpha side of the one pair N21 = 1, N11 = 2 is off by a quarter,
+    # and alpha is read from (n21, n11) alone, so exactly the 225 channels
+    # with those two links fail; the channel with N11 and N21 swapped
+    # passes, so a suite that read that view as (n11, n21) would name
+    # another first failure
+    x, y = FadingPmf.point(1, 2), FadingPmf.point(2, 2)
+    real = oracles.diff_tail
+
+    def mutant(a, b, l):
+        return real(a, b, l) + (F(1, 4) if (a, b) == (x, y) else 0)
+
+    monkeypatch.setattr(oracles, "diff_tail", mutant)
+    assert not coupling_check(ChannelSpec(n11=y, n12=y, n21=x, n22=y)).ok
+    assert coupling_check(ChannelSpec(n11=x, n12=y, n21=y, n22=y)).ok
+    assert verification.verify_coupling().lines == (
+        "[coupling] 50400/50625 channels satisfy both identities and the pointwise order",
+        f"[coupling]   first failure at {(y, y, x, y)}",
+    )
 
 
 def test_mc_tolerance_scales_with_samples():

@@ -50,12 +50,12 @@ def test_python_example_runs_and_its_comments_hold():
         if comment.startswith("same value"):
             assert value == last, source
             checked.append(source)
-        elif comment.startswith(("'", "Fraction(")):  # the value's repr
+        elif comment.startswith(("'", "Fraction(", "(Fraction(")):  # the value's repr
             assert repr(value) == comment, source
             checked.append(source)
         last = value
     assert checked == ["classify(spec).regime", "weak_sum_capacity(spec)",
-                       "region.support(1, 1)"]
+                       "region.support(1, 1)", "weak_corner(spec, half).corner"]
 
 
 def test_region_example_is_the_commands_output(tmp_path, capsys):
