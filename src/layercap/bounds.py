@@ -48,16 +48,33 @@ weights sit at: i of the family's omega sweep and j of the top sweep, a
 term the a- and b-families leave at zero.  A weight is the integer tuple
 (p, m, r, i, j).  The critical weights are read off the sweeps' sorted
 keys with their pieces known, the index of each kink's first key: the
-count of keys below it, so the piece bisection would find.  Grid weights,
-and the weights of bound_a/b/c, find theirs by bisection (locate).  Both
-enumerations run one loop and emit their bounds as BoundRows: the
-half-plane of each over D, (r+m, p, r*D*bound) for user 1, meaning
-(r+m)*R1 + p*R2 <= r*bound, read off those numerators with no Fraction
-and no gcd.  The rows carry D once, as their den, and intersect(rows, den)
-takes them as they are, with D never multiplied in.  A WeightedBound, with
-its Fraction weights, value and reduced half-plane, is built only for a
-row that is read: by active_bounds for the constraints it reports, or by
-outer_halfplanes and grid_bounds for every row.
+count of keys below it, so the piece bisection would find.  Grid weights
+find theirs by one forward walk over the keys per grid line, and the
+weights of bound_a/b/c by bisection (locate).  Both enumerations run one
+loop and emit their bounds as BoundRows: the half-plane of each over D,
+(r+m, p, r*D*bound) for user 1, meaning (r+m)*R1 + p*R2 <= r*bound, read
+off those numerators with no Fraction and no gcd.  The rows carry D once,
+as their den, and intersect(rows, den) takes them as they are, with D
+never multiplied in.  A WeightedBound, with its Fraction weights, value and
+reduced half-plane, is built only for a row that is read: by active_bounds
+for the constraints it reports, or by outer_halfplanes and grid_bounds for
+every row.
+
+The grid at N steps runs one grid line at a time: the a- and b-families
+have one, omega = k/N for k = 0..N, and the c-family one per omega, mu =
+j/N for j = 0..k.  Along a line each row's a and b are the means of its
+neighbours', so a row whose value is too is their half-sum, implied by
+them.  grid_rows lists every grid bound, for the tests and the benchmark's
+checks; region --mode grid takes grid_rows(spec, N, prune=True), which of
+each line keeps the two ends and the rows with 2*v[t] != v[t-1] + v[t+1]
+on the integer values, and builds only those.  That test reads the rows'
+own values, never the kernel's kinks, so the grid stays a cross-check of
+the critical weights.  The kept rows carve the same region.  A left-out
+row along an edge of it makes its whole run, kept ends included, tight
+there: one half-plane, whose first occurrence, the one active_bounds
+reports, is thus never a left-out row.  Only a degenerate region (< 3
+vertices), whose active_bounds reports every row through a vertex, is
+intersected from the full rows instead.
 """
 
 from __future__ import annotations
@@ -65,7 +82,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import gcd, lcm
 from typing import Optional
 
@@ -339,10 +356,21 @@ class BoundRows(Sequence):
         mu = Fraction(m, r) if family[1] == "c" else None
         return WeightedBound(family, Fraction(p, r), mu, Fraction(self.rows[i][2], r * self.den))
 
-    def extend(self, tag: str, weights, values):
+    def extend(self, tag: str, weights, values, prune=False):
         """Add family tag's rows at weights (p, m, r, i, j), where omega = p/r
         and mu = m/r, m = 0 outside the c-families, with values r*D times
-        the bound there."""
+        the bound there.
+
+        With prune the weights are one grid line, and only its two ends and
+        the rows whose value is not the mean of their neighbours' are added
+        (see the module docstring).  Along a run of rows left out the values
+        are affine, so the run's ends, which are added and checked, hold its
+        least value."""
+        if prune:
+            last = len(values) - 1
+            kept = [t for t in range(last + 1) if t in (0, last)
+                    or 2 * values[t] != values[t - 1] + values[t + 1]]
+            weights, values = [weights[t] for t in kept], [values[t] for t in kept]
         rows, tags, mirror = self.rows, self._tags, tag[0] == "2"
         for (p, m, r, _, _), value in zip(weights, values):
             # r > 0 makes (a, b) != (0, 0)
@@ -354,16 +382,17 @@ class BoundRows(Sequence):
             tags.append((tag, p, m, r))
 
 
-def _rows(spec: ChannelSpec, families, weights_of) -> BoundRows:
+def _rows(spec: ChannelSpec, families, lines_of, prune=False) -> BoundRows:
     """The families' bounds, in the order given, at the weights
-    (p, m, r, i, j) that weights_of(kernel, family) returns."""
+    (p, m, r, i, j) of each list that lines_of(kernel, family) yields; with
+    prune, each list is a grid line and is pruned as BoundRows.extend says."""
     out = BoundRows(spec)
     for tag in families:
         if tag not in FAMILIES:
             raise ValueError(f"unknown family {tag!r}")
         kernel = bound_kernel(spec, int(tag[0]))
-        weights = weights_of(kernel, tag[1])
-        out.extend(tag, weights, kernel.at(tag[1], weights))
+        for weights in lines_of(kernel, tag[1]):
+            out.extend(tag, weights, kernel.at(tag[1], weights), prune)
     return out
 
 
@@ -371,17 +400,43 @@ def outer_rows(spec: ChannelSpec, families=FAMILIES) -> BoundRows:
     """Bounds of the given families at their critical weights, in the
     order given, omega ascending within a family; each bound is read on
     the sweep pieces its kink indexes."""
-    return _rows(spec, families, _kink_weights)
+    return _rows(spec, families, lambda kernel, family: [_kink_weights(kernel, family)])
 
 
-def grid_rows(spec: ChannelSpec, steps: int) -> BoundRows:
-    """Dense-grid fallback: every family at omega = k/steps, mu = j/steps <= omega."""
+def _walk(sweep: _Sweep, last, r) -> list:
+    """sweep.below(t, r) for t = 0..last, in one forward walk over the keys:
+    key k, (n, d), is below t/r from t = n*r//d + 1 on, and keys ascend."""
+    out = []
+    for k, (n, d) in enumerate(sweep.keys):
+        out += [k] * (min(n * r // d + 1, last + 1) - len(out))
+    return out + [len(sweep.keys)] * (last + 1 - len(out))
+
+
+def _grid_lines(kernel: BoundKernel, family, steps):
+    """The family's grid weights (p, m, r, i, j), omega = k/steps and
+    mu = j/steps, one grid line at a time, in ascending (omega, mu) order:
+    the a- and b-families have one line, k = 0..steps; the c-family one per
+    k, j = 0..k.  The pieces are what locate would bisect, walked: i along
+    k once, j along each c line."""
+    i_of = _walk(kernel.beta if family == "a" else kernel.gamma, steps, steps)
+    if family != "c":
+        return [[(k, 0, steps, i, 0) for k, i in enumerate(i_of)]]
+    return ([(k, j, steps, i, top) for j, top in enumerate(_walk(kernel.top, k, k))]
+            for k, i in enumerate(i_of))
+
+
+def grid_rows(spec: ChannelSpec, steps: int, prune=False) -> BoundRows:
+    """Dense-grid fallback: every family at omega = k/steps, mu = j/steps <= omega.
+
+    Every grid bound is listed, the reference of the tests and of the
+    benchmark's checks.  With prune, the path `region --mode grid` takes,
+    only the rows that their grid-line neighbours do not imply are built:
+    the same region, and the same active_bounds unless it is degenerate
+    (see the module docstring).
+    """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    line = [(k, 0, steps) for k in range(steps + 1)]
-    fan = [(k, j, steps) for k in range(steps + 1) for j in range(k + 1)]
-    return _rows(spec, FAMILIES,
-                 lambda kernel, family: kernel.locate(family, fan if family == "c" else line))
+    return _rows(spec, FAMILIES, partial(_grid_lines, steps=steps), prune)
 
 
 def family_region(spec: ChannelSpec, user, family) -> RegionPolytope:
@@ -402,7 +457,7 @@ def outer_region(spec: ChannelSpec) -> RegionPolytope:
 
 
 def grid_bounds(spec: ChannelSpec, steps: int) -> list:
-    """Dense-grid fallback: every family at omega = k/steps, mu = j/steps <= omega."""
+    """Every grid bound of grid_rows(spec, steps), as WeightedBounds."""
     return list(grid_rows(spec, steps))
 
 

@@ -48,11 +48,13 @@ class SpecFileError(ValueError):
 MAX_EXPONENT = 1000
 
 # The largest --grid-steps.  Grid mode evaluates (N+1)(N+2)/2 c-family
-# bounds per user at N steps, so N, not the spec, sets its time and memory.
-# On the README's q = 1 weak spec (Python 3.11, 2-core VM) 256 steps took
-# 0.6 s and 47 MB peak RSS, 512 took 2.3 s and 141 MB, and the cap 9.8 s
-# and 518 MB; "100000", six bytes of command line, would ask for 5*10^9
-# bounds.
+# bounds per user at N steps, so N sets most of its time, and keeps one grid
+# line of them at a time besides the rows it intersects.  On the README's
+# q = 1 weak spec (Python 3.11, 2-core VM, medians of 7 fresh processes)
+# 256 steps took 0.14 s and 17 MB peak RSS, 512 took 0.29 s and 18 MB, and
+# the cap 0.65 s and 20 MB; a degenerate region, which intersects every
+# row, took 5.6 s and 527 MB at the cap.  "100000", six bytes of command
+# line, would ask for 5*10^9 bounds.
 MAX_GRID_STEPS = 1024
 
 # a decimal literal with an exponent, in the grammar Fraction reads; group 1
@@ -228,8 +230,13 @@ def region_document(
     """The region's JSON document, and the region itself for csv/svg rendering."""
     spec = spec_file.spec
     # the bounds stay integer rows; only the active ones become WeightedBounds
-    bounds = grid_rows(spec, grid_steps) if mode == "grid" else outer_rows(spec)
+    bounds = grid_rows(spec, grid_steps, prune=True) if mode == "grid" else outer_rows(spec)
     region = intersect(bounds.rows, bounds.den)
+    if mode == "grid" and len(region.vertices) < 3:
+        # a degenerate region reports every row through a vertex, and the
+        # pruned rows lack some: the same region from all of them
+        bounds = grid_rows(spec, grid_steps)
+        region = intersect(bounds.rows, bounds.den)
     active = active_bounds(bounds, region)
     doc = {
         "label": spec_file.label,

@@ -34,6 +34,7 @@ from layercap import (
     tail,
 )
 from layercap.bounds import (
+    _grid_lines,
     _kink_weights,
     _Sweep,
     bound_kernel,
@@ -234,3 +235,16 @@ def test_an_off_by_one_kink_index_fails_the_value_check(monkeypatch, step):
             assert kink_value_mismatches(spec)
         except IndexError:  # a piece index past the last
             pass
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=specs(max_q=6), steps=st.integers(1, 40))
+@example(spec=KINK_EDGE_SPECS[0], steps=12)
+@example(spec=KINK_EDGE_SPECS[1], steps=12)
+def test_walked_grid_pieces_equal_the_bisected_ones(spec, steps):
+    # small weights put grid weights on kinks often: every alpha = 0 layer
+    # has its kink at omega = 0, and a top key at mu = 0 on every c line
+    for tag in FAMILIES:
+        kernel = bound_kernel(spec, int(tag[0]))
+        walked = [w for line in _grid_lines(kernel, tag[1], steps) for w in line]
+        assert walked == kernel.locate(tag[1], [w[:3] for w in walked])

@@ -17,6 +17,7 @@ from layercap import (
     bound_a,
     bound_b,
     bound_c,
+    cli,
     critical_weights,
     expect,
     family_region,
@@ -25,8 +26,14 @@ from layercap import (
     outer_region,
     swap_users,
 )
-from layercap.bounds import grid_bounds, outer_halfplanes, outer_rows
-from layercap.corpus import random_spec, symmetric_bernoulli
+from layercap.bounds import grid_bounds, grid_rows, outer_halfplanes, outer_rows
+from layercap.corpus import (
+    random_moderate_spec,
+    random_spec,
+    random_strong_spec,
+    random_weak_spec,
+    symmetric_bernoulli,
+)
 from strategies import specs, unit_rationals
 
 F = Fraction
@@ -298,3 +305,39 @@ def test_user_swap_mirrors_region_and_grid_contains_exact(seed, q, steps):
     assert set(mirrored.vertices) == {(y, x) for x, y in region.vertices}
     grid = intersect([wb.halfplane() for wb in grid_bounds(spec, steps)])
     assert region.subset_of(grid)
+
+
+GRID_KINDS = {"random": random_spec, "strong": random_strong_spec,
+              "weak": random_weak_spec, "moderate": random_moderate_spec}
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(sorted(GRID_KINDS)), q=st.integers(0, 5),
+       seed=st.integers(0, 2 ** 32), steps=st.integers(1, 40))
+# the degenerate region of test_cli's fallback case, which reports 18 rows
+@example(kind="random", q=1, seed=2, steps=16)
+# c lines with an end row whose value is the mean of its neighbour's on the
+# line and the next line's end row's: pruning the lines as one run drops
+# it, and the c-family's region changes
+@example(kind="weak", q=4, seed=2222856664, steps=2)
+@example(kind="random", q=1, seed=1578775937, steps=6)
+def test_grid_mode_answers_as_the_full_grid_rows(kind, q, seed, steps):
+    # region --mode grid intersects only the rows that their grid-line
+    # neighbours do not imply, or all of them when that region is
+    # degenerate; q = 0 regions are the origin alone.  The answer is the
+    # full rows': the region, and its constraints in order, each one's
+    # family, weights and half-plane, which with the weights is its value.
+    # Each family's kept rows alone carve its full rows' region too
+    if kind == "moderate":
+        q = max(q, 1)  # the moderate construction needs a layer
+    spec = GRID_KINDS[kind](random.Random(seed), q)
+    doc, region = cli.region_document(cli.ChannelSpecFile(q, kind, spec), "grid", steps)
+    rows = grid_rows(spec, steps)
+    full = intersect(rows.rows, rows.den)
+    assert region == full
+    assert doc["constraints"] == [cli._constraint_entry(b) for b in active_bounds(rows, full)]
+    kept = grid_rows(spec, steps, prune=True)
+    for tag in FAMILIES:
+        full_rows, kept_rows = ([row for row, (family, *_) in zip(r.rows, r._tags)
+                                 if family == tag] for r in (rows, kept))
+        assert intersect(kept_rows, rows.den) == intersect(full_rows, rows.den), tag

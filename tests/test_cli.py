@@ -414,6 +414,27 @@ def test_region_grid_mode_at_the_default_steps_is_pinned(tmp_path, capsys):
         "6bad6d7bd1b528f3f1cd83a1f1f9d0c7a47186f9ed0dab1621ebed09973b74c4")
 
 
+def test_region_grid_mode_on_a_degenerate_region_prints_the_full_rows_answer(
+        tmp_path, capsys, monkeypatch):
+    # N11 = 0 pins R1 to 0, and a degenerate region reports every row
+    # through a vertex: 18 grid rows, of which the pruned rows hold 3, so
+    # grid mode intersects every row instead, and its bytes are the full
+    # rows'
+    spec = ChannelSpec(FadingPmf([1, 0]), FadingPmf([F(1, 2), F(1, 2)]),
+                       FadingPmf([F(3, 5), F(2, 5)]), FadingPmf([F(2, 7), F(5, 7)]))
+    pruned = bounds.grid_rows(spec, 16, prune=True)
+    assert len(bounds.intersect(pruned.rows, pruned.den).vertices) < 3
+    argv = ["region", "--spec", write(tmp_path, "flat.json", spec_json(spec, False)),
+            "--mode", "grid", "--grid-steps", "16"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    monkeypatch.setattr(cli, "grid_rows",
+                        lambda spec, steps, prune=False: bounds.grid_rows(spec, steps))
+    assert main(argv) == 0
+    assert out == capsys.readouterr().out
+    assert len(json.loads(out)["constraints"]) == 18
+
+
 def test_byte_identical_outputs(tmp_path):
     path = write(tmp_path, "weak.json", WEAK_SPEC)
     out1 = tmp_path / "a.json"
