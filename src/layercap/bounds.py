@@ -72,13 +72,20 @@ own values, never the kernel's kinks, so the grid stays a cross-check of
 the critical weights.  The kept rows carve the same region.  A left-out
 row along an edge of it makes its whole run, kept ends included, tight
 there: one half-plane, whose first occurrence, the one active_bounds
-reports, is thus never a left-out row.  Only a degenerate region (< 3
-vertices), whose active_bounds reports every row through a vertex, is
-intersected from the full rows instead.
+reports, is thus never a left-out row.  A degenerate region (< 3
+vertices) reports every row through a vertex, so none may be left out,
+and it is read off the spec: exactly E[N11] = 0 or E[N22] = 0 makes one.
+Every user-1 row is at least E[N11]: the a- and c-families add
+nonnegative terms to it, and the b-family is at least (1-omega)*E[N11]
+for omega < 1 and E[N21] + E[(N11-N21)^+] >= E[N11] at omega = 1.  So
+with both means positive every row's c is, and the region has the origin
+and two distinct axis points; E[N11] = 0 brings the row 1a at omega = 0,
+R1 <= 0, which pins R1.  User 2 mirrors this.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -181,16 +188,7 @@ class _Sweep:
 
     def below(self, p, r) -> int:
         """How many keys are < p/r, for r > 0; none for p = r = 0."""
-        keys = self.keys
-        lo, hi = 0, len(keys)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            n, d = keys[mid]
-            if n * r < p * d:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
+        return bisect_left(self.keys, True, key=lambda k: k[0] * r >= p * k[1])
 
     def kinks(self) -> list:
         """The kinks inside the weight range, ascending, as reduced pairs
@@ -431,11 +429,14 @@ def grid_rows(spec: ChannelSpec, steps: int, prune=False) -> BoundRows:
     Every grid bound is listed, the reference of the tests and of the
     benchmark's checks.  With prune, the path `region --mode grid` takes,
     only the rows that their grid-line neighbours do not imply are built:
-    the same region, and the same active_bounds unless it is degenerate
-    (see the module docstring).
+    the same region and active_bounds.  A spec with E[N11] = 0 or E[N22] = 0
+    is never pruned: its region is degenerate and reports every row (see
+    the module docstring).
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
+    ints = layer_coefficients(spec).ints
+    prune = prune and any(ints["n11"]) and any(ints["n22"])
     return _rows(spec, FAMILIES, partial(_grid_lines, steps=steps), prune)
 
 

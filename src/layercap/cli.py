@@ -52,8 +52,9 @@ MAX_EXPONENT = 1000
 # line of them at a time besides the rows it intersects.  On the README's
 # q = 1 weak spec (Python 3.11, 2-core VM, medians of 7 fresh processes)
 # 256 steps took 0.14 s and 17 MB peak RSS, 512 took 0.29 s and 18 MB, and
-# the cap 0.65 s and 20 MB; a degenerate region, which intersects every
-# row, took 5.6 s and 527 MB at the cap.  "100000", six bytes of command
+# the cap 0.65 s and 20 MB.  A degenerate region, E[N11] = 0 or E[N22] = 0,
+# keeps and intersects every row: 4.6-5.2 s and 527 MB at the cap over 3
+# fresh processes, for N11 = 0 and q = 1.  "100000", six bytes of command
 # line, would ask for 5*10^9 bounds.
 MAX_GRID_STEPS = 1024
 
@@ -232,11 +233,6 @@ def region_document(
     # the bounds stay integer rows; only the active ones become WeightedBounds
     bounds = grid_rows(spec, grid_steps, prune=True) if mode == "grid" else outer_rows(spec)
     region = intersect(bounds.rows, bounds.den)
-    if mode == "grid" and len(region.vertices) < 3:
-        # a degenerate region reports every row through a vertex, and the
-        # pruned rows lack some: the same region from all of them
-        bounds = grid_rows(spec, grid_steps)
-        region = intersect(bounds.rows, bounds.den)
     active = active_bounds(bounds, region)
     doc = {
         "label": spec_file.label,

@@ -314,7 +314,7 @@ GRID_KINDS = {"random": random_spec, "strong": random_strong_spec,
 @settings(max_examples=60, deadline=None)
 @given(kind=st.sampled_from(sorted(GRID_KINDS)), q=st.integers(0, 5),
        seed=st.integers(0, 2 ** 32), steps=st.integers(1, 40))
-# the degenerate region of test_cli's fallback case, which reports 18 rows
+# a degenerate region (N11 = 0) that reports 18 rows, only 3 of which pruning keeps
 @example(kind="random", q=1, seed=2, steps=16)
 # c lines with an end row whose value is the mean of its neighbour's on the
 # line and the next line's end row's: pruning the lines as one run drops
@@ -323,11 +323,12 @@ GRID_KINDS = {"random": random_spec, "strong": random_strong_spec,
 @example(kind="random", q=1, seed=1578775937, steps=6)
 def test_grid_mode_answers_as_the_full_grid_rows(kind, q, seed, steps):
     # region --mode grid intersects only the rows that their grid-line
-    # neighbours do not imply, or all of them when that region is
-    # degenerate; q = 0 regions are the origin alone.  The answer is the
-    # full rows': the region, and its constraints in order, each one's
-    # family, weights and half-plane, which with the weights is its value.
-    # Each family's kept rows alone carve its full rows' region too
+    # neighbours do not imply, or all of them when E[N11] or E[N22] is 0
+    # and the region is degenerate; q = 0 regions are the origin alone.
+    # The answer is the full rows': the region, and its constraints in
+    # order, each one's family, weights and half-plane, which with the
+    # weights is its value.  Each family's kept rows alone carve its full
+    # rows' region too
     if kind == "moderate":
         q = max(q, 1)  # the moderate construction needs a layer
     spec = GRID_KINDS[kind](random.Random(seed), q)
@@ -341,3 +342,26 @@ def test_grid_mode_answers_as_the_full_grid_rows(kind, q, seed, steps):
         full_rows, kept_rows = ([row for row, (family, *_) in zip(r.rows, r._tags)
                                  if family == tag] for r in (rows, kept))
         assert intersect(kept_rows, rows.den) == intersect(full_rows, rows.den), tag
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(sorted(GRID_KINDS)), q=st.integers(0, 5),
+       seed=st.integers(0, 2 ** 32), steps=st.integers(1, 40),
+       mute_1=st.booleans(), mute_2=st.booleans())
+def test_a_region_is_degenerate_exactly_when_a_direct_link_is_always_0(
+        kind, q, seed, steps, mute_1, mute_2):
+    # grid_rows prunes only when both E[N11] and E[N22] are positive, on the
+    # rule that only then has a bound region 3 or more vertices; otherwise
+    # it keeps every row, all of which the degenerate region reports
+    if kind == "moderate":
+        q = max(q, 1)  # the moderate construction needs a layer
+    n11, n12, n21, n22 = GRID_KINDS[kind](random.Random(seed), q).links().values()
+    zero = FadingPmf.point(0, q)
+    spec = ChannelSpec(n11=zero if mute_1 else n11, n12=n12, n21=n21,
+                       n22=zero if mute_2 else n22)
+    degenerate = expect(spec.n11) * expect(spec.n22) == 0
+    full, pruned = grid_rows(spec, steps), grid_rows(spec, steps, prune=True)
+    for rows in (outer_rows(spec), full, pruned):
+        assert (len(intersect(rows.rows, rows.den).vertices) < 3) == degenerate
+    if degenerate:
+        assert pruned.rows == full.rows

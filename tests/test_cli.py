@@ -12,7 +12,8 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from layercap import ChannelSpec, FadingPmf, HalfPlane, RegionPolytope, outer_region
+from layercap import (ChannelSpec, FadingPmf, HalfPlane, RegionPolytope, outer_region,
+                      swap_users)
 from layercap.cli import ChannelSpecFile, SpecFileError, main
 from layercap.corpus import random_moderate_spec
 import layercap.bounds as bounds
@@ -415,24 +416,27 @@ def test_region_grid_mode_at_the_default_steps_is_pinned(tmp_path, capsys):
 
 
 def test_region_grid_mode_on_a_degenerate_region_prints_the_full_rows_answer(
-        tmp_path, capsys, monkeypatch):
-    # N11 = 0 pins R1 to 0, and a degenerate region reports every row
-    # through a vertex: 18 grid rows, of which the pruned rows hold 3, so
-    # grid mode intersects every row instead, and its bytes are the full
-    # rows'
-    spec = ChannelSpec(FadingPmf([1, 0]), FadingPmf([F(1, 2), F(1, 2)]),
+        tmp_path, capsys):
+    # N11 = 0 pins R1 to 0, its mirror N22 = 0 pins R2, and both at 0 leave
+    # the origin alone.  Each region reports every grid row through a
+    # vertex, rows that pruning would leave out, so grid mode builds every
+    # grid row for it, read off the spec
+    flat = ChannelSpec(FadingPmf([1, 0]), FadingPmf([F(1, 2), F(1, 2)]),
                        FadingPmf([F(3, 5), F(2, 5)]), FadingPmf([F(2, 7), F(5, 7)]))
-    pruned = bounds.grid_rows(spec, 16, prune=True)
-    assert len(bounds.intersect(pruned.rows, pruned.den).vertices) < 3
-    argv = ["region", "--spec", write(tmp_path, "flat.json", spec_json(spec, False)),
-            "--mode", "grid", "--grid-steps", "16"]
-    assert main(argv) == 0
-    out = capsys.readouterr().out
-    monkeypatch.setattr(cli, "grid_rows",
-                        lambda spec, steps, prune=False: bounds.grid_rows(spec, steps))
-    assert main(argv) == 0
-    assert out == capsys.readouterr().out
-    assert len(json.loads(out)["constraints"]) == 18
+    both = ChannelSpec(flat.n11, flat.n12, flat.n21, FadingPmf([1, 0]))
+    for spec, reported in ((flat, 18), (swap_users(flat), 18), (both, 2)):
+        argv = ["region", "--spec", write(tmp_path, "flat.json", spec_json(spec, False)),
+                "--mode", "grid", "--grid-steps", "16"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        rows = bounds.grid_rows(spec, 16)
+        full = bounds.intersect(rows.rows, rows.den)
+        assert len(full.vertices) < 3
+        active = [cli._constraint_entry(b) for b in bounds.active_bounds(rows, full)]
+        vertices = [[str(r1), str(r2)] for r1, r2 in full.vertices]
+        assert out == cli.render_json({**json.loads(out), "vertices": vertices,
+                                       "constraints": active})
+        assert len(active) == reported
 
 
 def test_byte_identical_outputs(tmp_path):
