@@ -159,14 +159,10 @@ class WeightedBound:
             raise ValueError(f"bound value must be nonnegative, got {self.value}")
 
     def halfplane(self) -> HalfPlane:
-        """The bound's reduced half-plane, built on the first call only."""
-        plane = self.__dict__.get("_halfplane")
-        if plane is None:
-            own, cross = 1 + (self.mu or 0), self.omega
-            mirror = self.family[0] == "2"
-            plane = HalfPlane(*((cross, own) if mirror else (own, cross)), self.value)
-            object.__setattr__(self, "_halfplane", plane)
-        return plane
+        """The bound's reduced half-plane."""
+        own, cross = 1 + (self.mu or 0), self.omega
+        mirror = self.family[0] == "2"
+        return HalfPlane(*((cross, own) if mirror else (own, cross)), self.value)
 
 
 class _Sweep:

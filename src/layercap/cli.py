@@ -225,23 +225,23 @@ def _constraint_entry(bound: WeightedBound) -> dict:
     }
 
 
-def region_document(
-    spec_file: ChannelSpecFile, mode: str, grid_steps: int
-) -> tuple[dict, RegionPolytope]:
-    """The region's JSON document, and the region itself for csv/svg rendering."""
-    spec = spec_file.spec
-    # the bounds stay integer rows; only the active ones become WeightedBounds
-    bounds = grid_rows(spec, grid_steps, prune=True) if mode == "grid" else outer_rows(spec)
-    region = intersect(bounds.rows, bounds.den)
-    active = active_bounds(bounds, region)
-    doc = {
+def _region(spec: ChannelSpec, mode: str, grid_steps: int) -> tuple:
+    """The mode's BoundRows and the region they intersect to."""
+    rows = grid_rows(spec, grid_steps, prune=True) if mode == "grid" else outer_rows(spec)
+    return rows, intersect(rows.rows, rows.den)
+
+
+def region_document(spec_file: ChannelSpecFile, mode: str, grid_steps: int) -> dict:
+    """The region's JSON document: its vertices and active constraints.  The
+    rows stay integers; only the active ones become WeightedBounds."""
+    rows, region = _region(spec_file.spec, mode, grid_steps)
+    return {
         "label": spec_file.label,
         "q": spec_file.q,
         "mode": mode,
         "vertices": [[str(r1), str(r2)] for r1, r2 in region.vertices],
-        "constraints": [_constraint_entry(b) for b in active],
+        "constraints": [_constraint_entry(b) for b in active_bounds(rows, region)],
     }
-    return doc, region
 
 
 def classify_document(spec_file: ChannelSpecFile) -> dict:
@@ -393,13 +393,12 @@ def _emit(text: str, out) -> int:
 
 def cmd_region(args) -> int:
     spec_file = load_spec_file(args.spec)
-    doc, region = region_document(spec_file, args.mode, args.grid_steps)
     if args.format == "json":
-        text = render_json(doc)
-    elif args.format == "csv":
-        text = render_csv(region)
+        text = render_json(region_document(spec_file, args.mode, args.grid_steps))
     else:
-        text = render_svg(spec_file, region)
+        # csv and svg print the region alone: no constraint is selected
+        _, region = _region(spec_file.spec, args.mode, args.grid_steps)
+        text = render_csv(region) if args.format == "csv" else render_svg(spec_file, region)
     return _emit(text, args.out)
 
 

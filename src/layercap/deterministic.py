@@ -2,9 +2,10 @@
 
 With every link fixed to a constant number of surviving layers the channel
 is the classic deterministic interference channel, whose capacity region is
-a six-constraint polytope in closed form.  The weighted-bound machinery must
-reproduce that polytope exactly when fed point-mass pmfs; verify_recovery
-checks it constraint by constraint and as a full region.
+a closed-form polytope of seven half-planes: two rate caps, three sum-rate
+bounds and two 2:1 bounds.  The weighted-bound machinery must reproduce that
+polytope exactly when fed point-mass pmfs; verify_recovery checks it
+constraint by constraint and as a full region.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ def _constraints(ch: DetChannel):
 
 
 def det_region(ch: DetChannel) -> RegionPolytope:
-    """The deterministic capacity region: rate caps, three sum bounds, two 2:1 bounds."""
+    """The deterministic capacity region: two rate caps, three sum bounds, two 2:1 bounds."""
     sum_b, sum_c, sum_d, two_one, one_two = _constraints(ch)
     return intersect([
         HalfPlane(1, 0, ch.n11),

@@ -22,6 +22,7 @@ from layercap import (
     expect,
     family_region,
     intersect,
+    layer_coefficients,
     moderate_bounds,
     outer_region,
     swap_users,
@@ -332,10 +333,10 @@ def test_grid_mode_answers_as_the_full_grid_rows(kind, q, seed, steps):
     if kind == "moderate":
         q = max(q, 1)  # the moderate construction needs a layer
     spec = GRID_KINDS[kind](random.Random(seed), q)
-    doc, region = cli.region_document(cli.ChannelSpecFile(q, kind, spec), "grid", steps)
+    doc = cli.region_document(cli.ChannelSpecFile(q, kind, spec), "grid", steps)
     rows = grid_rows(spec, steps)
     full = intersect(rows.rows, rows.den)
-    assert region == full
+    assert doc["vertices"] == [[str(r1), str(r2)] for r1, r2 in full.vertices]
     assert doc["constraints"] == [cli._constraint_entry(b) for b in active_bounds(rows, full)]
     kept = grid_rows(spec, steps, prune=True)
     for tag in FAMILIES:
@@ -365,3 +366,43 @@ def test_a_region_is_degenerate_exactly_when_a_direct_link_is_always_0(
         assert (len(intersect(rows.rows, rows.den).vertices) < 3) == degenerate
     if degenerate:
         assert pruned.rows == full.rows
+
+
+def _support_breaks(region, user) -> set:
+    """The weights omega in (0, 1) at which two adjacent vertices of region
+    tie in user's a/b direction, (1, omega) for user 1 and (omega, 1) for
+    user 2: between two of them the region's support is affine in omega."""
+    verts = region.vertices
+    out = set()
+    for (x1, y1), (x2, y2) in zip(verts, verts[1:] + verts[:1]):
+        own, peer = (x1 - x2, y1 - y2) if user == 1 else (y1 - y2, x1 - x2)
+        # tie: own + omega*peer = 0
+        if peer and 0 < -own / peer < 1:
+            out.add(-own / peer)
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(kind=st.sampled_from(sorted(GRID_KINDS)), q=st.integers(0, 9),
+       seed=st.integers(0, 2 ** 32))
+def test_ab_family_regions_hold_at_every_weight(kind, q, seed):
+    # the a- and b-family bounds are affine in omega between their kinks
+    # alpha/beta and alpha/gamma, read here off the coefficients, and the
+    # support of P = family_region between the weights where two adjacent
+    # vertices tie.  So support - bound is affine between those points and
+    # the ends 0 and 1, and support <= bound there, checked exactly, holds at
+    # every omega in [0, 1]: P lies inside the family's continuum of
+    # half-planes
+    if kind == "moderate":
+        q = max(q, 1)  # the moderate construction needs a layer
+    spec = GRID_KINDS[kind](random.Random(seed), q)
+    co = layer_coefficients(spec)
+    for user in (1, 2):
+        alpha = getattr(co, f"alpha{user}")
+        for family, bound, slope in (("a", bound_a, getattr(co, f"beta{user}")),
+                                     ("b", bound_b, getattr(co, f"gamma{user}"))):
+            region = family_region(spec, user, family)
+            kinks = {a / g for a, g in zip(alpha, slope) if 0 < a < g}
+            for omega in {F(0), F(1)} | kinks | _support_breaks(region, user):
+                w = (1, omega) if user == 1 else (omega, 1)
+                assert region.support(*w) <= bound(spec, user, omega), (user, family, omega)

@@ -230,8 +230,38 @@ def test_each_reported_constraint_builds_one_halfplane(monkeypatch, mode):
 
     monkeypatch.setattr(bounds, "HalfPlane", Counted)
     spec = random_moderate_spec(random.Random(5), 4)
-    doc, _ = cli.region_document(ChannelSpecFile.parse(spec_json(spec, False)), mode, 8)
+    doc = cli.region_document(ChannelSpecFile.parse(spec_json(spec, False)), mode, 8)
     assert len(built) == len(doc["constraints"]) > 0
+
+
+@pytest.mark.parametrize("mode", ["exact", "grid"])
+def test_only_json_output_selects_active_constraints(tmp_path, capsys, monkeypatch, mode):
+    # csv and svg print the region alone: with active_bounds refusing every
+    # call they print the same bytes, and json calls it exactly once
+    path = write(tmp_path, "weak.json", WEAK_SPEC)
+    argv = ["region", "--spec", path, "--mode", mode, "--grid-steps", "16", "--format"]
+    expected = {}
+    for fmt in ("json", "csv", "svg"):
+        assert main(argv + [fmt]) == 0
+        expected[fmt] = capsys.readouterr().out
+
+    def refuse(*args):
+        raise AssertionError("active constraints selected for csv or svg output")
+
+    monkeypatch.setattr(cli, "active_bounds", refuse)
+    for fmt in ("csv", "svg"):
+        assert main(argv + [fmt]) == 0
+        assert capsys.readouterr().out == expected[fmt]
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return bounds.active_bounds(*args)
+
+    monkeypatch.setattr(cli, "active_bounds", counted)
+    assert main(argv + ["json"]) == 0
+    assert capsys.readouterr().out == expected["json"]
+    assert len(calls) == 1
 
 
 def _two_mass_spec(x: Fraction) -> ChannelSpec:
