@@ -11,23 +11,26 @@ runs.
 
 Intersection works in the polar dual: a plane with c > 0 is the point
 (a/c, b/c), and the region's non-redundant planes are the hull chain of
-those points between the two axes.  The hull is scanned on integer triples
-(a, b, c), a HalfPlane's reduced ones or a Row as the bounds module emits
-it, unreduced and over the bounds' common denominator den (the plane
-a*R1 + b*R2 <= c/den), with a 3x3 integer determinant as orientation
-test, in O(P log P) for P planes; one positive scale for every row leaves
-each orientation's sign, so den enters only the vertices.  On operands of
-_FILTER_BITS or more the float orientation of the dual points decides
-first; float keys and dual points read a and b times one power of two near
-den, which keeps their order and signs.  The presort is ratio_order: a
-correctly rounded float key, with runs of equal keys settled by
-cross-multiplying.  Neighbours on the chain cross at the vertices in
-counterclockwise order, one Fraction num/(det*den) per coordinate, taken
-as (num/det)/den where det divides num, as for the rows of one bound piece
-crossing at its apex.  RegionPolytope checks that order instead of hulling
-again, with the same filtered orientation test.  The chain also names the
-planes along the region's edges; the region records them and den, and
-active_planes reads them back.
+those points between the two axes.  One scan finds that chain on integer
+triples (a, b, c), a HalfPlane's reduced ones or a Row as the bounds
+module emits it, unreduced and over the bounds' common denominator den
+(the plane a*R1 + b*R2 <= c/den), in O(P log P) for P planes.  Its
+orientation test, chosen once per call, is a 3x3 integer determinant, or
+on operands of _FILTER_BITS or more the float orientation of the dual
+points, with the determinant where that sign is not certified; one
+positive scale for every row leaves each orientation's sign, so den
+enters only the vertices.  Float keys and dual points read a and b times
+one power of two near den, which keeps their order and signs.  The
+presort is ratio_order: a correctly rounded float key, with runs of equal
+keys settled by cross-multiplying, and the scan cross-multiplies two rows
+for one direction only where their keys are equal.  Neighbours on the
+chain cross at the vertices in counterclockwise order, one Fraction
+num/(det*den) per coordinate, taken as (num/det)/den where det divides
+num, as for the rows of one bound piece crossing at its apex.
+RegionPolytope checks that order instead of hulling again, with the float
+orientation test and the exact one where that is not certified.  The
+chain also names the planes along the region's edges; the region records
+them and den, and active_planes reads them back.
 """
 
 from __future__ import annotations
@@ -294,84 +297,72 @@ def _axis_cap(rows, axis, shift=0) -> list:
     return [ids[k] for k in order if pairs[ids[k]][0] * c == x * pairs[ids[k]][1]]
 
 
-# intersect scans with _filtered_chain when the larger of the two caps' c has
-# at least this many bits, a test made once per call that leaves the rows of
-# smaller operands to _chain as they were.  On seed-0 and seed-3 inputs the
-# caps' c have 274-4,735 bits on moderate specs at q 3-7 (exact_bignum), at
-# most 44 on exact_deep and at most 20 on grid_dense.  With the latter two's
-# rows rescaled per row by random factors (Python 3.11, 2-core VM), the
-# filtered scan took 1.01x and 1.03x the exact scan's time on grid_dense
-# rows at 61 and 110 cap bits, and 0.91x and 0.86x at 158 and 206; on
-# exact_deep rows it took 0.88-0.95x from 65 bits.  exact_bignum's own row
-# sets took 0.37-0.46x, and 0.40-0.49x as rows over D (60 seed-1 specs)
+# the scan's orientation test is _orient, with the exact test where the
+# float sign is not certified, when the larger of the two caps' c has at
+# least this many bits, a test made once per call; on smaller operands it
+# is the exact test alone.  On seed-0 and seed-3 inputs the caps' c have
+# 274-4,735 bits on moderate specs at q 3-7 (exact_bignum), at most 44 on
+# exact_deep and at most 20 on grid_dense.  With the latter two's rows
+# rescaled per row by random factors (Python 3.11, 2-core VM), the float
+# test took 1.01x and 1.03x the exact test's time on grid_dense rows at 61
+# and 110 cap bits, and 0.91x and 0.86x at 158 and 206; on exact_deep rows
+# it took 0.88-0.95x from 65 bits.  exact_bignum's own row sets took
+# 0.37-0.46x, and 0.40-0.49x as rows over D (60 seed-1 specs)
 _FILTER_BITS = 160
 
 
-def _chain(rows, order, first, last) -> list:
+def _chain(rows, order, keys, first, last, shift) -> list:
     # the chain from the cap first = (A, 0, C) to the cap last = (0, B, C),
     # left unreduced: the orientation test and Cramer's rule are both blind
     # to a positive scale.  A row on an axis lies inside the caps, so only
-    # the others are scanned.  Entries are (row, index, cross product of the
-    # previous row and this one)
-    chain = [(first, None, None)]
+    # the others are scanned.  Two rows with different ratio_order keys
+    # b/(a+b) have different directions, so only equal keys are
+    # cross-multiplied.  push pops the chain while it does not turn strictly
+    # left, and the gate picks its orientation test.  Entries are (row,
+    # index, ...) as the test reads them
+    if max(first[2], last[2]).bit_length() < _FILTER_BITS:
+        # the exact test: the orientation of chain[-2], chain[-1] and row,
+        # the sign of their 3x3 determinant, is row's dot product with the
+        # cross product of the first two, taken when chain[-1] is pushed.
+        # Entries are (row, index, that cross product)
+        chain = [(first, None, None)]
 
-    def push(row, i):
-        # the orientation of chain[-2], chain[-1] and row, the sign of
-        # their 3x3 determinant, is row's dot product with that cross
-        a, b, c = row
-        while len(chain) >= 2:
-            x, y, z = chain[-1][2]
-            if x * a + y * b + z * c > 0:
-                break
-            chain.pop()
-        u, v, w = chain[-1][0]
-        chain.append((row, i, (v * c - w * b, w * a - u * c, u * b - v * a)))
+        def push(row, i):
+            a, b, c = row
+            while len(chain) >= 2:
+                x, y, z = chain[-1][2]
+                if x * a + y * b + z * c > 0:
+                    break
+                chain.pop()
+            u, v, w = chain[-1][0]
+            chain.append((row, i, (v * c - w * b, w * a - u * c, u * b - v * a)))
+    else:
+        # floats first.  Every row has c > 0, so the determinant's sign is
+        # c1*c2*c3 times orient2d of the dual points (a/c, b/c): _orient
+        # decides it when it can certify it, on the points times 2**shift as
+        # in _axis_cap, one positive factor for every row, and the cross
+        # product for the exact test is computed only when needed.  Entries
+        # are [row, index, dual point, cross product or None]
+        chain = [[first, None, (_ratio(first[0] << shift, first[2]), 0.0), None]]
 
-    for i in order:
-        row = a, b, c = rows[i]
-        if not (a and b):
-            continue
-        u, v, w = chain[-1][0]
-        if a * v == b * u:
-            # the direction of the last chain row, which is the tightest
-            # of it so far: keep the tighter row, the first if identical
-            if c * u >= w * a:
-                continue
-            chain.pop()
-        push(row, i)
-    push(last, None)
-    return chain
+        def push(row, i):
+            a, b, c = row
+            point = (_ratio(a << shift, c), _ratio(b << shift, c))
+            while len(chain) >= 2:
+                before, top = chain[-2], chain[-1]
+                turn = _orient(before[2], top[2], point)
+                if not turn:
+                    if top[3] is None:
+                        (u, v, w), (x, y, z) = before[0], top[0]
+                        top[3] = (v * z - w * y, w * x - u * z, u * y - v * x)
+                    x, y, z = top[3]
+                    turn = x * a + y * b + z * c
+                if turn > 0:
+                    break
+                chain.pop()
+            chain.append([row, i, point, None])
 
-
-def _filtered_chain(rows, order, keys, first, last, shift) -> list:
-    # _chain with floats deciding first.  Every row has c > 0, so the sign
-    # of three rows' determinant is c1*c2*c3 times orient2d of their dual
-    # points (a/c, b/c): _orient decides it when it can certify it, and
-    # the cross product for the exact test is computed only when needed.
-    # The dual points are taken times 2**shift, as in _axis_cap: one
-    # positive factor keeps every orientation's sign.
-    # Two rows with different ratio_order keys b/(a+b) have different
-    # directions, so only equal keys are cross-multiplied.  Entries are
-    # [row, index, dual point, cross product or None]
-    chain = [[first, None, (_ratio(first[0] << shift, first[2]), 0.0), None]]
-
-    def push(row, i, point):
-        a, b, c = row
-        while len(chain) >= 2:
-            before, top = chain[-2], chain[-1]
-            turn = _orient(before[2], top[2], point)
-            if not turn:
-                if top[3] is None:
-                    (u, v, w), (x, y, z) = before[0], top[0]
-                    top[3] = (v * z - w * y, w * x - u * z, u * y - v * x)
-                x, y, z = top[3]
-                turn = x * a + y * b + z * c
-            if turn > 0:
-                break
-            chain.pop()
-        chain.append([row, i, point, None])
-
-    top_key = 0.0  # the key b/(a+b) of first, whose b is 0
+    top_key = 0.0  # the key of first, whose b is 0
     for i in order:
         row = a, b, c = rows[i]
         if not (a and b):
@@ -379,12 +370,14 @@ def _filtered_chain(rows, order, keys, first, last, shift) -> list:
         if keys[i] == top_key:
             u, v, w = chain[-1][0]
             if a * v == b * u:
+                # the direction of the last chain row, which is the tightest
+                # of it so far: keep the tighter row, the first if identical
                 if c * u >= w * a:
                     continue
                 chain.pop()
-        push(row, i, (_ratio(a << shift, c), _ratio(b << shift, c)))
+        push(row, i)
         top_key = keys[i]
-    push(last, None, (0.0, _ratio(last[1] << shift, last[2])))
+    push(last, None)
     return chain
 
 
@@ -405,9 +398,9 @@ def intersect(planes, den=1) -> RegionPolytope:
     0, which leaves a segment on an axis or the origin.  The vertex tuple is
     the origin, the R1-axis point, the crossings of neighbours on the dual
     hull chain and the R2-axis point, less repeats.  When the caps' c reach
-    _FILTER_BITS bits the scan is _filtered_chain, whose float orientation
-    tests fall back to the integers unless certified; both scans give the
-    same chain, so the result does not depend on the gate.
+    _FILTER_BITS bits the scan's orientation tests are float ones that fall
+    back to the integers unless certified, and below that integer ones; both
+    give the same chain, so the result does not depend on the gate.
 
     The region records for active_planes den and the planes that carry an
     edge or, when a pinned rate leaves fewer than 3 vertices, touch a
@@ -428,10 +421,7 @@ def intersect(planes, den=1) -> RegionPolytope:
     points = [(zero, zero), (Fraction(c1, a1 * den), zero)]
     if c1 and c2:  # no rate pinned, so every row has c > 0
         order, keys = ratio_order([(b, a) for a, b, _ in rows])
-        if max(c1, c2).bit_length() < _FILTER_BITS:
-            chain = _chain(rows, order, (a1, 0, c1), (0, b2, c2))
-        else:
-            chain = _filtered_chain(rows, order, keys, (a1, 0, c1), (0, b2, c2), shift)
+        chain = _chain(rows, order, keys, (a1, 0, c1), (0, b2, c2), shift)
         # each neighbour pair's crossing, by Cramer's rule
         for (a, b, c), (u, v, w) in pairwise(entry[0] for entry in chain):
             det = a * v - u * b

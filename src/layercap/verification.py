@@ -156,8 +156,6 @@ def _check_weak_spec(spec: ChannelSpec) -> list:
         except RuntimeError as exc:
             problems.append(str(exc))
             continue
-        if alloc.corner[1] > cap2:
-            problems.append(f"corner at weight {omega_a} exceeds the user-2 rate cap")
         if not b_regions[1].contains(alloc.corner):
             problems.append(f"corner at weight {omega_a} escapes the b-region")
         if mirrored.corner[0] < cap2:

@@ -78,7 +78,8 @@ def test_criterion_2_strong_equals_compound_mac(capsys):
 def test_criterion_3_weak_regime_battery(capsys):
     # inclusions, sum capacity, noise-tolerant point on both boundaries,
     # and the corner allocations (own-rate floor on the mirrored corner,
-    # peer-rate ceiling on the direct corner) at every critical weight
+    # and weak_corner's own checks, the peer-rate ceiling on the direct
+    # corner among them) at every critical weight
     t0 = time.time()
     result = verify_inclusions(count=100, seed=1003)
     banner(

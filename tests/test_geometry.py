@@ -521,11 +521,22 @@ def reference_intersect(rows):
     return tuple(vertices), tuple((i, rows[i]) for i in sorted(active))
 
 
+def scan_orient_calls(rows, den=1):
+    """(region, calls): intersect(rows, den) and the number of _orient calls
+    its scan made.  RegionPolytope's check makes the others, one per vertex
+    but the origin.  With the float test, a scan that pushes a slanted row
+    calls _orient at least once; with the exact test alone, never."""
+    with mock.patch.object(geometry, "_orient", wraps=geometry._orient) as orient:
+        region = intersect(rows, den)
+    n = len(region.vertices)
+    return region, orient.call_count - (n - 1 if n >= 3 else 0)
+
+
 def assert_filtered_scan_matches_the_reference(rows):
     rows = [Row(r) for r in rows]
-    # the exact scan would raise here, so the filtered one ran
-    with mock.patch.object(geometry, "_chain", side_effect=AssertionError("exact scan")):
-        region = intersect(rows)
+    region, calls = scan_orient_calls(rows)
+    # past the gate the float test decides first
+    assert calls > 0 or not any(a and b for a, b, _ in rows)
     assert (region.vertices, active_planes(region, len(rows))[1]) == reference_intersect(rows)
 
 
@@ -563,10 +574,36 @@ def test_small_operands_keep_the_exact_scan():
     rng = random.Random(5)
     tables = [grid_rows(random_spec(rng, q), 16) for q in (1, 2, 4)]
     tables += [outer_rows(random_spec(rng, q)) for q in (8, 12, 16)]
-    with mock.patch.object(geometry, "_filtered_chain",
-                           side_effect=AssertionError("filtered scan")):
-        for table in tables:
-            intersect(table.rows, table.den)
+    for table in tables:
+        assert scan_orient_calls(table.rows, table.den)[1] == 0
+
+
+@pytest.mark.parametrize("bits", [geometry._FILTER_BITS - 1, geometry._FILTER_BITS])
+def test_the_caps_pick_the_orientation_test(bits):
+    # the caps' c have `bits` bits; the slanted rows' c have more, which
+    # does not move the gate
+    c = 1 << (bits - 1)
+    rows = [Row(r) for r in [(1, 0, c), (0, 1, c), (1, 1, 3 * c), (2, 2, 3 * c), (1, 2, 1 << 300)]]
+    region, calls = scan_orient_calls(rows)
+    assert (calls > 0) == (bits >= geometry._FILTER_BITS)
+    assert (region.vertices, active_planes(region, len(rows))[1]) == reference_intersect(rows)
+
+
+def test_colliding_keys_below_the_gate_are_cross_multiplied():
+    # (s, 1, 2s) and (s + 1, 1, 2s + 1) have different directions, yet their
+    # keys 1/(s + 1) and 1/(s + 2) both round to 2**-60; both carry an edge,
+    # crossing at (1, s).  Each has an identical row or a multiple of itself
+    # later in the order, and (1, 1, 3s) is followed by a tighter row of its
+    # direction
+    s = 1 << 60
+    assert ratio_order([(1, s), (1, s + 1)])[1] == [2.0 ** -60] * 2
+    rows = [(s, 1, 2 * s), (s + 1, 1, 2 * s + 1), (1, 0, 3), (0, 1, 4 * s), (s, 1, 2 * s),
+            (2 * s, 2, 4 * s + 1), (3 * s + 3, 3, 6 * s + 3), (1, 1, 3 * s), (2, 2, 6 * s - 1)]
+    region, calls = scan_orient_calls([Row(r) for r in rows])
+    assert calls == 0
+    assert (F(1), F(s)) in region.vertices
+    assert set(region.vertices) == brute_vertices([HalfPlane(*r) for r in rows])
+    assert (region.vertices, active_planes(region, len(rows))[1]) == reference_intersect(rows)
 
 
 # -- rows over a common denominator ---------------------------------------------------
@@ -621,12 +658,11 @@ def test_rows_over_den_equal_the_rows_times_den(drawn):
 
 
 def test_rows_over_den_match_the_halfplanes_on_a_q9_moderate_spec():
-    # caps of thousands of bits: the filtered scan runs on rows over D
+    # caps of thousands of bits: the float test decides on rows over D
     spec = random_moderate_spec(random.Random(7), 9)
     table, bounds = outer_rows(spec), outer_halfplanes(spec)
-    with mock.patch.object(geometry, "_filtered_chain", wraps=geometry._filtered_chain) as scan:
-        region = intersect(table.rows, table.den)
-    assert scan.called
+    region, calls = scan_orient_calls(table.rows, table.den)
+    assert calls > 0
     reference = intersect([wb.halfplane() for wb in bounds])
     assert region.vertices == reference.vertices
     assert active_bounds(table, region) == reference_active_bounds(bounds, reference)

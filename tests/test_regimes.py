@@ -23,6 +23,7 @@ from layercap import (
     weak_region,
     weak_sum_capacity,
 )
+from layercap import regimes
 from layercap.corpus import (
     examples,
     mixed_example,
@@ -32,6 +33,7 @@ from layercap.corpus import (
     random_weak_spec,
     symmetric_bernoulli,
 )
+from layercap.verification import verify_inclusions
 from strategies import specs
 
 F = Fraction
@@ -176,6 +178,46 @@ def test_weak_corner_tightness_randomized():
                 range(1, spec.q + 1)
             )
             assert not alloc.private_layers & alloc.common_layers
+
+
+def _tightness_fails(real):
+    return lambda spec, user, omega: real(spec, user, omega) + 1
+
+
+def _cap_is_negative(real):
+    # user 2's interference-as-noise rate E[(N22-N12)^+] reads -1
+    return lambda hi, lo: F(-1) if (hi, lo) == (WEAK1.n22, WEAK1.n12) else real(hi, lo)
+
+
+def _bound_drops_off_the_weight(real):
+    # the bound is 1 lower at every weight but the corner's own
+    return lambda spec, user, omega: real(spec, user, omega) - (omega != F(1, 10))
+
+
+@pytest.mark.parametrize("name, fake, message", [
+    ("bound_b", _tightness_fails, "corner allocation failed its tightness identity"),
+    ("expect_pos_diff", _cap_is_negative,
+     "corner allocation exceeds the interference-as-noise rate"),
+    ("bound_b", _bound_drops_off_the_weight, "zero-weight corner left the b-region"),
+], ids=["tightness", "interference-as-noise", "zero-weight"])
+def test_weak_corner_self_checks_fire(monkeypatch, name, fake, message):
+    # each fake breaks one of weak_corner's three checks and leaves the
+    # checks before it passing
+    monkeypatch.setattr(regimes, name, fake(getattr(regimes, name)))
+    with pytest.raises(RuntimeError, match=message):
+        weak_corner(WEAK1, F(1, 10))
+
+
+def test_inclusions_suite_reports_a_failed_corner_check(monkeypatch):
+    # the tightness identity fails at every weight in (0, 1) and holds at 1;
+    # the suite records the error weak_corner raises
+    real = regimes.bound_b
+    monkeypatch.setattr(regimes, "bound_b",
+                        lambda spec, user, omega: real(spec, user, omega) + (0 < omega < 1))
+    result = verify_inclusions(count=5)
+    assert not result.ok
+    assert any(line.endswith(": corner allocation failed its tightness identity")
+               for line in result.lines[1:])
 
 
 def test_weak_corner_rejects_bad_arguments():
