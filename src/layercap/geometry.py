@@ -75,14 +75,6 @@ class HalfPlane:
         g = gcd(a, b, c)
         self.a, self.b, self.c = a // g, b // g, c // g
 
-    def holds(self, point) -> bool:
-        x, y = point
-        return self.a * x + self.b * y <= self.c
-
-    def tight(self, point) -> bool:
-        x, y = point
-        return self.a * x + self.b * y == self.c
-
     def __eq__(self, other):
         if not isinstance(other, HalfPlane):
             return NotImplemented

@@ -13,8 +13,7 @@ uniform double to reach that value, so the histogram is that of the doubles
 without converting a word.  The coupling check verifies, analytically, the
 quantile-coupling identities that tie the difference-level variables
 together.  Its verdict, coupling_holds, reads only the integer views of two
-link pairs, so a batch of channels can share the views of its pairs;
-Fractions are built only for a report's entries when they are read.  Only
+link pairs, so a batch of channels can share the views of its pairs.  Only
 _cell_counts and mc_estimate_stats import numpy, so the exact suites, which
 import this module too, do not pay for it.
 """
@@ -24,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import NamedTuple
 
 from .channel import (
@@ -196,114 +194,55 @@ def prob_sandwich(low: FadingPmf, high: FadingPmf, l: int) -> Fraction:
     return gap if gap > 0 else Fraction(0)
 
 
-@dataclass(frozen=True)
-class CouplingEntry:
-    l: int
-    lhs_gamma: Fraction
-    rhs_gamma: Fraction
-    lhs_alpha: Fraction
-    rhs_alpha: Fraction
-
-    @property
-    def ok(self) -> bool:
-        return self.lhs_gamma == self.rhs_gamma and self.lhs_alpha == self.rhs_alpha
-
-
 class _PairView(NamedTuple):
     """What the coupling identities read of one link pair (x, y).
 
     tails[l-1] and diff_tails[l-1] are P((N_x - N_y)^+ >= l), once from the
     mass convolution of pos_diff_pmf and once from _diff_tails, as integer
-    numerators over den; alphas[l-1] is the pair (P(L < l <= N_x), alpha(l))
-    for L = (N_x - N_y)^+, and alpha_ok says the two agree at every layer;
-    dominated says L <= N_x under the coupling.
+    numerators over den; alpha_ok says P(L < l <= N_x) equals alpha(l) at
+    every layer, for L = (N_x - N_y)^+; dominated says L <= N_x under the
+    coupling.
     """
 
     den: int
     tails: tuple
     diff_tails: tuple
-    alphas: tuple
     alpha_ok: bool
     dominated: bool
 
 
-@lru_cache(maxsize=4096)
 def _pair_view(x: FadingPmf, y: FadingPmf) -> _PairView:
     pos = pos_diff_pmf(x, y)
     nums = _diff_tails(x, y)
     dxy = x._den * y._den
     den = math.lcm(pos._den, dxy)
-    alphas = tuple((prob_sandwich(pos, x, l), tail(x, l) - diff_tail(x, y, l))
-                   for l in range(1, x.q + 1))
     return _PairView(
         den=den,
         tails=tuple(t * (den // pos._den) for t in pos._int_tails[1:-1]),
         diff_tails=tuple(n * (den // dxy) for n in nums),
-        alphas=alphas,
-        alpha_ok=all(lhs == rhs for lhs, rhs in alphas),
+        alpha_ok=all(prob_sandwich(pos, x, l) == tail(x, l) - diff_tail(x, y, l)
+                     for l in range(1, x.q + 1)),
         dominated=dominates(x, pos),
     )
 
 
-class CouplingReport(NamedTuple):
-    """coupling_check's verdict on one channel, from the pair views of
-    A = (n21, n11) and B = (n22, n12).
-
-    ok and order_ok are decided on the views' integers when the report is
-    made; entries, the Fraction values of both identities layer by layer,
-    are built from the same integers on each read.
-    """
-
-    ok: bool
-    order_ok: bool
-    view_a: _PairView
-    view_b: _PairView
-
-    @property
-    def entries(self) -> tuple:
-        a, b = self.view_a, self.view_b
-        den = a.den * b.den
-        return tuple(
-            CouplingEntry(l, Fraction(max(tb * a.den - ta * b.den, 0), den),
-                          Fraction(max(ub * a.den - ua * b.den, 0), den), *alpha)
-            for l, (ta, tb, ua, ub, alpha) in enumerate(
-                zip(a.tails, b.tails, a.diff_tails, b.diff_tails, a.alphas), 1)
-        )
-
-
 def coupling_holds(a: _PairView, b: _PairView) -> bool:
     """The coupling verdict on a channel with pair views A = (n21, n11) and
-    B = (n22, n12): L <= N21 pointwise, the alpha identity at every layer,
-    and the gamma identity at every layer.
+    B = (n22, n12).
 
-    P(L < l <= M) = [P(M >= l) - P(L >= l)]^+, so both sides of the gamma
-    identity are integer differences over the product of the views'
-    denominators, compared as integers.
+    With M = (N22-N12)^+, L = (N21-N11)^+ and N21 itself coupled through one
+    uniform draw, the coupling must keep L <= N21 pointwise, and at every
+    layer P(L < l <= N21) must equal alpha1(l) and P(L < l <= M) the
+    clamped gamma numerator [P(N22 - N12 >= l) - P(N21 - N11 >= l)]^+; only
+    gamma reads B.  P(L < l <= M) = [P(M >= l) - P(L >= l)]^+, so both
+    sides of the gamma identity are integer differences over the product of
+    the views' denominators, compared as integers.
     """
     if not (a.dominated and a.alpha_ok):
         return False
     for ta, tb, ua, ub in zip(a.tails, b.tails, a.diff_tails, b.diff_tails):
         lhs, rhs = tb * a.den - ta * b.den, ub * a.den - ua * b.den
-        # max(lhs, 0) == max(rhs, 0), as CouplingReport.entries clamps them
+        # both sides are clamped at 0: max(lhs, 0) == max(rhs, 0)
         if lhs != rhs and (lhs > 0 or rhs > 0):
             return False
     return True
-
-
-def coupling_check(spec: ChannelSpec) -> CouplingReport:
-    """Verify the shared-uniform coupling identities exactly, layer by layer.
-
-    With M = (N22-N12)^+, L = (N21-N11)^+ and N21 itself coupled through one
-    uniform draw, the interval picture must reproduce the convolution-based
-    quantities: P(L < l <= M) equals the clamped gamma numerator and
-    P(L < l <= N21) equals alpha1(l); the coupling must also keep L <= N21
-    pointwise.
-
-    Everything but gamma depends on the pair A = (n21, n11) alone and is
-    decided once on its cached view; gamma also reads B = (n22, n12), which
-    gives M.  coupling_holds decides the verdict on the views' integers, and
-    no Fraction is made unless the report's entries are read.
-    """
-    a = _pair_view(spec.n21, spec.n11)
-    b = _pair_view(spec.n22, spec.n12)
-    return CouplingReport(coupling_holds(a, b), a.dominated, a, b)

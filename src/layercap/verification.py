@@ -160,8 +160,9 @@ def _check_weak_spec(spec: ChannelSpec) -> list:
             problems.append(f"corner at weight {omega_a} escapes the b-region")
         if mirrored.corner[0] < cap2:
             problems.append(f"mirrored corner at weight {omega_a} undercuts the user-2 rate cap")
-    if weak_corner(spec, 1).corner != tin:
-        problems.append("weight-1 corner is not the noise-tolerant point")
+        # the critical weights end at 1
+        if omega_a == 1 and alloc.corner != tin:
+            problems.append("weight-1 corner is not the noise-tolerant point")
     if weak_region(spec) != outer_region(spec):
         problems.append("b-region intersection differs from the full outer region")
     return problems

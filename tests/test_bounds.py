@@ -3,6 +3,7 @@
 import random
 import re
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -26,6 +27,7 @@ from layercap import (
     moderate_bounds,
     outer_region,
     swap_users,
+    tail,
 )
 from layercap.bounds import grid_bounds, grid_rows, outer_halfplanes, outer_rows
 from layercap.corpus import (
@@ -343,6 +345,43 @@ def test_grid_mode_answers_as_the_full_grid_rows(kind, q, seed, steps):
         full_rows, kept_rows = ([row for row, (family, *_) in zip(r.rows, r._tags)
                                  if family == tag] for r in (rows, kept))
         assert intersect(kept_rows, rows.den) == intersect(full_rows, rows.den), tag
+
+
+def steps_holding_every_critical_weight(spec) -> int:
+    """The lcm of the denominators of every ratio a critical weight is made
+    of, for both users: the omega kinks alpha/beta (family a) and
+    alpha/gamma (families b and c), and the c-family's mu kinks, the slopes
+    P(N12 >= l)/P(N11 >= l) at omega = 1 and each kink alpha/gamma times
+    each slope.  Read off the coefficients and tails, not the kernel, so a
+    grid at this many steps holds every critical weight whichever of these
+    the kernel keeps."""
+    co = layer_coefficients(spec)
+    ratios = []
+    for alpha, beta, gamma, own, peer in ((co.alpha1, co.beta1, co.gamma1, spec.n11, spec.n12),
+                                          (co.alpha2, co.beta2, co.gamma2, spec.n22, spec.n21)):
+        kinks = [a / g for a, g in zip(alpha, gamma) if g]
+        slopes = [tail(peer, l) / tail(own, l) for l in range(1, spec.q + 1) if tail(own, l)]
+        ratios += [a / b for a, b in zip(alpha, beta) if b] + kinks + slopes
+        ratios += [w * s for w in kinks for s in slopes]
+    return lcm(*(x.denominator for x in ratios))
+
+
+def test_grid_mode_is_exact_where_the_grid_holds_every_critical_weight():
+    # every grid bound is an outer bound, so the grid region holds the
+    # exact one; at a step count that is a multiple of every critical
+    # weight's denominator the critical rows are grid rows too, so the
+    # grid region is also inside the exact one.  With masses in halves
+    # every coefficient is a multiple of 1/4, so each ratio's denominator
+    # is one of 1, 2, 3, 4, 6 and 8, and the step count at most 24
+    rng = random.Random(8191)
+    for kind in ("random", "strong", "weak"):
+        for _ in range(100):
+            spec = GRID_KINDS[kind](rng, rng.randint(1, 3), 2)
+            steps = steps_holding_every_critical_weight(spec)
+            exact = outer_region(spec)
+            for prune in (False, True):
+                rows = grid_rows(spec, steps, prune)
+                assert intersect(rows.rows, rows.den) == exact, (spec, steps, prune)
 
 
 @settings(max_examples=200, deadline=None)

@@ -156,9 +156,9 @@ def test_vertices_satisfy_all_planes():
             HalfPlane(rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 9)),
         ]
         region = intersect(planes)
-        for v in region.vertices:
-            assert all(p.holds(v) for p in planes)
-            assert region.contains(v)
+        for x, y in region.vertices:
+            assert all(p.a * x + p.b * y <= p.c for p in planes)
+            assert region.contains((x, y))
 
 
 def test_support_pinned_and_properties():
@@ -267,9 +267,9 @@ def test_contains_matches_the_constraints(planes, x_steps, y_steps):
     dy = max(y for _, y in region.vertices) / y_steps or F(1)
     for i in range(-1, x_steps + 2):
         for j in range(-1, y_steps + 2):
-            p = (i * dx, j * dy)
-            expected = i >= 0 and j >= 0 and all(h.holds(p) for h in planes)
-            assert region.contains(p) == expected, p
+            x, y = i * dx, j * dy
+            expected = i >= 0 and j >= 0 and all(h.a * x + h.b * y <= h.c for h in planes)
+            assert region.contains((x, y)) == expected, (x, y)
 
 
 @settings(max_examples=300, deadline=None)
@@ -327,7 +327,7 @@ def tight_indices(planes, region):
         if plane in seen:
             continue
         seen.add(plane)
-        if sum(1 for v in region.vertices if plane.tight(v)) >= needed:
+        if sum(1 for x, y in region.vertices if plane.a * x + plane.b * y == plane.c) >= needed:
             out.append(i)
     return out
 

@@ -1,10 +1,12 @@
 """Monte Carlo estimators and the shared-uniform coupling."""
 
 import dataclasses
+import functools
 import itertools
 import math
 import random
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -14,9 +16,9 @@ from layercap import ChannelSpec, FadingPmf, diff_tail, pos_diff_pmf, tail
 from layercap.channel import dominates
 from layercap.corpus import examples, random_spec, symmetric_bernoulli
 from layercap.oracles import (
-    CouplingEntry,
     SimConfig,
-    coupling_check,
+    _PairView,
+    coupling_holds,
     exact_stats,
     mc_estimate_stats,
     prob_sandwich,
@@ -204,23 +206,39 @@ def test_montecarlo_suite_fails_on_a_changed_rerun(monkeypatch):
     assert sum("rerun identical: False" in line for line in result.lines) == 3
 
 
+def pair_views(spec, view=oracles._pair_view):
+    """The two pair views coupling_holds decides spec on: A = (n21, n11)
+    and B = (n22, n12)."""
+    return view(spec.n21, spec.n11), view(spec.n22, spec.n12)
+
+
+def at_layer(view, l):
+    """view cut down to layer l, so coupling_holds decides that layer's
+    gamma identity alone."""
+    return view._replace(tails=view.tails[l - 1:l], diff_tails=view.diff_tails[l - 1:l])
+
+
 def test_coupling_pinned_weak_example():
     spec = symmetric_bernoulli(F(9, 10), F(3, 10))
-    report = coupling_check(spec)
-    assert report.ok and report.order_ok
-    entry = report.entries[0]
-    assert entry.l == 1
-    assert entry.lhs_gamma == entry.rhs_gamma == F(3, 5)
-    assert entry.lhs_alpha == entry.rhs_alpha == F(27, 100)
+    a, b = pair_views(spec)
+    assert coupling_holds(a, b) and a.dominated and a.alpha_ok
+    den = a.den * b.den
+    # both sides of the gamma identity at layer 1, from the views' integers
+    assert F(b.tails[0] * a.den - a.tails[0] * b.den, den) == F(3, 5)
+    assert F(b.diff_tails[0] * a.den - a.diff_tails[0] * b.den, den) == F(3, 5)
+    # the two sides alpha_ok compares at layer 1
+    pos = pos_diff_pmf(spec.n21, spec.n11)
+    assert prob_sandwich(pos, spec.n21, 1) == F(27, 100)
+    assert tail(spec.n21, 1) - diff_tail(spec.n21, spec.n11, 1) == F(27, 100)
 
 
 def test_coupling_holds_on_random_specs():
     rng = random.Random(271828)
     for _ in range(60):
         spec = random_spec(rng, rng.randint(1, 3))
-        report = coupling_check(spec)
-        assert report.ok, spec
-        assert report.order_ok
+        a, b = pair_views(spec)
+        assert coupling_holds(a, b), spec
+        assert a.dominated
 
 
 def test_coupling_triple_basics():
@@ -233,26 +251,48 @@ def test_coupling_triple_basics():
     assert not dominates(l, n21)
 
 
+def one_layer(den, tail, diff_tail, alpha_ok=True, dominated=True):
+    return _PairView(den, (tail,), (diff_tail,), alpha_ok, dominated)
+
+
+# gamma's two sides are b.tails * a.den - a.tails * b.den and the same of
+# the diff_tails, over a.den * b.den: (2, 2), (2, 4), (2, -2), (2, 2),
+# (2, 2) and (0, -6)
 @pytest.mark.parametrize("fields,ok", [
-    ((F(1, 2), F(2, 4), F(0), 0), True),
-    ((F(1, 2), F(1, 3), F(1, 5), F(1, 5)), False),
-    ((F(1, 3), F(2, 3), F(1, 5), F(1, 5)), False),
-    ((F(0), F(0), F(1, 5), F(1, 7)), False),
-    ((F(0), F(0), F(2, 7), F(3, 7)), False),
+    ((one_layer(2, 1, 1), one_layer(4, 3, 3)), True),
+    ((one_layer(2, 1, 1), one_layer(4, 3, 4)), False),
+    # one side clamps to 0, the other is positive
+    ((one_layer(2, 1, 2), one_layer(4, 3, 3)), False),
+    ((one_layer(2, 1, 1, alpha_ok=False), one_layer(4, 3, 3)), False),
+    ((one_layer(2, 1, 1, dominated=False), one_layer(4, 3, 3)), False),
+    # both sides clamp to 0, so they agree though the integers differ
+    ((one_layer(2, 1, 2), one_layer(4, 2, 1)), True),
 ])
 def test_coupling_entry_ok_compares_values(fields, ok):
-    assert CouplingEntry(1, *fields).ok is ok
+    assert coupling_holds(*fields) is ok
 
 
-def reference_coupling_check(spec):
+class RefEntry(NamedTuple):
+    l: int
+    lhs_gamma: Fraction
+    rhs_gamma: Fraction
+    lhs_alpha: Fraction
+    rhs_alpha: Fraction
+
+    @property
+    def ok(self) -> bool:
+        return self.lhs_gamma == self.rhs_gamma and self.lhs_alpha == self.rhs_alpha
+
+
+def reference_coupling_entries(spec):
     # every quantity re-derived per layer in Fraction arithmetic, as the
-    # identities are stated in coupling_check's docstring
+    # identities are stated in coupling_holds' docstring
     m_pmf = pos_diff_pmf(spec.n22, spec.n12)
     l_pmf = pos_diff_pmf(spec.n21, spec.n11)
     entries = []
     for l in range(1, spec.q + 1):
         gap = diff_tail(spec.n22, spec.n12, l) - diff_tail(spec.n21, spec.n11, l)
-        entries.append(CouplingEntry(
+        entries.append(RefEntry(
             l=l,
             lhs_gamma=prob_sandwich(l_pmf, m_pmf, l),
             rhs_gamma=gap if gap > 0 else F(0),
@@ -266,13 +306,16 @@ def reference_coupling_check(spec):
 
 
 def reference_coupling_lines():
-    # the suite's lines, from coupling_check on each channel as a ChannelSpec
+    # the suite's lines, from coupling_holds on each channel's own pair
+    # views, read off it as a ChannelSpec; the views are memoised for this
+    # call alone, so a test's mutant is seen
+    view = functools.cache(oracles._pair_view)
     pmfs = verification._small_pmfs()
     total = bad = 0
     first = None
     for links in itertools.product(pmfs, repeat=4):
         total += 1
-        if not coupling_check(ChannelSpec(*links)).ok:
+        if not coupling_holds(*pair_views(ChannelSpec(*links), view)):
             bad += 1
             if first is None:
                 first = links
@@ -289,36 +332,28 @@ def assert_suite_matches_reference():
     return result
 
 
-def assert_same_report(spec):
-    got = coupling_check(spec)
-    want_entries, want_order_ok = reference_coupling_check(spec)
-    assert got.order_ok == want_order_ok, spec
-    assert len(got.entries) == len(want_entries) == spec.q
-    for g, w in zip(got.entries, want_entries):
-        assert g == w, (spec, g.l)
-        # equal Fractions, not merely equal values of another type
-        for field in dataclasses.fields(w):
-            assert type(getattr(g, field.name)) is type(getattr(w, field.name))
-    assert (got.entries, got.order_ok) == (want_entries, want_order_ok)
+def assert_same_verdict(spec, view=oracles._pair_view):
+    a, b = pair_views(spec, view)
+    want_entries, want_order_ok = reference_coupling_entries(spec)
+    for v, (x, y) in ((a, (spec.n21, spec.n11)), (b, (spec.n22, spec.n12))):
+        pos = pos_diff_pmf(x, y)
+        assert len(v.tails) == len(v.diff_tails) == spec.q
+        for l in range(1, spec.q + 1):
+            assert F(v.tails[l - 1], v.den) == tail(pos, l), (spec, l)
+            assert F(v.diff_tails[l - 1], v.den) == diff_tail(x, y, l), (spec, l)
+    assert a.alpha_ok == all(e.lhs_alpha == e.rhs_alpha for e in want_entries), spec
+    assert a.dominated == want_order_ok, spec
     # the verdict, decided on integers, agrees with the Fraction entries
-    assert got.ok == (want_order_ok and all(e.ok for e in want_entries)), spec
-
-
-@pytest.fixture
-def fresh_pair_views():
-    # the views are cached per link pair; a mutant's view must neither
-    # come from nor stay in the cache another test sees
-    oracles._pair_view.cache_clear()
-    yield
-    oracles._pair_view.cache_clear()
+    assert coupling_holds(a, b) == (want_order_ok and all(e.ok for e in want_entries)), spec
 
 
 def test_coupling_matches_reference_on_suite_channels():
     # every 7th of the suite's 50,625 channels; 7 is prime to 15, so the
     # four links all run through all 15 pmfs
     pmfs = verification._small_pmfs()
+    view = functools.cache(oracles._pair_view)
     for links in itertools.islice(itertools.product(pmfs, repeat=4), 0, None, 7):
-        assert_same_report(ChannelSpec(*links))
+        assert_same_verdict(ChannelSpec(*links), view)
 
 
 def test_coupling_suite_is_the_per_channel_check():
@@ -328,10 +363,10 @@ def test_coupling_suite_is_the_per_channel_check():
 @settings(max_examples=200, deadline=None)
 @given(spec=specs(max_q=4, weights=MIXED_WEIGHTS))
 def test_coupling_matches_reference_on_drawn_specs(spec):
-    assert_same_report(spec)
+    assert_same_verdict(spec)
 
 
-def test_coupling_suite_catches_changed_pos_diff_tails(monkeypatch, fresh_pair_views):
+def test_coupling_suite_catches_changed_pos_diff_tails(monkeypatch):
     # for the one pair N21 = 1, N11 = 0, move a quarter of the mass of
     # (N21 - N11)^+ from level 1 to level 0: the convolution side no longer
     # matches the difference tails, though L <= N21 still holds
@@ -345,12 +380,12 @@ def test_coupling_suite_catches_changed_pos_diff_tails(monkeypatch, fresh_pair_v
         return real(a, b)
 
     monkeypatch.setattr(oracles, "pos_diff_pmf", mutant)
-    report = coupling_check(ChannelSpec(n11=y, n12=y, n21=x, n22=x))
+    a, b = pair_views(ChannelSpec(n11=y, n12=y, n21=x, n22=x))
     # both pairs read the changed convolution, so gamma still holds and
     # only the alpha identity fails
-    assert report.order_ok and not report.ok
-    assert report.entries[0].lhs_alpha == F(1, 4) != report.entries[0].rhs_alpha
-    assert all(e.lhs_gamma == e.rhs_gamma for e in report.entries)
+    assert a.dominated and not a.alpha_ok and not coupling_holds(a, b)
+    assert prob_sandwich(mutant(x, y), x, 1) == F(1, 4) != tail(x, 1) - diff_tail(x, y, 1)
+    assert coupling_holds(a._replace(alpha_ok=True), b)
     result = assert_suite_matches_reference()
     assert not result.ok
     assert result.lines[0].startswith("[coupling] ") and "/50625 channels" in result.lines[0]
@@ -358,7 +393,7 @@ def test_coupling_suite_catches_changed_pos_diff_tails(monkeypatch, fresh_pair_v
     assert any("first failure at" in line for line in result.lines)
 
 
-def test_coupling_suite_catches_changed_diff_tails(monkeypatch, fresh_pair_views):
+def test_coupling_suite_catches_changed_diff_tails(monkeypatch):
     # for the one pair N21 = 1, N11 = 0 (or N22 = 1, N12 = 0), drop the
     # difference tail P(N_x - N_y >= 1) from 1 to 0; the alpha identities
     # read channel's own diff_tail and the order reads pos_diff_pmf, so both
@@ -377,10 +412,9 @@ def test_coupling_suite_catches_changed_diff_tails(monkeypatch, fresh_pair_views
     assert view.alpha_ok and view.dominated
     assert view.diff_tails != view.tails
     # L = 1 and M = 2: P(L < 1 <= M) = 0, but the mutant's tails say L = 0
-    report = coupling_check(ChannelSpec(n11=y, n12=y, n21=x, n22=FadingPmf.point(2, 2)))
-    assert report.order_ok and not report.ok
-    assert [e.lhs_alpha == e.rhs_alpha for e in report.entries] == [True, True]
-    assert [e.lhs_gamma == e.rhs_gamma for e in report.entries] == [False, True]
+    a, b = pair_views(ChannelSpec(n11=y, n12=y, n21=x, n22=FadingPmf.point(2, 2)))
+    assert a.dominated and a.alpha_ok and not coupling_holds(a, b)
+    assert [coupling_holds(at_layer(a, l), at_layer(b, l)) for l in (1, 2)] == [False, True]
     result = assert_suite_matches_reference()
     assert not result.ok
     assert result.lines == (
@@ -390,7 +424,7 @@ def test_coupling_suite_catches_changed_diff_tails(monkeypatch, fresh_pair_views
     )
 
 
-def test_coupling_suite_catches_broken_dominance(monkeypatch, fresh_pair_views):
+def test_coupling_suite_catches_broken_dominance(monkeypatch):
     # (N21 - N11)^+ pushed to the top level while N21 stays at 0: the
     # coupled L then exceeds N21, so the pointwise order fails
     x = y = FadingPmf.point(0, 2)
@@ -402,16 +436,16 @@ def test_coupling_suite_catches_broken_dominance(monkeypatch, fresh_pair_views):
         return real(a, b)
 
     monkeypatch.setattr(oracles, "pos_diff_pmf", mutant)
-    report = coupling_check(ChannelSpec(n11=y, n12=y, n21=x, n22=x))
+    a, b = pair_views(ChannelSpec(n11=y, n12=y, n21=x, n22=x))
     # both identities still hold, so only the order fails
-    assert not report.order_ok and not report.ok
-    assert all(e.ok for e in report.entries)
+    assert not a.dominated and not coupling_holds(a, b)
+    assert coupling_holds(a._replace(dominated=True), b)
     result = assert_suite_matches_reference()
     assert not result.ok
     assert any("first failure at" in line for line in result.lines)
 
 
-def test_coupling_suite_reads_each_channels_own_pairs(monkeypatch, fresh_pair_views):
+def test_coupling_suite_reads_each_channels_own_pairs(monkeypatch):
     # the alpha side of the one pair N21 = 1, N11 = 2 is off by a quarter,
     # and alpha is read from (n21, n11) alone, so exactly the 225 channels
     # with those two links fail; the channel with N11 and N21 swapped
@@ -424,8 +458,8 @@ def test_coupling_suite_reads_each_channels_own_pairs(monkeypatch, fresh_pair_vi
         return real(a, b, l) + (F(1, 4) if (a, b) == (x, y) else 0)
 
     monkeypatch.setattr(oracles, "diff_tail", mutant)
-    assert not coupling_check(ChannelSpec(n11=y, n12=y, n21=x, n22=y)).ok
-    assert coupling_check(ChannelSpec(n11=x, n12=y, n21=y, n22=y)).ok
+    assert not coupling_holds(*pair_views(ChannelSpec(n11=y, n12=y, n21=x, n22=y)))
+    assert coupling_holds(*pair_views(ChannelSpec(n11=x, n12=y, n21=y, n22=y)))
     assert verification.verify_coupling().lines == (
         "[coupling] 50400/50625 channels satisfy both identities and the pointwise order",
         f"[coupling]   first failure at {(y, y, x, y)}",

@@ -1,5 +1,6 @@
 """Regime classification, exact capacity regions, corners, and the q=1 display."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -23,7 +24,7 @@ from layercap import (
     weak_region,
     weak_sum_capacity,
 )
-from layercap import regimes
+from layercap import cli, regimes, verification
 from layercap.corpus import (
     examples,
     mixed_example,
@@ -208,16 +209,36 @@ def test_weak_corner_self_checks_fire(monkeypatch, name, fake, message):
         weak_corner(WEAK1, F(1, 10))
 
 
-def test_inclusions_suite_reports_a_failed_corner_check(monkeypatch):
-    # the tightness identity fails at every weight in (0, 1) and holds at 1;
-    # the suite records the error weak_corner raises
+def test_inclusions_suite_reports_a_failed_corner_check(monkeypatch, capsys):
+    # the tightness identity fails at every weight in (0, 1), or at 1 alone,
+    # the last critical weight; either way the suite records the error
+    # weak_corner raises, and the command exits with a FAIL line
     real = regimes.bound_b
-    monkeypatch.setattr(regimes, "bound_b",
-                        lambda spec, user, omega: real(spec, user, omega) + (0 < omega < 1))
-    result = verify_inclusions(count=5)
-    assert not result.ok
-    assert any(line.endswith(": corner allocation failed its tightness identity")
-               for line in result.lines[1:])
+    for broken in (lambda omega: 0 < omega < 1, lambda omega: omega == 1):
+        monkeypatch.setattr(regimes, "bound_b",
+                            lambda spec, user, omega: real(spec, user, omega) + broken(omega))
+        result = verify_inclusions(count=5)
+        assert not result.ok
+        assert any(line.endswith(": corner allocation failed its tightness identity")
+                   for line in result.lines[1:])
+        assert cli.main(["verify", "inclusions"]) == cli.EXIT_VERIFY
+        assert "[inclusions] FAIL" in capsys.readouterr().out.splitlines()
+
+
+def test_inclusions_suite_checks_the_weight_1_corner(monkeypatch):
+    # the weight-1 corner moved straight down from the noise-tolerant point
+    # stays in the b-region, and the mirrored corners keep their first
+    # rate, so only the comparison with that point can catch it
+    real = verification.weak_corner
+
+    def lowered(spec, omega):
+        alloc = real(spec, omega)
+        r1, r2 = alloc.corner
+        return dataclasses.replace(alloc, corner=(r1, r2 / 2)) if omega == 1 else alloc
+
+    monkeypatch.setattr(verification, "weak_corner", lowered)
+    assert verification._check_weak_spec(WEAK1) == [
+        "weight-1 corner is not the noise-tolerant point"]
 
 
 def test_weak_corner_rejects_bad_arguments():
