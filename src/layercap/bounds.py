@@ -50,8 +50,8 @@ term the a- and b-families leave at zero.  A weight is the integer tuple
 keys with their pieces known, the index of each kink's first key: the
 count of keys below it, so the piece bisection would find.  Grid weights
 find theirs by one forward walk over the keys per grid line, and the
-weights of bound_a/b/c by bisection (locate).  Both enumerations run one
-loop and emit their bounds as BoundRows: the half-plane of each over D,
+weights of bound_a/b/c by bisection (locate).  Both enumerations emit
+their bounds as BoundRows: the half-plane of each over D,
 (r+m, p, r*D*bound) for user 1, meaning (r+m)*R1 + p*R2 <= r*bound, read
 off those numerators with no Fraction and no gcd.  The rows carry D once,
 as their den, and intersect(rows, den) takes them as they are, with D
@@ -62,19 +62,30 @@ every row.
 
 The grid at N steps runs one grid line at a time: the a- and b-families
 have one, omega = k/N for k = 0..N, and the c-family one per omega, mu =
-j/N for j = 0..k.  Along a line each row's a and b are the means of its
-neighbours', so a row whose value is too is their half-sum, implied by
-them.  grid_rows lists every grid bound, for the tests and the benchmark's
-checks; region --mode grid takes grid_rows(spec, N, prune=True), which of
-each line keeps the two ends and the rows with 2*v[t] != v[t-1] + v[t+1]
-on the integer values, and builds only those.  That test reads the rows'
-own values, never the kernel's kinks, so the grid stays a cross-check of
-the critical weights.  The kept rows carve the same region.  A left-out
-row along an edge of it makes its whole run, kept ends included, tight
-there: one half-plane, whose first occurrence, the one active_bounds
-reports, is thus never a left-out row.  A degenerate region (< 3
-vertices) reports every row through a vertex, so none may be left out,
-and it is read off the spec: exactly E[N11] = 0 or E[N22] = 0 makes one.
+j/N for j = 0..k.  BoundKernel.lines builds each line in one pass over the
+piece tables: the omega term once per k, then the top term at each mu.
+grid_rows lists every grid bound, for the tests and the benchmark's
+checks; region --mode grid takes grid_rows(spec, N, prune=True), which
+holds three c lines at a time and builds only the rows that are not the
+mean of two grid neighbours, tested on the integer values: along the line,
+2*v[k][j] != v[k][j-1] + v[k][j+1], along omega, v[k-1][j] and v[k+1][j],
+and along the diagonal, v[k-1][j-1] and v[k+1][j+1], wherever both exist
+(the a- and b-families' one line runs along omega).  That test reads the
+rows' own values, never the kernel's kinks, so the grid stays a
+cross-check of the critical weights.  A row's a and b are affine in
+(k, j), so a row whose value is the mean of two neighbours' is their
+half-sum.  It is then no vertex of the hull of the family's rows, read as
+points (a, b, c), so every left-out row is a convex combination of kept
+ones: the kept rows carve the same region, and the least kept value is at
+most every left-out one, so checking the kept values >= 0 checks them all.
+A region of >= 3 vertices satisfies y and z, so a left-out row
+x = (y+z)/2 tight along one of its edges makes y and z tight along it
+too, and with every c > 0 the three are one half-plane.  In each
+direction the earlier neighbour y comes first in (k, j) order, so the
+first occurrence of a half-plane, the one active_bounds reports, is never
+a left-out row.  A degenerate region (< 3 vertices) reports every row
+through a vertex, so none may be left out, and it is read off the spec:
+exactly E[N11] = 0 or E[N22] = 0 makes one.
 Every user-1 row is at least E[N11]: the a- and c-families add
 nonnegative terms to it, and the b-family is at least (1-omega)*E[N11]
 for omega < 1 and E[N21] + E[(N11-N21)^+] >= E[N11] at omega = 1.  So
@@ -89,7 +100,8 @@ from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
+from itertools import chain
 from math import gcd, lcm
 from typing import Optional
 
@@ -203,6 +215,19 @@ class _Sweep:
         return out + [(1, 1, k)]
 
 
+def _walk(sweep: _Sweep, last, r) -> list:
+    """sweep.below(t, r) for t = 0..last, in one forward walk over the keys:
+    key k, (n, d), is below t/r from t = n*r//d + 1 on, and keys ascend,
+    so the first key below no t <= last ends the walk."""
+    out = []
+    for k, (n, d) in enumerate(sweep.keys):
+        first = n * r // d + 1
+        if first > last:
+            return out + [k] * (last + 1 - len(out))
+        out += [k] * (first - len(out))
+    return out + [len(sweep.keys)] * (last + 1 - len(out))
+
+
 # the a- and b-families have no top term: one piece, zero
 _NO_TOP = ((0, 0),)
 
@@ -253,6 +278,28 @@ class BoundKernel:
         pieces, top = self._pieces[family]
         return [r * pieces[i][0] + p * (pieces[i][1] + top[j][1]) + m * top[j][0]
                 for p, m, r, i, j in weights]
+
+    def lines(self, family, steps):
+        """The family's grid lines at r = steps, omega ascending, each a pair
+        (weight, values): weight(t) is the weight (p, m, r, i, j) of the
+        line's row t, built only when asked for, and values[t] what at gives
+        there.  The a- and b-families have one line, omega = t/steps for
+        t = 0..steps; the c-family one per k, omega = k/steps and mu =
+        t/steps for t = 0..k.  The omega term is read once per k, on the
+        piece _walk finds along omega; each c line adds the top term at
+        every mu on the piece _walk finds along the line."""
+        pieces, top = self._pieces[family]
+        i_of = _walk(self.beta if family == "a" else self.gamma, steps, steps)
+        if family != "c":
+            return [(lambda t: (t, 0, steps, i_of[t], 0),
+                     [steps * pieces[i][0] + k * pieces[i][1] for k, i in enumerate(i_of)])]
+
+        def line(k, i):
+            base, j_of = steps * pieces[i][0] + k * pieces[i][1], _walk(self.top, k, k)
+            return (lambda t: (k, t, steps, i, j_of[t]),
+                    [base + k * top[j][1] + t * top[j][0] for t, j in enumerate(j_of)])
+
+        return map(line, range(steps + 1), i_of)
 
 
 # link names of (N11, N12, N21) in each user's frame
@@ -350,21 +397,10 @@ class BoundRows(Sequence):
         mu = Fraction(m, r) if family[1] == "c" else None
         return WeightedBound(family, Fraction(p, r), mu, Fraction(self.rows[i][2], r * self.den))
 
-    def extend(self, tag: str, weights, values, prune=False):
-        """Add family tag's rows at weights (p, m, r, i, j), where omega = p/r
-        and mu = m/r, m = 0 outside the c-families, with values r*D times
-        the bound there.
-
-        With prune the weights are one grid line, and only its two ends and
-        the rows whose value is not the mean of their neighbours' are added
-        (see the module docstring).  Along a run of rows left out the values
-        are affine, so the run's ends, which are added and checked, hold its
-        least value."""
-        if prune:
-            last = len(values) - 1
-            kept = [t for t in range(last + 1) if t in (0, last)
-                    or 2 * values[t] != values[t - 1] + values[t + 1]]
-            weights, values = [weights[t] for t in kept], [values[t] for t in kept]
+    def extend(self, tag: str, weights, values):
+        """Add family tag's rows at weights (p, m, r, i, j), where omega =
+        p/r and mu = m/r, m = 0 outside the c-families, with values r*D
+        times the bound there."""
         rows, tags, mirror = self.rows, self._tags, tag[0] == "2"
         for (p, m, r, _, _), value in zip(weights, values):
             # r > 0 makes (a, b) != (0, 0)
@@ -376,47 +412,34 @@ class BoundRows(Sequence):
             tags.append((tag, p, m, r))
 
 
-def _rows(spec: ChannelSpec, families, lines_of, prune=False) -> BoundRows:
-    """The families' bounds, in the order given, at the weights
-    (p, m, r, i, j) of each list that lines_of(kernel, family) yields; with
-    prune, each list is a grid line and is pruned as BoundRows.extend says."""
+def outer_rows(spec: ChannelSpec, families=FAMILIES) -> BoundRows:
+    """Bounds of the given families at their critical weights, in the
+    order given, omega ascending within a family; each bound is read on
+    the sweep pieces its kink indexes."""
     out = BoundRows(spec)
     for tag in families:
         if tag not in FAMILIES:
             raise ValueError(f"unknown family {tag!r}")
         kernel = bound_kernel(spec, int(tag[0]))
-        for weights in lines_of(kernel, tag[1]):
-            out.extend(tag, weights, kernel.at(tag[1], weights), prune)
+        weights = _kink_weights(kernel, tag[1])
+        out.extend(tag, weights, kernel.at(tag[1], weights))
     return out
 
 
-def outer_rows(spec: ChannelSpec, families=FAMILIES) -> BoundRows:
-    """Bounds of the given families at their critical weights, in the
-    order given, omega ascending within a family; each bound is read on
-    the sweep pieces its kink indexes."""
-    return _rows(spec, families, lambda kernel, family: [_kink_weights(kernel, family)])
-
-
-def _walk(sweep: _Sweep, last, r) -> list:
-    """sweep.below(t, r) for t = 0..last, in one forward walk over the keys:
-    key k, (n, d), is below t/r from t = n*r//d + 1 on, and keys ascend."""
-    out = []
-    for k, (n, d) in enumerate(sweep.keys):
-        out += [k] * (min(n * r // d + 1, last + 1) - len(out))
-    return out + [len(sweep.keys)] * (last + 1 - len(out))
-
-
-def _grid_lines(kernel: BoundKernel, family, steps):
-    """The family's grid weights (p, m, r, i, j), omega = k/steps and
-    mu = j/steps, one grid line at a time, in ascending (omega, mu) order:
-    the a- and b-families have one line, k = 0..steps; the c-family one per
-    k, j = 0..k.  The pieces are what locate would bisect, walked: i along
-    k once, j along each c line."""
-    i_of = _walk(kernel.beta if family == "a" else kernel.gamma, steps, steps)
-    if family != "c":
-        return [[(k, 0, steps, i, 0) for k, i in enumerate(i_of)]]
-    return ([(k, j, steps, i, top) for j, top in enumerate(_walk(kernel.top, k, k))]
-            for k, i in enumerate(i_of))
+def _kept(prev, line, nxt) -> list:
+    """The indices t of the rows on a grid line that are not the mean of
+    their two neighbours along the line, (t-1, t+1), along omega, prev[t]
+    and nxt[t], or along the diagonal, prev[t-1] and nxt[t+1], wherever both
+    exist.  prev and nxt are the lines one omega step before and after,
+    [] where there is none: a c line k has k+1 rows, so both of its
+    neighbours along omega exist for t < k and along the diagonal for t > 0."""
+    last = len(line) - 1
+    along = [t for t in range(1, last) if 2 * line[t] != line[t - 1] + line[t + 1]]
+    kept = [0, *along, last] if last else [0]
+    if not nxt:
+        return kept
+    return [t for t in kept if not (t < len(prev) and 2 * line[t] == prev[t] + nxt[t]
+                                    or t and 2 * line[t] == prev[t - 1] + nxt[t + 1])]
 
 
 def grid_rows(spec: ChannelSpec, steps: int, prune=False) -> BoundRows:
@@ -424,16 +447,24 @@ def grid_rows(spec: ChannelSpec, steps: int, prune=False) -> BoundRows:
 
     Every grid bound is listed, the reference of the tests and of the
     benchmark's checks.  With prune, the path `region --mode grid` takes,
-    only the rows that their grid-line neighbours do not imply are built:
-    the same region and active_bounds.  A spec with E[N11] = 0 or E[N22] = 0
-    is never pruned: its region is degenerate and reports every row (see
-    the module docstring).
+    only the rows that are not the mean of two grid neighbours are added,
+    three lines at a time (_kept): the same region and active_bounds.  A
+    spec with E[N11] = 0 or E[N22] = 0 is never pruned: its region is
+    degenerate and reports every row (see the module docstring).
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     ints = layer_coefficients(spec).ints
     prune = prune and any(ints["n11"]) and any(ints["n22"])
-    return _rows(spec, FAMILIES, partial(_grid_lines, steps=steps), prune)
+    out = BoundRows(spec)
+    for tag in FAMILIES:
+        lines = iter(bound_kernel(spec, int(tag[0])).lines(tag[1], steps))
+        prev, (weight, line) = [], next(lines)
+        for after in chain(lines, [(None, [])]):
+            kept = _kept(prev, line, after[1]) if prune else range(len(line))
+            out.extend(tag, map(weight, kept), map(line.__getitem__, kept))
+            prev, (weight, line) = line, after
+    return out
 
 
 def family_region(spec: ChannelSpec, user, family) -> RegionPolytope:

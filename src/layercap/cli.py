@@ -48,14 +48,14 @@ class SpecFileError(ValueError):
 MAX_EXPONENT = 1000
 
 # The largest --grid-steps.  Grid mode evaluates (N+1)(N+2)/2 c-family
-# bounds per user at N steps, so N sets most of its time, and keeps one grid
-# line of them at a time besides the rows it intersects.  On the README's
-# q = 1 weak spec (Python 3.11, 2-core VM, medians of 7 fresh processes)
-# 256 steps took 0.14 s and 17 MB peak RSS, 512 took 0.29 s and 18 MB, and
-# the cap 0.65 s and 20 MB.  A degenerate region, E[N11] = 0 or E[N22] = 0,
-# keeps and intersects every row: 4.6-5.2 s and 527 MB at the cap over 3
-# fresh processes, for N11 = 0 and q = 1.  "100000", six bytes of command
-# line, would ask for 5*10^9 bounds.
+# bounds per user at N steps, so N sets most of its time, and keeps three
+# grid lines of them at a time besides the rows it intersects.  On the
+# README's q = 1 weak spec (Python 3.11, 2-core VM, medians of 7 fresh
+# processes) 256 steps took 0.15 s and 17 MB peak RSS, 512 took 0.22 s and
+# 17 MB, and the cap 0.52 s and 17 MB.  A degenerate region, E[N11] = 0 or
+# E[N22] = 0, keeps and intersects every row: 4.6-5.2 s and 527 MB at the
+# cap over 3 fresh processes, for N11 = 0 and q = 1.  "100000", six bytes
+# of command line, would ask for 5*10^9 bounds.
 MAX_GRID_STEPS = 1024
 
 # a decimal literal with an exponent, in the grammar Fraction reads; group 1

@@ -34,7 +34,6 @@ from layercap import (
     tail,
 )
 from layercap.bounds import (
-    _grid_lines,
     _kink_weights,
     _Sweep,
     bound_kernel,
@@ -243,8 +242,35 @@ def test_an_off_by_one_kink_index_fails_the_value_check(monkeypatch, step):
 @example(spec=KINK_EDGE_SPECS[1], steps=12)
 def test_walked_grid_pieces_equal_the_bisected_ones(spec, steps):
     # small weights put grid weights on kinks often: every alpha = 0 layer
-    # has its kink at omega = 0, and a top key at mu = 0 on every c line
+    # has its kink at omega = 0, and a top key at mu = 0 on every c line.
+    # BoundKernel.lines reads the omega piece of each k off one walk along
+    # omega, and the top piece of each j off one walk along each c line;
+    # the weights its lines give must be the grid's, in order, with the
+    # pieces locate bisects, and their values what at reads there
     for tag in FAMILIES:
-        kernel = bound_kernel(spec, int(tag[0]))
-        walked = [w for line in _grid_lines(kernel, tag[1], steps) for w in line]
-        assert walked == kernel.locate(tag[1], [w[:3] for w in walked])
+        kernel, family = bound_kernel(spec, int(tag[0])), tag[1]
+        grid = ([(k, j, steps) for k in range(steps + 1) for j in range(k + 1)]
+                if family == "c" else [(k, 0, steps) for k in range(steps + 1)])
+        walked, values = [], []
+        for weight, line in kernel.lines(family, steps):
+            walked += map(weight, range(len(line)))
+            values += line
+        assert walked == kernel.locate(family, grid)
+        assert values == kernel.at(family, walked)
+
+
+# outer_rows, then grid_rows in full and pruned
+@pytest.mark.parametrize("steps,prune", [(None, False), (4, False), (4, True)])
+def test_a_negative_bound_value_is_refused(monkeypatch, steps, prune):
+    # every bound is >= 0, so BoundRows refuses a row below 0 rather than
+    # hand intersect a constraint that cuts off the origin.  Piece 0 of
+    # family 2b, the one omega = 0 reads, is set to -1/D: a row that is
+    # both a critical weight and a grid line's end, so pruning keeps it
+    spec = KINK_EDGE_SPECS[0]
+    kernel = bound_kernel(spec, 2)
+    pieces, top = kernel._pieces["b"]
+    monkeypatch.setitem(kernel._pieces, "b", ([(-1, pieces[0][1]), *pieces[1:]], top))
+    r = 1 if steps is None else steps
+    with pytest.raises(ValueError, match=rf"^bound 2b at omega=0/{r}, mu=0/{r}: "
+                                         r"needs a value >= 0, got -"):
+        outer_rows(spec) if steps is None else grid_rows(spec, steps, prune)

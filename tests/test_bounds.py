@@ -347,6 +347,47 @@ def test_grid_mode_answers_as_the_full_grid_rows(kind, q, seed, steps):
         assert intersect(kept_rows, rows.den) == intersect(full_rows, rows.den), tag
 
 
+def reference_kept(rows, degenerate) -> list:
+    """The (tag, row) pairs of the full grid rows that pruning keeps: all of
+    them in a degenerate region; otherwise each row that is not the mean of
+    its two neighbours, the rows one grid step before and after it along
+    mu, along omega or along the diagonal, wherever both exist.  A family's
+    grid points are its weights (p, m) over one r, so the a- and b-families,
+    whose m is 0, have neighbours along omega alone."""
+    value = {(tag, p, m): row[2] for (tag, p, m, _), row in zip(rows._tags, rows.rows)}
+
+    def implied(tag, p, m, c):
+        for dp, dm in ((0, 1), (1, 0), (1, 1)):
+            before, after = (tag, p - dp, m - dm), (tag, p + dp, m + dm)
+            if before in value and after in value and 2 * c == value[before] + value[after]:
+                return True
+        return False
+
+    return [(tags, tuple(row)) for tags, row in zip(rows._tags, rows.rows)
+            if degenerate or not implied(*tags[:3], row[2])]
+
+
+@settings(max_examples=120, deadline=None)
+@given(kind=st.sampled_from(sorted(GRID_KINDS)), q=st.integers(0, 5),
+       seed=st.integers(0, 2 ** 32), steps=st.integers(1, 40), mute=st.sampled_from((0, 1, 2)))
+# a degenerate region: N11 = 0
+@example(kind="random", q=1, seed=2, steps=16, mute=0)
+def test_pruned_grid_rows_are_the_rows_no_grid_neighbour_implies(kind, q, seed, steps, mute):
+    # row for row and tag for tag, so a prune that keeps a row the rule
+    # leaves out fails here even though the region stays the same; mute
+    # sets user mute's direct link to 0, which makes the region degenerate
+    if kind == "moderate":
+        q = max(q, 1)  # the moderate construction needs a layer
+    links = GRID_KINDS[kind](random.Random(seed), q).links()
+    if mute:
+        links[f"n{mute}{mute}"] = FadingPmf.point(0, q)
+    spec = ChannelSpec(**links)
+    degenerate = expect(spec.n11) * expect(spec.n22) == 0
+    pruned = grid_rows(spec, steps, prune=True)
+    assert list(zip(pruned._tags, map(tuple, pruned.rows))) == reference_kept(
+        grid_rows(spec, steps), degenerate)
+
+
 def steps_holding_every_critical_weight(spec) -> int:
     """The lcm of the denominators of every ratio a critical weight is made
     of, for both users: the omega kinks alpha/beta (family a) and

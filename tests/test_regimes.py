@@ -15,6 +15,7 @@ from layercap import (
     bound_c,
     classify,
     expect_pos_diff,
+    layer_coefficients,
     moderate_bounds,
     outer_region,
     strong_region,
@@ -292,6 +293,38 @@ def test_moderate_simplifications_match_general_bounds():
                     spec, user, omega, mu
                 )
             assert moderate_bounds(spec, user, "a", F(1)) == bound_a(spec, user, F(1))
+
+
+def moderate_coefficients(spec, user):
+    co = layer_coefficients(spec)
+    return (getattr(co, f"{name}{user}") for name in ("alpha", "beta", "gamma"))
+
+
+@settings(max_examples=40, deadline=None)
+@given(q=st.integers(1, 5), seed=st.integers(0, 2 ** 32), user=st.sampled_from((1, 2)))
+def test_moderate_a_form_is_bound_a_from_the_last_kink(q, seed, user):
+    # both are affine on [w, 1], w the largest alpha/beta: bound_a has no
+    # kink past it and the a-form none at all, so agreeing at w and at 1
+    # they agree on all of it.  Moderate interference makes every
+    # alpha < beta, so w < 1
+    spec = random_moderate_spec(random.Random(seed), q)
+    alpha, beta, _ = moderate_coefficients(spec, user)
+    last = max(a / b for a, b in zip(alpha, beta))
+    assert last < 1
+    for omega in (last, F(1)):
+        assert moderate_bounds(spec, user, "a", omega) == bound_a(spec, user, omega)
+
+
+@settings(max_examples=40, deadline=None)
+@given(q=st.integers(1, 5), seed=st.integers(0, 2 ** 32), user=st.sampled_from((1, 2)))
+def test_moderate_b_form_is_bound_b_at_every_kink(q, seed, user):
+    # the b-form is affine in omega and bound_b is affine between 0, 1 and
+    # the kinks alpha/gamma in (0, 1), so agreeing there they agree on [0, 1]
+    spec = random_moderate_spec(random.Random(seed), q)
+    alpha, _, gamma = moderate_coefficients(spec, user)
+    kinks = {a / g for a, g in zip(alpha, gamma) if g and 0 < a / g < 1}
+    for omega in {F(0), F(1)} | kinks:
+        assert moderate_bounds(spec, user, "b", omega) == bound_b(spec, user, omega)
 
 
 def test_moderate_a_form_undershoots_below_kink():
