@@ -5,7 +5,8 @@ received words, and estimates every tail, difference-tail and expectation
 statistic the exact machinery computes.  One table lists each statistic
 once: its name, the per-use function of the four levels whose mean it is,
 and its exact value from the channel module's formulas.  The estimator
-averages every function over one joint histogram of the drawn levels, so
+averages every function over one joint histogram of the drawn levels and
+returns one mapping from each statistic's name to its estimate, so
 agreement is evidence the convolution formulas and the sampler describe the
 same level distributions.  The draws are Philox's raw 64-bit words, each
 cdf value turned into the integer threshold a word must reach for its
@@ -114,22 +115,8 @@ def _cell_counts(cfg: SimConfig):
     return counts
 
 
-@dataclass(frozen=True)
-class MCStatEntry:
-    name: str
-    estimate: Fraction
-    stderr: float
-
-
-@dataclass(frozen=True)
-class MCStatsReport:
-    samples: int
-    seed: int
-    entries: tuple
-
-
 def _statistics(spec: ChannelSpec) -> list:
-    """Every statistic the model computes, in report order.
+    """Every statistic the model computes, in the order both mappings list them.
 
     A row is (name, f, exact): f maps one use's levels n = (n11, n12, n21,
     n22) to the value whose mean the statistic is, and exact is that mean
@@ -159,29 +146,20 @@ def exact_stats(spec: ChannelSpec) -> dict:
     return {name: exact for name, _, exact in _statistics(spec)}
 
 
-def mc_estimate_stats(cfg: SimConfig) -> MCStatsReport:
-    """Empirical counterpart of exact_stats from the joint level histogram.
+def mc_estimate_stats(cfg: SimConfig) -> dict:
+    """Empirical counterpart of exact_stats from the joint level histogram:
+    each statistic's name mapped to its estimate, in exact_stats' order.
 
-    Estimates are exact fractions sum/samples, so identical seeds give
-    identical reports; standard errors are the plug-in ones, sqrt(var/n)
-    for the sample variance var of the statistic's per-use values.
+    An estimate is the exact fraction sum/samples of the statistic's per-use
+    values, so identical seeds give identical mappings.
     """
     import numpy as np
 
     joint = _cell_counts(cfg).reshape((cfg.spec.q + 1,) * 4)
     # the drawn level tuples with their counts
     cells = [(n, int(joint[n])) for n in map(tuple, np.argwhere(joint).tolist())]
-    m = cfg.samples
-    entries = []
-    for name, f, _ in _statistics(cfg.spec):
-        total = sq = 0
-        for n, c in cells:
-            v = f(n)
-            total += v * c
-            sq += v * v * c
-        entries.append(MCStatEntry(name, Fraction(total, m),
-                                   math.sqrt((sq * m - total * total) / m ** 3)))
-    return MCStatsReport(samples=m, seed=cfg.seed, entries=tuple(entries))
+    return {name: Fraction(sum(f(n) * c for n, c in cells), cfg.samples)
+            for name, f, _ in _statistics(cfg.spec)}
 
 
 # Coupled variables are the pseudo-inverse cdfs F^{-1}(v) = inf {u : F(u) >= v}

@@ -108,19 +108,19 @@ def verify_montecarlo(samples: int = 10 ** 6, seed: int = 0) -> SuiteResult:
     lines = []
     for label, spec in examples().items():
         cfg = SimConfig(spec=spec, samples=samples, seed=seed)
-        report = mc_estimate_stats(cfg)
+        estimates = mc_estimate_stats(cfg)
         exact = exact_stats(spec)
         worst = Fraction(0)
         bad = []
-        for entry in report.entries:
-            err = abs(entry.estimate - exact[entry.name])
+        for name, estimate in estimates.items():
+            err = abs(estimate - exact[name])
             worst = max(worst, err)
             if not mc_within_tolerance(err, samples):
-                bad.append((entry.name, err))
-        identical = mc_estimate_stats(cfg) == report
+                bad.append((name, err))
+        identical = mc_estimate_stats(cfg) == estimates
         ok = ok and not bad and identical
         lines.append(
-            f"[montecarlo] {label}: {len(report.entries)} statistics, "
+            f"[montecarlo] {label}: {len(estimates)} statistics, "
             f"worst |error| = {float(worst):.2e} "
             f"(tolerance {tolerance}), rerun identical: {identical}"
         )
@@ -136,8 +136,8 @@ def _check_weak_spec(spec: ChannelSpec) -> list:
     for user, family in itertools.product((1, 2), "ac"):
         if not b_regions[user].subset_of(family_region(spec, user, family)):
             problems.append(f"user-{user} b-region escapes the {family}-region")
-    c_sum = weak_sum_capacity(spec)
-    if outer_region(spec).support(1, 1) != c_sum:
+    outer = outer_region(spec)
+    if outer.support(1, 1) != weak_sum_capacity(spec):
         problems.append("outer-region sum support differs from the sum capacity")
     tin = (expect_pos_diff(spec.n11, spec.n21), expect_pos_diff(spec.n22, spec.n12))
     for user, region in b_regions.items():
@@ -145,7 +145,6 @@ def _check_weak_spec(spec: ChannelSpec) -> list:
             problems.append(f"noise-tolerant point outside user-{user} b-region")
         elif bound_b(spec, user, 1) != tin[0] + tin[1]:
             problems.append(f"noise-tolerant point not on user-{user} b-boundary")
-    cap2 = expect_pos_diff(spec.n22, spec.n12)
     mirror = swap_users(spec)
     for omega_a in critical_weights(spec, 1, "b"):
         if omega_a == 0:
@@ -158,12 +157,12 @@ def _check_weak_spec(spec: ChannelSpec) -> list:
             continue
         if not b_regions[1].contains(alloc.corner):
             problems.append(f"corner at weight {omega_a} escapes the b-region")
-        if mirrored.corner[0] < cap2:
+        if mirrored.corner[0] < tin[1]:
             problems.append(f"mirrored corner at weight {omega_a} undercuts the user-2 rate cap")
         # the critical weights end at 1
         if omega_a == 1 and alloc.corner != tin:
             problems.append("weight-1 corner is not the noise-tolerant point")
-    if weak_region(spec) != outer_region(spec):
+    if weak_region(spec) != outer:
         problems.append("b-region intersection differs from the full outer region")
     return problems
 

@@ -1,5 +1,6 @@
-"""Hypothesis strategies for channels and weights, and a context for numbers
-past Python's int <-> str digit limit, shared by the test modules."""
+"""Hypothesis strategies for channels and weights, criterion 8's channel
+corpus, and a context for numbers past Python's int <-> str digit limit,
+shared by the test modules."""
 
 import contextlib
 import sys
@@ -8,6 +9,7 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from layercap import ChannelSpec, FadingPmf
+from layercap.corpus import random_moderate_spec, random_spec, random_strong_spec, random_weak_spec
 
 F = Fraction
 
@@ -31,6 +33,17 @@ def pmfs(draw, q, weights=SMALL_WEIGHTS):
 def specs(draw, max_q=8, weights=SMALL_WEIGHTS):
     q = draw(st.integers(1, max_q))
     return ChannelSpec(*(draw(pmfs(q, weights)) for _ in range(4)))
+
+
+def continuum_corpus(rng):
+    """Acceptance criterion 8's 20 channels, drawn from rng in its order."""
+    corpus = []
+    for _ in range(5):
+        corpus.append(random_spec(rng, rng.randint(1, 3)))
+        corpus.append(random_strong_spec(rng, rng.randint(0, 3)))
+        corpus.append(random_weak_spec(rng, rng.randint(1, 3)))
+        corpus.append(random_moderate_spec(rng, rng.randint(1, 3)))
+    return corpus
 
 
 def unit_rationals():

@@ -25,7 +25,6 @@ from layercap.corpus import (
     random_moderate_spec,
     random_spec,
     random_strong_spec,
-    random_weak_spec,
 )
 from layercap.deterministic import DetChannel, verify_recovery
 from layercap.verification import (
@@ -33,6 +32,7 @@ from layercap.verification import (
     verify_inclusions,
     verify_montecarlo,
 )
+from strategies import continuum_corpus
 
 F = Fraction
 
@@ -176,12 +176,7 @@ def test_criterion_7_monte_carlo_cross_check(capsys):
 def test_criterion_8_continuum_equivalence(capsys):
     t0 = time.time()
     rng = random.Random(1008)
-    corpus = []
-    for _ in range(5):
-        corpus.append(random_spec(rng, rng.randint(1, 3)))
-        corpus.append(random_strong_spec(rng, rng.randint(0, 3)))
-        corpus.append(random_weak_spec(rng, rng.randint(1, 3)))
-        corpus.append(random_moderate_spec(rng, rng.randint(1, 3)))
+    corpus = continuum_corpus(rng)
     cuts = 0
     evaluator = {"a": bound_a, "b": bound_b}
     for spec in corpus:

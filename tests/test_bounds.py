@@ -3,6 +3,7 @@
 import random
 import re
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 
 import pytest
@@ -18,6 +19,7 @@ from layercap import (
     bound_a,
     bound_b,
     bound_c,
+    classify,
     cli,
     critical_weights,
     expect,
@@ -37,7 +39,7 @@ from layercap.corpus import (
     random_weak_spec,
     symmetric_bernoulli,
 )
-from strategies import specs, unit_rationals
+from strategies import continuum_corpus, specs, unit_rationals
 
 F = Fraction
 
@@ -462,6 +464,57 @@ def _support_breaks(region, user) -> set:
     return out
 
 
+def _integer_line(a, b, c):
+    """The line a*omega + b*mu = c, for rationals a, b and c, times the lcm
+    of their denominators."""
+    a, b, c = F(a), F(b), F(c)
+    den = lcm(a.denominator, b.denominator, c.denominator)
+    return tuple(x.numerator * (den // x.denominator) for x in (a, b, c))
+
+
+def _arrangement(lines) -> set:
+    """The vertices (omega, mu) on the triangle 0 <= mu <= omega <= 1 of the
+    arrangement of lines a*omega + b*mu = c."""
+    out = set()
+    for (a1, b1, c1), (a2, b2, c2) in combinations([_integer_line(*line) for line in lines], 2):
+        # Cramer's rule: omega = x/det, mu = y/det, kept if 0 <= y <= x <= det
+        det, x, y = a1 * b2 - a2 * b1, c1 * b2 - c2 * b1, a1 * c2 - a2 * c1
+        if det < 0:
+            det, x, y = -det, -x, -y
+        if det and 0 <= y <= x <= det:
+            out.add((F(x, det), F(y, det)))
+    return out
+
+
+def _assert_c_family_holds(spec, user):
+    # user's c bound f is affine in (omega, mu) on every cell of the
+    # arrangement of the triangle's edges and the lines gamma(l)*omega =
+    # alpha(l) and P(N12 >= l)*omega = P(N11 >= l)*mu, in user's frame.  For
+    # each vertex v of P = family_region, f minus v's weighted rate (1+mu)*own
+    # + omega*peer is then affine on each cell too, so if the support of P,
+    # the largest of those rates, is at most f at the arrangement's vertices,
+    # checked exactly, then it is at every weight: P lies inside the
+    # c-family's continuum of half-planes.  (The lines where two vertices of
+    # P tie, where the support breaks, add vertices that decide nothing.)  A
+    # moderate spec's c-form is affine on the same cells
+    co = layer_coefficients(spec)
+    alpha, gamma = getattr(co, f"alpha{user}"), getattr(co, f"gamma{user}")
+    n11, n12 = (spec.n11, spec.n12) if user == 1 else (spec.n22, spec.n21)
+    # the edges mu = 0, mu = omega and omega = 1
+    lines = [(0, 1, 0), (1, -1, 0), (1, 0, 1)]
+    lines += [(g, 0, a) for a, g in zip(alpha, gamma)]
+    lines += [(tail(n12, l), -tail(n11, l), 0) for l in range(1, spec.q + 1)]
+    region = family_region(spec, user, "c")
+    report = classify(spec)
+    moderate = all(report.moderate_1) and all(report.moderate_2)
+    for omega, mu in _arrangement(lines):
+        value = bound_c(spec, user, omega, mu)
+        w = (1 + mu, omega) if user == 1 else (omega, 1 + mu)
+        assert region.support(*w) <= value, (user, omega, mu)
+        if moderate:
+            assert moderate_bounds(spec, user, "c", omega, mu) == value, (user, omega, mu)
+
+
 @settings(max_examples=100, deadline=None)
 @given(kind=st.sampled_from(sorted(GRID_KINDS)), q=st.integers(0, 9),
        seed=st.integers(0, 2 ** 32))
@@ -472,7 +525,7 @@ def test_ab_family_regions_hold_at_every_weight(kind, q, seed):
     # vertices tie.  So support - bound is affine between those points and
     # the ends 0 and 1, and support <= bound there, checked exactly, holds at
     # every omega in [0, 1]: P lies inside the family's continuum of
-    # half-planes
+    # half-planes.  The c-family, over (omega, mu), is _assert_c_family_holds
     if kind == "moderate":
         q = max(q, 1)  # the moderate construction needs a layer
     spec = GRID_KINDS[kind](random.Random(seed), q)
@@ -486,3 +539,12 @@ def test_ab_family_regions_hold_at_every_weight(kind, q, seed):
             for omega in {F(0), F(1)} | kinks | _support_breaks(region, user):
                 w = (1, omega) if user == 1 else (omega, 1)
                 assert region.support(*w) <= bound(spec, user, omega), (user, family, omega)
+        _assert_c_family_holds(spec, user)
+
+
+def test_c_family_regions_hold_at_every_weight_on_the_continuum_corpus():
+    # criterion 8 samples these channels' weights, so it can miss a lost
+    # critical c row that changes a region; this check covers every weight
+    for spec in continuum_corpus(random.Random(1008)):
+        for user in (1, 2):
+            _assert_c_family_holds(spec, user)

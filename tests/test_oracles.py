@@ -1,6 +1,5 @@
 """Monte Carlo estimators and the shared-uniform coupling."""
 
-import dataclasses
 import functools
 import itertools
 import math
@@ -25,7 +24,7 @@ from layercap.oracles import (
 )
 from layercap import oracles, verification
 from layercap.verification import mc_within_tolerance
-from strategies import MIXED_WEIGHTS, specs
+from strategies import MIXED_WEIGHTS, pmfs, specs
 
 F = Fraction
 
@@ -69,33 +68,27 @@ def test_same_seed_reproduces_exactly():
     cfg = SimConfig(spec=spec, samples=70_000, seed=123)
     a = mc_estimate_stats(cfg)
     b = mc_estimate_stats(cfg)
-    assert [(e.name, e.estimate, e.stderr) for e in a.entries] == [
-        (e.name, e.estimate, e.stderr) for e in b.entries
-    ]
+    assert list(a.items()) == list(b.items())
     c = mc_estimate_stats(SimConfig(spec=spec, samples=70_000, seed=124))
-    assert any(
-        x.estimate != y.estimate for x, y in zip(a.entries, c.entries)
-    )
+    assert any(a[name] != c[name] for name in a)
 
 
 def test_estimates_are_sample_frequencies():
     spec = symmetric_bernoulli(F(1, 2), F(1, 2))
     cfg = SimConfig(spec=spec, samples=1000, seed=9)
-    report = mc_estimate_stats(cfg)
-    assert report.samples == 1000 and report.seed == 9
-    for entry in report.entries:
-        if entry.name.startswith(("tail:", "diff_tail:")):
-            assert 0 <= entry.estimate <= 1
-            assert 1000 % entry.estimate.denominator == 0
+    for name, estimate in mc_estimate_stats(cfg).items():
+        if name.startswith(("tail:", "diff_tail:")):
+            assert 0 <= estimate <= 1
+            assert 1000 % estimate.denominator == 0
 
 
 def test_exact_and_estimated_names_agree():
     spec = examples()["moderate"]
     cfg = SimConfig(spec=spec, samples=256, seed=0)
-    report = mc_estimate_stats(cfg)
+    estimates = mc_estimate_stats(cfg)
     exact = exact_stats(spec)
-    assert [e.name for e in report.entries] == list(exact)
-    assert {e.name: e for e in report.entries}["expect:n11"].estimate >= 0
+    assert list(estimates) == list(exact)
+    assert estimates["expect:n11"] >= 0
 
 
 @settings(max_examples=60, deadline=None)
@@ -116,11 +109,51 @@ def test_every_statistic_is_the_mean_of_its_level_function(spec):
 def test_constant_channel_estimates_are_exact():
     spec = const_spec(3, 2, 2, 3, 3)
     cfg = SimConfig(spec=spec, samples=500, seed=11)
-    report = mc_estimate_stats(cfg)
-    exact = exact_stats(spec)
-    for entry in report.entries:
-        assert entry.estimate == exact[entry.name]
-        assert entry.stderr == 0.0
+    assert mc_estimate_stats(cfg) == exact_stats(spec)
+
+
+def reference_estimates(cfg) -> dict:
+    # each statistic read off the drawn histogram by marginal sums, never
+    # through _statistics' level functions: a tail from its link's marginal,
+    # the pair statistics from the two links' joint marginal
+    links = ("n11", "n12", "n21", "n22")
+    pairs = (("n11", "n21"), ("n21", "n11"), ("n22", "n12"), ("n12", "n22"))
+    side = cfg.spec.q + 1
+    joint = oracles._cell_counts(cfg).reshape((side,) * 4)
+    levels = np.arange(side)
+    diff = levels[:, None] - levels[None, :]
+
+    def marginal(x):
+        return joint.sum(axis=tuple(k for k in range(4) if k != links.index(x)))
+
+    def pair(x, y):
+        i, j = links.index(x), links.index(y)
+        both = joint.sum(axis=tuple(k for k in range(4) if k not in (i, j)))
+        return both if i < j else both.T
+
+    def mean(counts):
+        return F(int(counts), cfg.samples)
+
+    out = {}
+    for x in links:
+        out |= {f"tail:{x}:{l}": mean(marginal(x)[l:].sum()) for l in range(1, side)}
+    for x, y in pairs:
+        out |= {f"diff_tail:{x}-{y}:{l}": mean(pair(x, y)[diff >= l].sum())
+                for l in range(1, side)}
+    out |= {f"expect:{x}": mean((levels * marginal(x)).sum()) for x in links}
+    out |= {f"expect_pos_diff:{x}-{y}": mean((np.maximum(diff, 0) * pair(x, y)).sum())
+            for x, y in pairs}
+    out |= {f"expect_max:{x}:{y}": mean((np.maximum.outer(levels, levels) * pair(x, y)).sum())
+            for x, y in (("n11", "n21"), ("n22", "n12"))}
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=st.integers(0, 3).flatmap(lambda q: st.builds(ChannelSpec, *[pmfs(q)] * 4)),
+       samples=st.integers(1, 3000), seed=st.integers(0, 2 ** 64 - 1))
+def test_estimates_are_the_histograms_marginal_means(spec, samples, seed):
+    cfg = SimConfig(spec, samples, seed)
+    assert list(mc_estimate_stats(cfg).items()) == list(reference_estimates(cfg).items())
 
 
 def reference_cell_counts(cfg):
@@ -190,15 +223,14 @@ def test_cell_counts_across_chunk_boundaries(samples):
 
 
 def test_montecarlo_suite_fails_on_a_changed_rerun(monkeypatch):
-    # every other report is drawn with another seed but keeps the requested
-    # one, so the rerun differs in its estimates except on the constant det
-    # channel, whose estimates are exact
+    # every other mapping is drawn with another seed, so the rerun differs
+    # in its estimates except on the constant det channel, whose estimates
+    # are exact
     calls = []
 
     def flaky(cfg):
         calls.append(cfg)
-        drawn = SimConfig(cfg.spec, cfg.samples, cfg.seed + len(calls) % 2)
-        return dataclasses.replace(mc_estimate_stats(drawn), seed=cfg.seed)
+        return mc_estimate_stats(SimConfig(cfg.spec, cfg.samples, cfg.seed + len(calls) % 2))
 
     monkeypatch.setattr(verification, "mc_estimate_stats", flaky)
     result = verification.verify_montecarlo(samples=1000)
