@@ -48,17 +48,23 @@ weights sit at: i of the family's omega sweep and j of the top sweep, a
 term the a- and b-families leave at zero.  A weight is the integer tuple
 (p, m, r, i, j).  The critical weights are read off the sweeps' sorted
 keys with their pieces known, the index of each kink's first key: the
-count of keys below it, so the piece bisection would find.  Grid weights
+count of keys below it, so the piece bisection would find.  Each sweep
+reduces its kinks once, when its kernel is built, and keeps them as a
+tuple that every enumeration of the cached kernel reads.  Grid weights
 find theirs by one forward walk over the keys per grid line, and the
 weights of bound_a/b/c by bisection (locate).  Both enumerations emit
 their bounds as BoundRows: the half-plane of each over D,
 (r+m, p, r*D*bound) for user 1, meaning (r+m)*R1 + p*R2 <= r*bound, read
 off those numerators with no Fraction and no gcd.  The rows carry D once,
 as their den, and intersect(rows, den) takes them as they are, with D
-never multiplied in.  A WeightedBound, with its Fraction weights, value and
-reduced half-plane, is built only for a row that is read: by active_bounds
-for the constraints it reports, or by outer_halfplanes and grid_bounds for
-every row.
+never multiplied in.  The rows of two consecutive a- or b-family kinks
+both lie on the bound piece between them, R1 + omega*R2 <= (const +
+omega*slope)/D for user 1, so they cross at its apex (const/D, slope/D);
+outer_rows records that apex as the pair's crossing, and intersect takes
+a chain vertex between such neighbours from there, not by Cramer's rule.
+A WeightedBound, with its Fraction weights, value and reduced half-plane,
+is built only for a row that is read: by active_bounds for the constraints
+it reports, or by outer_halfplanes and grid_bounds for every row.
 
 The grid at N steps runs one grid line at a time: the a- and b-families
 have one, omega = k/N for k = 0..N, and the c-family one per omega, mu =
@@ -177,14 +183,32 @@ class WeightedBound:
         return HalfPlane(*((cross, own) if mirror else (own, cross)), self.value)
 
 
+def _kinks(keys) -> tuple:
+    """The kinks inside the weight range of a sweep's sorted keys, ascending,
+    as reduced pairs with the index of their first key, (n, d, k): (0, 1, 0),
+    each distinct key ratio in (0, 1), then (1, 1).  k counts the keys below
+    n/d, what _Sweep.below(n, d) returns, so it indexes the kink's piece."""
+    out, last = [(0, 1, 0)], (0, 1)
+    for k, (n, d) in enumerate(keys):
+        if n >= d:
+            break
+        if n * last[1] != last[0] * d:  # keys ascend: new iff unequal to the last
+            last, g = (n, d), gcd(n, d)
+            out.append((n // g, d // g, k))
+    else:
+        k = len(keys)
+    return (*out, (1, 1, k))
+
+
 class _Sweep:
-    """Layers with den > 0 sorted by num/den, with prefix sums of den and num.
+    """Layers with den > 0 sorted by num/den, with prefix sums of den and num,
+    and their kinks (_kinks), reduced once and kept.
 
     num and den are integer numerators over the kernel's denominator, so a
     key is the pair (num, den) and keys are compared by cross-multiplying.
     """
 
-    __slots__ = ("keys", "dens", "nums")
+    __slots__ = ("keys", "dens", "nums", "kinks")
 
     def __init__(self, nums, dens):
         pairs = [(n, d) for n, d in zip(nums, dens) if d > 0]
@@ -193,26 +217,11 @@ class _Sweep:
         for n, d in self.keys:
             self.dens.append(self.dens[-1] + d)
             self.nums.append(self.nums[-1] + n)
+        self.kinks = _kinks(self.keys)
 
     def below(self, p, r) -> int:
         """How many keys are < p/r, for r > 0; none for p = r = 0."""
         return bisect_left(self.keys, True, key=lambda k: k[0] * r >= p * k[1])
-
-    def kinks(self) -> list:
-        """The kinks inside the weight range, ascending, as reduced pairs
-        with the index of their first key, (n, d, k): (0, 1, 0), each
-        distinct key ratio in (0, 1), then (1, 1).  k counts the keys below
-        n/d, what below(n, d) returns, so it indexes the kink's piece."""
-        out, last = [(0, 1, 0)], (0, 1)
-        for k, (n, d) in enumerate(self.keys):
-            if n >= d:
-                break
-            if n * last[1] != last[0] * d:  # keys ascend: new iff unequal to the last
-                last, g = (n, d), gcd(n, d)
-                out.append((n // g, d // g, k))
-        else:
-            k = len(self.keys)
-        return out + [(1, 1, k)]
 
 
 def _walk(sweep: _Sweep, last, r) -> list:
@@ -349,14 +358,14 @@ def _kink_weights(kernel: BoundKernel, family) -> list:
     top sweep (0 outside family c), what locate bisects there."""
     if family != "c":
         sweep = kernel.beta if family == "a" else kernel.gamma
-        return [(n, 0, d, k, 0) for n, d, k in sweep.kinks()]
+        return [(n, 0, d, k, 0) for n, d, k in sweep.kinks]
     # omega kinks as in family b, mu kinks along rays mu = s*omega: all cell
     # corners of that subdivision of {0 <= mu <= omega <= 1} are products of
     # an omega kink with a ray slope, and omega = 0 has the one corner (0, 0)
     # on the first piece of both sweeps
-    slopes = kernel.top.kinks()
+    slopes = kernel.top.kinks
     out = [(0, 0, 1, 0, 0)]
-    for p, r, i in kernel.gamma.kinks()[1:]:
+    for p, r, i in kernel.gamma.kinks[1:]:
         out += [(p * d, p * n, r * d, i, j) for n, d, j in slopes]
     return out
 
@@ -379,14 +388,15 @@ def critical_weights(spec: ChannelSpec, user, family):
 
 class BoundRows(Sequence):
     """One spec's bounds as Rows of their half-planes over the kernel's
-    denominator D, for intersect(rows, den); item i is the WeightedBound of
-    row i, built when it is read."""
+    denominator D, for intersect(rows, den, crossings); item i is the
+    WeightedBound of row i, built when it is read."""
 
-    __slots__ = ("den", "rows", "_tags")
+    __slots__ = ("den", "rows", "crossings", "_tags")
 
     def __init__(self, spec: ChannelSpec):
         self.den = layer_coefficients(spec).den  # D, each bound kernel's den
         self.rows = []  # Rows (a, b, c), each a*R1 + b*R2 <= c/den
+        self.crossings = {}  # (i, j) -> (X, Y): rows i and j meet at (X/den, Y/den)
         self._tags = []  # (family, p, m, r) per row
 
     def __len__(self):
@@ -415,14 +425,22 @@ class BoundRows(Sequence):
 def outer_rows(spec: ChannelSpec, families=FAMILIES) -> BoundRows:
     """Bounds of the given families at their critical weights, in the
     order given, omega ascending within a family; each bound is read on
-    the sweep pieces its kink indexes."""
+    the sweep pieces its kink indexes.  Two consecutive a- or b-family rows
+    lie on the piece between their kinks, the later kink's, so they cross
+    at its apex (const/D, slope/D), mirrored for user 2; the crossings
+    record it under both orders of the pair."""
     out = BoundRows(spec)
     for tag in families:
         if tag not in FAMILIES:
             raise ValueError(f"unknown family {tag!r}")
         kernel = bound_kernel(spec, int(tag[0]))
-        weights = _kink_weights(kernel, tag[1])
+        weights, first = _kink_weights(kernel, tag[1]), len(out)
         out.extend(tag, weights, kernel.at(tag[1], weights))
+        if tag[1] != "c":
+            pieces = kernel._pieces[tag[1]][0]
+            for t, (_, _, _, i, _) in enumerate(weights[1:], first + 1):
+                apex = pieces[i] if tag[0] == "1" else pieces[i][::-1]
+                out.crossings[t - 1, t] = out.crossings[t, t - 1] = apex
     return out
 
 
@@ -470,7 +488,7 @@ def grid_rows(spec: ChannelSpec, steps: int, prune=False) -> BoundRows:
 def family_region(spec: ChannelSpec, user, family) -> RegionPolytope:
     """Region cut out by a single family over all of its weights."""
     rows = outer_rows(spec, (_family_tag(user, family),))
-    return intersect(rows.rows, rows.den)
+    return intersect(rows.rows, rows.den, rows.crossings)
 
 
 def outer_halfplanes(spec: ChannelSpec) -> list:
@@ -481,7 +499,7 @@ def outer_halfplanes(spec: ChannelSpec) -> list:
 def outer_region(spec: ChannelSpec) -> RegionPolytope:
     """The full outer bound: intersection of every family's half-planes."""
     rows = outer_rows(spec)
-    return intersect(rows.rows, rows.den)
+    return intersect(rows.rows, rows.den, rows.crossings)
 
 
 def grid_bounds(spec: ChannelSpec, steps: int) -> list:

@@ -228,7 +228,7 @@ def _constraint_entry(bound: WeightedBound) -> dict:
 def _region(spec: ChannelSpec, mode: str, grid_steps: int) -> tuple:
     """The mode's BoundRows and the region they intersect to."""
     rows = grid_rows(spec, grid_steps, prune=True) if mode == "grid" else outer_rows(spec)
-    return rows, intersect(rows.rows, rows.den)
+    return rows, intersect(rows.rows, rows.den, rows.crossings)
 
 
 def region_document(spec_file: ChannelSpecFile, mode: str, grid_steps: int) -> dict:

@@ -24,9 +24,11 @@ one power of two near den, which keeps their order and signs.  The
 presort is ratio_order: a correctly rounded float key, with runs of equal
 keys settled by cross-multiplying, and the scan cross-multiplies two rows
 for one direction only where their keys are equal.  Neighbours on the
-chain cross at the vertices in counterclockwise order, one Fraction
-num/(det*den) per coordinate, taken as (num/det)/den where det divides
-num, as for the rows of one bound piece crossing at its apex.
+chain cross at the vertices in counterclockwise order.  A pair the caller
+recorded in crossings, as the bounds module records two rows of one bound
+piece, which cross at that piece's apex, meets at (X/den, Y/den) as
+recorded; any other pair at one Fraction num/(det*den) per coordinate by
+Cramer's rule, taken as (num/det)/den where det divides num.
 RegionPolytope checks that order instead of hulling again, with the float
 orientation test and the exact one where that is not certified.  The
 chain also names the planes along the region's edges; the region records
@@ -376,12 +378,13 @@ def _chain(rows, order, keys, first, last, shift) -> list:
 def _over(num, det, den) -> Fraction:
     # num/(det*den), det != 0.  Rows through one point of a bound piece,
     # (const/den, slope/den) over the rows' common den, meet there, so most
-    # crossings divide exactly and only (num/det)/den is left to reduce
+    # unrecorded crossings (of c-family rows, say) divide exactly too, and
+    # only (num/det)/den is left to reduce
     q, rem = divmod(num, det)
     return Fraction(num, det * den) if rem else Fraction(q, den)
 
 
-def intersect(planes, den=1) -> RegionPolytope:
+def intersect(planes, den=1, crossings=None) -> RegionPolytope:
     """Polytope of all (R1, R2) >= 0 satisfying every half-plane.
 
     planes are HalfPlanes or integer triples (a, b, c), Rows or tuples, read
@@ -389,10 +392,14 @@ def intersect(planes, den=1) -> RegionPolytope:
     is read over den too.  A plane with c = 0 pins each rate it involves to
     0, which leaves a segment on an axis or the origin.  The vertex tuple is
     the origin, the R1-axis point, the crossings of neighbours on the dual
-    hull chain and the R2-axis point, less repeats.  When the caps' c reach
-    _FILTER_BITS bits the scan's orientation tests are float ones that fall
-    back to the integers unless certified, and below that integer ones; both
-    give the same chain, so the result does not depend on the gate.
+    hull chain and the R2-axis point, less repeats.  crossings, if given,
+    maps a pair (i, j) of plane indices, in the order the chain meets
+    them, to integers (X, Y) with both planes through (X/den, Y/den); such
+    neighbours meet there, every other pair by Cramer's rule.  When the
+    caps' c reach _FILTER_BITS bits the scan's orientation tests are float
+    ones that fall back to the integers unless certified, and below that
+    integer ones; both give the same chain, so the result does not depend
+    on the gate.
 
     The region records for active_planes den and the planes that carry an
     edge or, when a pinned rate leaves fewer than 3 vertices, touch a
@@ -414,8 +421,13 @@ def intersect(planes, den=1) -> RegionPolytope:
     if c1 and c2:  # no rate pinned, so every row has c > 0
         order, keys = ratio_order([(b, a) for a, b, _ in rows])
         chain = _chain(rows, order, keys, (a1, 0, c1), (0, b2, c2), shift)
-        # each neighbour pair's crossing, by Cramer's rule
-        for (a, b, c), (u, v, w) in pairwise(entry[0] for entry in chain):
+        # each neighbour pair's crossing: the recorded one, else Cramer's rule
+        for before, after in pairwise(chain):
+            xy = crossings and crossings.get((before[1], after[1]))
+            if xy:
+                points.append((Fraction(xy[0], den), Fraction(xy[1], den)))
+                continue
+            (a, b, c), (u, v, w) = before[0], after[0]
             det = a * v - u * b
             points.append((_over(c * v - w * b, det, den), _over(a * w - u * c, det, den)))
         # every scanned chain row turns strictly, so it carries an edge; a

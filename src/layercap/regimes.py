@@ -136,7 +136,7 @@ def weak_region(spec: ChannelSpec) -> RegionPolytope:
     """Capacity region under weak interference: the two b-family regions meet."""
     _require(spec, "weak")
     rows = outer_rows(spec, ("1b", "2b"))
-    return intersect(rows.rows, rows.den)
+    return intersect(rows.rows, rows.den, rows.crossings)
 
 
 def weak_sum_capacity(spec: ChannelSpec) -> Fraction:

@@ -12,9 +12,12 @@ the half-plane of the bound it reads back as.  outer_rows reads each
 critical-weight bound on the sweep pieces its kink indexes, with no
 bisection; every kink's pieces are checked against the ones the kernel's
 locator bisects at the same weight, and its value against the bound read
-on those.
+on those.  The crossing outer_rows records for two consecutive a- or
+b-family rows, the apex of the piece between them, is checked to lie on
+both rows and to give intersect the region Cramer's rule gives.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -35,13 +38,15 @@ from layercap import (
 )
 from layercap.bounds import (
     _kink_weights,
-    _Sweep,
+    _kinks,
     bound_kernel,
     grid_bounds,
     grid_rows,
     outer_halfplanes,
     outer_rows,
 )
+from layercap.corpus import random_moderate_spec
+from layercap.geometry import active_planes, intersect
 from strategies import specs, unit_rationals
 
 F = Fraction
@@ -225,15 +230,62 @@ def test_kink_indexed_values_equal_the_bisected_ones(spec):
 @pytest.mark.parametrize("step", [-1, 1])
 def test_an_off_by_one_kink_index_fails_the_value_check(monkeypatch, step):
     # a shifted index differs from the bisected piece at every kink; the
-    # values tell it only at some, since a bound is continuous at its kinks
-    kinks = _Sweep.kinks
-    monkeypatch.setattr(_Sweep, "kinks",
-                        lambda self: [(n, d, k + step) for n, d, k in kinks(self)])
-    for spec in KINK_EDGE_SPECS:
-        try:
-            assert kink_value_mismatches(spec)
-        except IndexError:  # a piece index past the last
-            pass
+    # values tell it only at some, since a bound is continuous at its kinks.
+    # A sweep reduces its kinks once, when its kernel is built, so the
+    # kernels are rebuilt on both sides of the patch: a cached one would
+    # hand back the kinks it was built with
+    bound_kernel.cache_clear()
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr("layercap.bounds._kinks",
+                          lambda keys: tuple((n, d, k + step) for n, d, k in _kinks(keys)))
+            for spec in KINK_EDGE_SPECS:
+                try:
+                    assert kink_value_mismatches(spec)
+                except IndexError:  # a piece index past the last
+                    pass
+    finally:
+        bound_kernel.cache_clear()
+
+
+def test_each_sweep_keeps_its_kinks():
+    # the kinks are reduced once per sweep and kept as a tuple, which no
+    # reader can change; a rebuilt kernel gives the same critical weights
+    spec = KINK_EDGE_SPECS[0]
+    weights = {(user, family): critical_weights(spec, user, family)
+               for user in (1, 2) for family in "abc"}
+    for user in (1, 2):
+        kernel = bound_kernel(spec, user)
+        for sweep in (kernel.beta, kernel.gamma, kernel.top):
+            assert type(sweep.kinks) is tuple and sweep.kinks == _kinks(sweep.keys)
+    bound_kernel.cache_clear()
+    assert weights == {(user, family): critical_weights(spec, user, family)
+                       for user in (1, 2) for family in "abc"}
+
+
+# moderate specs at q 3-5: rows of hundreds to thousands of bits
+MODERATE_SPECS = st.builds(lambda seed, q: random_moderate_spec(random.Random(seed), q),
+                           st.integers(0, 2 ** 32), st.integers(3, 5))
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=specs(max_q=6) | MODERATE_SPECS)
+@example(spec=KINK_EDGE_SPECS[0])
+@example(spec=KINK_EDGE_SPECS[1])
+def test_recorded_crossings_are_the_vertices_cramers_rule_gives(spec):
+    # outer_rows records for two consecutive a- or b-family rows the apex
+    # of the bound piece between them; it must lie on both rows, and
+    # intersect must give the same region and active planes with the
+    # crossings as by Cramer's rule alone
+    for families in (FAMILIES, *((tag,) for tag in FAMILIES if tag[1] != "c")):
+        rows = outer_rows(spec, families)
+        for pair, (x, y) in rows.crossings.items():
+            for a, b, c in map(rows.rows.__getitem__, pair):
+                assert a * x + b * y == c
+        plain = intersect(rows.rows, rows.den)
+        fast = intersect(rows.rows, rows.den, rows.crossings)
+        assert fast.vertices == plain.vertices
+        assert active_planes(fast, len(rows)) == active_planes(plain, len(rows))
 
 
 @settings(max_examples=100, deadline=None)
