@@ -2,16 +2,17 @@
 
 With every link fixed to a constant number of surviving layers the channel
 is the classic deterministic interference channel, whose capacity region is
-a closed-form polytope of seven half-planes: two rate caps, three sum-rate
-bounds and two 2:1 bounds.  The weighted-bound machinery must reproduce that
-polytope exactly when fed point-mass pmfs; verify_recovery checks it
-constraint by constraint and as a full region.
+a closed-form polytope (Bresler and Tse, 2008).  _pins states it once, as
+one table of eight pins: a weighted bound, its weights, and the closed-form
+constraint it must equal on point-mass pmfs.  Both b pins are the same
+sum-rate bound, so the table holds seven distinct half-planes: two rate
+caps, three sum-rate bounds and two 2:1 bounds.  det_region intersects
+them; verify_recovery checks each pin and the assembled outer region.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .channel import ChannelSpec, FadingPmf
 from .bounds import bound_a, bound_b, bound_c, outer_region
@@ -29,7 +30,8 @@ class DetChannel:
 
     def __post_init__(self):
         for name, v in self.levels().items():
-            if not isinstance(v, int) or v < 0:
+            # bool is an int subclass, but a level written as True is an error
+            if isinstance(v, bool) or not isinstance(v, int) or v < 0:
                 raise ValueError(f"{name} must be a nonnegative integer, got {v!r}")
 
     def levels(self) -> dict:
@@ -49,75 +51,34 @@ class DetChannel:
         )
 
 
-def _constraints(ch: DetChannel):
+def _pins(ch: DetChannel) -> tuple:
+    """The eight pins (bound, its arguments after the spec, (a, b, c)): the
+    bound must equal c, and a*R1 + b*R2 <= c is its closed-form constraint."""
     n11, n12, n21, n22 = ch.n11, ch.n12, ch.n21, ch.n22
-    sum_b = max(n11, n21) + max(n22 - n21, 0)
-    sum_c = max(n22, n12) + max(n11 - n12, 0)
-    sum_d = max(max(n11 - n21, 0), n12) + max(max(n22 - n12, 0), n21)
-    two_one = max(n11, n12) + max(n11 - n21, 0) + max(max(n22 - n12, 0), n21)
-    one_two = max(n22, n21) + max(n22 - n12, 0) + max(max(n11 - n21, 0), n12)
-    return sum_b, sum_c, sum_d, two_one, one_two
+    clear1, clear2 = max(n11 - n21, 0), max(n22 - n12, 0)
+    sum_d = max(clear1, n12) + max(clear2, n21)
+    return (
+        (bound_a, (1, 0), (1, 0, n11)),
+        (bound_a, (2, 0), (0, 1, n22)),
+        (bound_a, (1, 1), (1, 1, max(n11, n21) + max(n22 - n21, 0))),
+        (bound_a, (2, 1), (1, 1, max(n22, n12) + max(n11 - n12, 0))),
+        (bound_b, (1, 1), (1, 1, sum_d)),
+        (bound_b, (2, 1), (1, 1, sum_d)),
+        (bound_c, (1, 1, 1), (2, 1, max(n11, n12) + clear1 + max(clear2, n21))),
+        (bound_c, (2, 1, 1), (1, 2, max(n22, n21) + clear2 + max(clear1, n12))),
+    )
 
 
 def det_region(ch: DetChannel) -> RegionPolytope:
-    """The deterministic capacity region: two rate caps, three sum bounds, two 2:1 bounds."""
-    sum_b, sum_c, sum_d, two_one, one_two = _constraints(ch)
-    return intersect([
-        HalfPlane(1, 0, ch.n11),
-        HalfPlane(0, 1, ch.n22),
-        HalfPlane(1, 1, sum_b),
-        HalfPlane(1, 1, sum_c),
-        HalfPlane(1, 1, sum_d),
-        HalfPlane(2, 1, two_one),
-        HalfPlane(1, 2, one_two),
-    ])
+    """The deterministic capacity region: the pins' seven distinct
+    half-planes intersected (intersect keeps the first of the two b pins)."""
+    return intersect([HalfPlane(*plane) for _, _, plane in _pins(ch)])
 
 
-@dataclass(frozen=True)
-class RecoveryCheck:
-    family: str
-    omega: Fraction
-    mu: object
-    value: Fraction
-    target: Fraction
-    ok: bool
-
-
-@dataclass(frozen=True)
-class RecoveryReport:
-    channel: DetChannel
-    checks: tuple
-    region_match: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.region_match and all(c.ok for c in self.checks)
-
-
-def verify_recovery(ch: DetChannel) -> RecoveryReport:
-    """Check each weighted bound against its deterministic counterpart.
-
-    The point-mass embedding must make every named bound land exactly on the
-    matching closed-form constraint, and the assembled outer region must
-    equal det_region as a polytope.
-    """
+def verify_recovery(ch: DetChannel) -> bool:
+    """Whether the weighted-bound machinery recovers the closed forms: on the
+    point-mass embedding every pinned bound equals its c, and the assembled
+    outer region equals det_region."""
     spec = ch.to_spec()
-    sum_b, sum_c, sum_d, two_one, one_two = _constraints(ch)
-    one = Fraction(1)
-    zero = Fraction(0)
-    pairs = [
-        ("1a", zero, None, bound_a(spec, 1, 0), Fraction(ch.n11)),
-        ("2a", zero, None, bound_a(spec, 2, 0), Fraction(ch.n22)),
-        ("1a", one, None, bound_a(spec, 1, 1), Fraction(sum_b)),
-        ("2a", one, None, bound_a(spec, 2, 1), Fraction(sum_c)),
-        ("1b", one, None, bound_b(spec, 1, 1), Fraction(sum_d)),
-        ("2b", one, None, bound_b(spec, 2, 1), Fraction(sum_d)),
-        ("1c", one, one, bound_c(spec, 1, 1, 1), Fraction(two_one)),
-        ("2c", one, one, bound_c(spec, 2, 1, 1), Fraction(one_two)),
-    ]
-    checks = tuple(
-        RecoveryCheck(family, om, mu, value, target, value == target)
-        for family, om, mu, value, target in pairs
-    )
-    region_match = outer_region(spec) == det_region(ch)
-    return RecoveryReport(channel=ch, checks=checks, region_match=region_match)
+    return (all(bound(spec, *args) == c for bound, args, (_, _, c) in _pins(ch))
+            and outer_region(spec) == det_region(ch))

@@ -52,8 +52,7 @@ def verify_deterministic() -> SuiteResult:
     rng = range(_LEVEL_CAP + 1)
     for n11, n12, n21, n22 in itertools.product(rng, rng, rng, rng):
         total += 1
-        report = verify_recovery(DetChannel(n11, n12, n21, n22))
-        if not report.ok:
+        if not verify_recovery(DetChannel(n11, n12, n21, n22)):
             failures.append((n11, n12, n21, n22))
     lines = [f"[deterministic] {total - len(failures)}/{total} constant channels recovered exactly"]
     for tup in failures[:10]:

@@ -14,7 +14,11 @@ bisection; every kink's pieces are checked against the ones the kernel's
 locator bisects at the same weight, and its value against the bound read
 on those.  The crossing outer_rows records for two consecutive a- or
 b-family rows, the apex of the piece between them, is checked to lie on
-both rows and to give intersect the region Cramer's rule gives.
+both rows and to give intersect the region Cramer's rule gives.  Every
+non-axis edge of an exact, pruned grid or one-family a or b region must lie
+on a bound active_bounds reports, with c from the reference: the continuum
+tests show that the region lies inside every bound, and this shows that it
+reaches each of them.
 """
 
 import random
@@ -28,6 +32,7 @@ from layercap import (
     ChannelSpec,
     FadingPmf,
     HalfPlane,
+    active_bounds,
     bound_a,
     bound_b,
     bound_c,
@@ -286,6 +291,46 @@ def test_recorded_crossings_are_the_vertices_cramers_rule_gives(spec):
         fast = intersect(rows.rows, rows.den, rows.crossings)
         assert fast.vertices == plain.vertices
         assert active_planes(fast, len(rows)) == active_planes(plain, len(rows))
+
+
+def edges_off_every_reported_bound(rows, bound):
+    """The non-axis edges of the region intersect gives rows, if it has 3 or
+    more vertices, through whose two ends no bound active_bounds reports
+    passes, each bound's c taken from bound(user, family, omega, mu)."""
+    region = intersect(rows.rows, rows.den, rows.crossings)
+    vertices = region.vertices
+    if len(vertices) < 3:  # read off the spec, and checked elsewhere
+        return []
+    lines = []
+    for wb in active_bounds(rows, region):
+        user, own = int(wb.family[0]), 1 + (wb.mu or 0)
+        a, b = (own, wb.omega) if user == 1 else (wb.omega, own)
+        lines.append((a, b, bound(user, wb.family[1], wb.omega, wb.mu)))
+    return [(p, q) for p, q in zip(vertices[1:], vertices[2:])
+            if not any(a * p[0] + b * p[1] == c == a * q[0] + b * q[1] for a, b, c in lines)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=specs(max_q=6) | MODERATE_SPECS, steps=st.integers(1, 12))
+@example(spec=KINK_EDGE_SPECS[0], steps=12)
+@example(spec=KINK_EDGE_SPECS[1], steps=12)
+def test_every_edge_lies_on_a_reported_bound_of_the_continuum(spec, steps):
+    # the continuum tests show that the region P lies inside C, the
+    # intersection of every bound at every weight.  P is the intersection
+    # of the half-planes along its edges and the axes, so if each edge lies
+    # on a bound, exactly as reference evaluates it, C lies inside P too.
+    # Exact mode's region is then C, and pruned grid mode's contains it;
+    # the same holds for each one-family a or b region
+    values = {}
+
+    def bound(*key):  # reference, read once per bound
+        if key not in values:
+            values[key] = reference(spec, *key)
+        return values[key]
+
+    one_family = [outer_rows(spec, (tag,)) for tag in FAMILIES if tag[1] != "c"]
+    for rows in (outer_rows(spec), grid_rows(spec, steps, prune=True), *one_family):
+        assert edges_off_every_reported_bound(rows, bound) == []
 
 
 @settings(max_examples=100, deadline=None)
