@@ -111,7 +111,7 @@ from itertools import chain
 from math import gcd, lcm
 from typing import Optional
 
-from .channel import ChannelSpec, as_fraction, layer_coefficients
+from .channel import FRAMES, ChannelSpec, as_fraction, layer_coefficients
 from .geometry import HalfPlane, RegionPolytope, Row, active_planes, intersect, ratio_order
 
 FAMILIES = ("1a", "1b", "1c", "2a", "2b", "2c")
@@ -244,7 +244,7 @@ _NO_TOP = ((0, 0),)
 class BoundKernel:
     """One user's three bound families as integers over one denominator D.
 
-    For user 2 the links are renamed n11<->n22, n12<->n21 first.  The sweeps
+    For user 2 the links are read in its frame, channel.FRAMES[2].  The sweeps
     are alpha/beta (a-family kinks), alpha/gamma (b- and c-family kinks) and
     P(N12 >= l)/P(N11 >= l) (the c-family top term).  Between two kinks of
     its sweep a bound is affine in omega: with the layers below omega = p/r
@@ -311,16 +311,12 @@ class BoundKernel:
         return map(line, range(steps + 1), i_of)
 
 
-# link names of (N11, N12, N21) in each user's frame
-_FRAMES = {1: ("n11", "n12", "n21"), 2: ("n22", "n21", "n12")}
-
-
 @lru_cache(maxsize=4096)
 def bound_kernel(spec: ChannelSpec, user) -> BoundKernel:
     """The per-(spec, user) tables every bound of that user is evaluated from."""
     _check_user(user)
     co = layer_coefficients(spec)
-    ints, (n11, n12, n21) = co.ints, _FRAMES[user]
+    ints, (n11, n12, n21, _) = co.ints, FRAMES[user]
     t12 = ints[n12]
     return BoundKernel(co.den, ints[n11], ints[n21], t12, ints[f"{n21}-{n11}"],
                        tuple(map(max, ints[f"{n11}-{n21}"], t12)),

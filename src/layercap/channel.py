@@ -203,7 +203,7 @@ class LayerCoefficients:
         beta1(l)  = [P(N22 >= l) - P(N21 - N11 >= l)]^+
         gamma1(l) = [P(N22 - N12 >= l) - P(N21 - N11 >= l)]^+
 
-    and user 2 by the swap n11<->n22, n12<->n21.  ints maps each coefficient
+    and user 2 the same in its frame, FRAMES[2].  ints maps each coefficient
     name above to its vector, each link name to (P(N >= 1), ..., P(N >= q))
     and each difference key "a-b" to (P(N_a - N_b >= 1), ...), all as
     integer numerators over den.  alpha1 ... gamma2 read a coefficient
@@ -294,8 +294,11 @@ def pos_diff_pmf(a: FadingPmf, b: FadingPmf) -> FadingPmf:
 
 
 _LINKS = ("n11", "n12", "n21", "n22")
+# each user's (N11, N12, N21, N22) link names: user 2 is user 1 of the
+# channel with n11 <-> n22 and n12 <-> n21 renamed, as swap_users builds it
+FRAMES = {1: ("n11", "n12", "n21", "n22"), 2: ("n22", "n21", "n12", "n11")}
 # the difference tails "x-y" that the coefficients of both users read
-_PAIRS = (("n11", "n21"), ("n21", "n11"), ("n22", "n12"), ("n12", "n22"))
+_PAIRS = tuple(p for n11, _, n21, _ in FRAMES.values() for p in ((n11, n21), (n21, n11)))
 
 
 @lru_cache(maxsize=4096)
@@ -316,19 +319,12 @@ def layer_coefficients(spec: ChannelSpec) -> LayerCoefficients:
     ints = {name: scaled(pmf._int_tails[1:-1], dens[name]) for name, pmf in links.items()}
     ints.update({f"{x}-{y}": scaled(_diff_tails(links[x], links[y]), dens[x] * dens[y])
                  for x, y in _PAIRS})
-
-    def user(t21, t22, d2111, d2212):
-        # alpha, beta, gamma as in the class docstring; user 2 passes the
-        # vectors of the swapped links
-        return (
-            tuple(x - c for x, c in zip(t21, d2111)),
-            tuple(max(x - c, 0) for x, c in zip(t22, d2111)),
-            tuple(max(x - c, 0) for x, c in zip(d2212, d2111)),
-        )
-
-    ints.update(zip(_COEFFICIENTS,
-                    user(ints["n21"], ints["n22"], ints["n21-n11"], ints["n22-n12"])
-                    + user(ints["n12"], ints["n11"], ints["n12-n22"], ints["n11-n21"])))
+    # alpha, beta, gamma as in the class docstring, in each user's frame
+    for user, (n11, n12, n21, n22) in FRAMES.items():
+        lift, free = ints[f"{n21}-{n11}"], ints[f"{n22}-{n12}"]
+        ints[f"alpha{user}"] = tuple(x - c for x, c in zip(ints[n21], lift))
+        ints[f"beta{user}"] = tuple(max(x - c, 0) for x, c in zip(ints[n22], lift))
+        ints[f"gamma{user}"] = tuple(max(x - c, 0) for x, c in zip(free, lift))
     return LayerCoefficients(common, ints)
 
 

@@ -253,14 +253,8 @@ def classify_document(spec_file: ChannelSpecFile) -> dict:
         "label": spec_file.label,
         "q": spec_file.q,
         "regime": report.regime,
-        "conditions": {
-            "strong": {"user1": list(report.strong_1), "user2": list(report.strong_2)},
-            "weak": {"user1": list(report.weak_1), "user2": list(report.weak_2)},
-            "moderate": {
-                "user1": list(report.moderate_1),
-                "user2": list(report.moderate_2),
-            },
-        },
+        "conditions": {regime: {"user1": list(user1), "user2": list(user2)}
+                       for regime, (user1, user2) in report.conditions.items()},
         "conjecture_precondition": report.conjecture_precondition,
         "region_status": "capacity" if exact else "outer bound (tightness open)",
         "vertices": [[str(r1), str(r2)] for r1, r2 in region.vertices],

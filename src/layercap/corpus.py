@@ -100,8 +100,7 @@ def random_strong_spec(rng: random.Random, q: int, max_denominator: int = 8) -> 
     n12, n11 = ordered_pair()
     n21, n22 = ordered_pair()
     spec = ChannelSpec(n11=n11, n12=n12, n21=n21, n22=n22)
-    rep = classify(spec)
-    if not (all(rep.strong_1) and all(rep.strong_2)):
+    if not classify(spec).holds("strong"):
         raise RuntimeError("strong construction failed its own condition")
     return spec
 
@@ -137,8 +136,7 @@ def random_weak_spec(rng: random.Random, q: int, max_denominator: int = 8) -> Ch
             prev = step
         n12 = FadingPmf.from_tails(t12)
         spec = ChannelSpec(n11=n11, n12=n12, n21=n21, n22=n22)
-        rep = classify(spec)
-        if all(rep.weak_1) and all(rep.weak_2):
+        if classify(spec).holds("weak"):
             return spec
     raise RuntimeError("weak construction did not converge")
 
@@ -187,7 +185,6 @@ def random_moderate_spec(rng: random.Random, q: int) -> ChannelSpec:
             n21=n21,
             n22=_geometric(b, q),
         )
-    rep = classify(spec)
-    if not (all(rep.moderate_1) and all(rep.moderate_2)):
+    if not classify(spec).holds("moderate"):
         raise RuntimeError("moderate construction failed its own condition")
     return spec

@@ -7,19 +7,22 @@ against the direct links:
     weak:      P(N11-N21 >= l) >= P(N12 >= l)  and  P(N22-N12 >= l) >= P(N21 >= l)
     moderate:  P(N11 >= l) > P(N12 >= l) > P(N11-N21 >= l)   (strict, both users)
 
-A channel gets the regime label only when the condition holds at every
-layer; anything else is "mixed" and keeps its per-layer diagnostics.  The
-operations below gate on the per-layer flags rather than the label, so
-channels sitting in an overlap (for example strong and weak at once) stay
-usable with either toolset.
+_CONDITIONS states each condition once, on the links of a user's frame
+(channel.FRAMES): user 2's conditions above are user 1's read in user 2's
+frame.  A channel gets the regime label only when the condition holds at
+every layer for both users; anything else is "mixed" and keeps its
+per-layer diagnostics.  The operations below gate on RegimeReport.holds
+rather than the label, so channels sitting in an overlap (for example
+strong and weak at once) stay usable with either toolset.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .channel import (
+    FRAMES,
     ChannelSpec,
     as_fraction,
     expect,
@@ -41,25 +44,36 @@ from .bounds import (
 from .geometry import HalfPlane, RegionPolytope, intersect
 
 
+# each regime's per-layer test on P(N11 >= l), P(N12 >= l) and
+# P(N11 - N21 >= l) in a user's frame, as in the module docstring.  The
+# order sets which label wins and the order the flags are printed in
+_CONDITIONS = {
+    "strong": lambda t11, t12, d: t12 >= t11,
+    "weak": lambda t11, t12, d: d >= t12,
+    "moderate": lambda t11, t12, d: t11 > t12 > d,
+}
+
+
 @dataclass(frozen=True)
 class RegimeReport:
     """Regime label plus the per-layer condition flags behind it.
 
-    Tuples are indexed by l-1 for l in {1..q}; the _1/_2 suffix names the
-    user whose cross link the condition constrains.  conjecture_precondition
-    is true when no layer satisfies either strict moderate chain; that is
-    the family of channels for which the outer bound is conjectured to be
-    the exact capacity region.
+    conditions maps each regime of _CONDITIONS, in its order, to the pair
+    (user-1 flags, user-2 flags); each is a tuple of bools indexed by l-1
+    for l in {1..q}, the condition in that user's frame.  It is left out of
+    the hash, which equal reports still share.  conjecture_precondition is
+    true when no layer satisfies either strict moderate chain; that is the
+    family of channels for which the outer bound is conjectured to be the
+    exact capacity region.
     """
 
     regime: str
-    strong_1: tuple
-    strong_2: tuple
-    weak_1: tuple
-    weak_2: tuple
-    moderate_1: tuple
-    moderate_2: tuple
+    conditions: dict = field(hash=False)
     conjecture_precondition: bool
+
+    def holds(self, regime: str) -> bool:
+        """True when both users meet regime's condition at every layer."""
+        return all(map(all, self.conditions[regime]))
 
 
 @dataclass(frozen=True)
@@ -79,40 +93,21 @@ class CornerAllocation:
 
 
 def classify(spec: ChannelSpec) -> RegimeReport:
-    """Evaluate all three per-layer condition pairs and label the regime."""
+    """Evaluate every regime condition for both users and label the regime."""
     # the integer vectors share one positive denominator, so they compare
     # as the probabilities do
     ints = layer_coefficients(spec).ints
-    t11, t12, t21, t22 = ints["n11"], ints["n12"], ints["n21"], ints["n22"]
-    d1121, d2212 = ints["n11-n21"], ints["n22-n12"]
-    q = spec.q
-    strong_1 = tuple(t12[i] >= t11[i] for i in range(q))
-    strong_2 = tuple(t21[i] >= t22[i] for i in range(q))
-    weak_1 = tuple(d1121[i] >= t12[i] for i in range(q))
-    weak_2 = tuple(d2212[i] >= t21[i] for i in range(q))
-    moderate_1 = tuple(t11[i] > t12[i] > d1121[i] for i in range(q))
-    moderate_2 = tuple(t22[i] > t21[i] > d2212[i] for i in range(q))
-    if all(strong_1) and all(strong_2):
-        regime = "strong"
-    elif all(weak_1) and all(weak_2):
-        regime = "weak"
-    elif all(moderate_1) and all(moderate_2):
-        regime = "moderate"
-    else:
-        regime = "mixed"
-    return RegimeReport(
-        regime=regime,
-        strong_1=strong_1, strong_2=strong_2,
-        weak_1=weak_1, weak_2=weak_2,
-        moderate_1=moderate_1, moderate_2=moderate_2,
-        conjecture_precondition=not (any(moderate_1) or any(moderate_2)),
-    )
+    frames = [(ints[n11], ints[n12], ints[f"{n11}-{n21}"])
+              for n11, n12, n21, _ in FRAMES.values()]
+    conditions = {regime: tuple(tuple(map(test, *vectors)) for vectors in frames)
+                  for regime, test in _CONDITIONS.items()}
+    regime = next((r for r, users in conditions.items() if all(map(all, users))), "mixed")
+    return RegimeReport(regime, conditions, not any(map(any, conditions["moderate"])))
 
 
 def _require(spec: ChannelSpec, what: str):
-    """Raise unless both users' per-layer `what` flags hold at every layer."""
-    rep = classify(spec)
-    if not (all(getattr(rep, f"{what}_1")) and all(getattr(rep, f"{what}_2"))):
+    """Raise unless both users meet the `what` condition at every layer."""
+    if not classify(spec).holds(what):
         raise ValueError(f"channel is not stochastically {what} at every layer")
 
 

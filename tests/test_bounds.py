@@ -491,8 +491,7 @@ def _assert_c_family_holds(spec, user):
     lines += [(g, 0, a) for a, g in zip(alpha, gamma)]
     lines += [(tail(n12, l), -tail(n11, l), 0) for l in range(1, spec.q + 1)]
     region = family_region(spec, user, "c")
-    report = classify(spec)
-    moderate = all(report.moderate_1) and all(report.moderate_2)
+    moderate = classify(spec).holds("moderate")
     for omega, mu in _arrangement(lines):
         value = bound_c(spec, user, omega, mu)
         w = (1 + mu, omega) if user == 1 else (omega, 1 + mu)

@@ -14,6 +14,7 @@ from layercap import (
     bound_b,
     bound_c,
     classify,
+    diff_tail,
     expect_pos_diff,
     layer_coefficients,
     moderate_bounds,
@@ -21,6 +22,7 @@ from layercap import (
     strong_region,
     swap_users,
     symmetric_q1_region,
+    tail,
     weak_corner,
     weak_region,
     weak_sum_capacity,
@@ -43,6 +45,8 @@ F = Fraction
 MOD1 = symmetric_bernoulli(F(4, 5), F(1, 2))
 WEAK1 = symmetric_bernoulli(F(9, 10), F(3, 10))
 STRONG1 = symmetric_bernoulli(F(1, 2), F(4, 5))
+ORIGIN_SPEC = ChannelSpec(*(FadingPmf.point(0, 2) for _ in range(4)))
+REGIMES = ("strong", "weak", "moderate")
 
 
 @pytest.mark.parametrize(
@@ -64,13 +68,58 @@ def test_classify_zero_levels_is_strong():
     rep = classify(spec)
     assert rep.regime == "strong"
     assert rep.conjecture_precondition
-    assert rep.strong_1 == () and rep.weak_1 == ()
+    assert rep.conditions["strong"][0] == () and rep.conditions["weak"][0] == ()
+    # with no layers every condition holds vacuously, and strong wins
+    assert all(rep.holds(r) for r in REGIMES)
 
 
 def test_conjecture_precondition():
     assert classify(STRONG1).conjecture_precondition
     assert classify(WEAK1).conjecture_precondition
     assert not classify(MOD1).conjecture_precondition
+
+
+def _user1_flags(spec):
+    # the user-1 conditions of the regimes module docstring, from tail and
+    # diff_tail Fractions
+    layers = range(1, spec.q + 1)
+    t11 = [tail(spec.n11, l) for l in layers]
+    t12 = [tail(spec.n12, l) for l in layers]
+    free = [diff_tail(spec.n11, spec.n21, l) for l in layers]
+    return {
+        "strong": tuple(b >= a for a, b in zip(t11, t12)),
+        "weak": tuple(c >= b for b, c in zip(t12, free)),
+        "moderate": tuple(a > b > c for a, b, c in zip(t11, t12, free)),
+    }
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=specs(max_q=4))
+@example(spec=ORIGIN_SPEC)  # strong and weak at once: strong wins
+@example(spec=symmetric_bernoulli(F(1, 2), F(1, 2)))  # P(N12 >= 1) = P(N11 >= 1)
+# P(N12 >= 1) = P(N11 - N21 >= 1) = 1/3 < P(N11 >= 1) = 1/2
+@example(spec=symmetric_bernoulli(F(1, 2), F(1, 3)))
+def test_classify_matches_the_definitions(spec):
+    # a condition stated once for both users is wrong for both at once, which
+    # test_classify_swap_symmetry cannot see; user 2 is reached through
+    # swap_users here, not through the frame table
+    one, two = _user1_flags(spec), _user1_flags(swap_users(spec))
+    want = {r: (one[r], two[r]) for r in REGIMES}
+    rep = classify(spec)
+    assert rep.conditions == want
+    # the table's order is the printed order of "conditions"
+    assert tuple(rep.conditions) == REGIMES
+    met = [r for r in REGIMES if all(one[r]) and all(two[r])]
+    assert rep.regime == (met[0] if met else "mixed")
+    assert [rep.holds(r) for r in REGIMES] == [r in met for r in REGIMES]
+    assert rep.conjecture_precondition == (not any(one["moderate"] + two["moderate"]))
+
+
+def test_the_report_is_a_value():
+    # equal specs built apart give equal reports that hash equal
+    a, b = classify(mixed_example()), classify(mixed_example())
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != classify(WEAK1)
 
 
 def test_strong_region_pinned():
@@ -100,9 +149,6 @@ def test_weak_region_matches_outer_randomized(seed, q):
     assert weak_region(spec) == outer_region(spec)
 
 
-ORIGIN_SPEC = ChannelSpec(*(FadingPmf.point(0, 2) for _ in range(4)))
-
-
 @settings(max_examples=300, deadline=None)
 @given(spec=specs())
 @example(spec=ORIGIN_SPEC)  # both flag sets hold
@@ -110,9 +156,9 @@ def test_capacity_regions_match_outer_whenever_flags_hold(spec):
     # few drawn specs meet either flag set, so filtering on them would trip
     # hypothesis' filter health check: check whichever set holds instead
     rep = classify(spec)
-    if all(rep.strong_1) and all(rep.strong_2):
+    if rep.holds("strong"):
         assert strong_region(spec) == outer_region(spec)
-    if all(rep.weak_1) and all(rep.weak_2):
+    if rep.holds("weak"):
         assert weak_region(spec) == outer_region(spec)
 
 
@@ -401,8 +447,8 @@ def test_examples_classify_as_named():
 def test_mixed_flags_are_split():
     rep = classify(mixed_example())
     assert rep.regime == "mixed"
-    assert any(rep.strong_1) or any(rep.strong_2)
-    assert not (all(rep.strong_1) and all(rep.strong_2))
+    assert any(map(any, rep.conditions["strong"]))
+    assert not rep.holds("strong")
 
 
 def test_classify_swap_symmetry():
@@ -412,5 +458,5 @@ def test_classify_swap_symmetry():
         a = classify(spec)
         b = classify(swap_users(spec))
         assert a.regime == b.regime
-        assert a.strong_1 == b.strong_2 and a.weak_1 == b.weak_2
-        assert a.moderate_1 == b.moderate_2
+        # the whole table, each user's flags read off the other's
+        assert a.conditions == {r: (u2, u1) for r, (u1, u2) in b.conditions.items()}
