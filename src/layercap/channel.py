@@ -138,11 +138,6 @@ class FadingPmf:
             self._masses = tuple(Fraction(t[n] - t[n + 1], den) for n in range(len(t) - 1))
         return self._masses
 
-    def mass(self, n: int) -> Fraction:
-        if not 0 <= n <= self.q:
-            raise ValueError(f"level {n} outside {{0..{self.q}}}")
-        return self.masses[n]
-
     def __eq__(self, other):
         if not isinstance(other, FadingPmf):
             return NotImplemented

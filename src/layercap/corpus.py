@@ -1,5 +1,9 @@
 """Named example channels and seeded random spec generators.
 
+examples() holds the four named channels as one table, in the order the
+Monte Carlo suite reports them: constant levels (3, 2, 2, 3), then one
+symmetric single-layer channel each for the strong, weak and moderate regimes.
+
 The random generators produce exact-rational specs that provably sit in the
 requested regime: strong and weak use rejection with a constructive bias,
 moderate uses closed-form constructions whose strict inequalities hold by
@@ -12,32 +16,8 @@ import random
 from fractions import Fraction
 
 from .channel import ChannelSpec, FadingPmf, diff_tail, dominates, tail
+from .deterministic import DetChannel
 from .regimes import classify
-
-
-def det_example() -> ChannelSpec:
-    """Constant levels (n11, n12, n21, n22) = (3, 2, 2, 3)."""
-    return ChannelSpec(
-        n11=FadingPmf.point(3, 3),
-        n12=FadingPmf.point(2, 3),
-        n21=FadingPmf.point(2, 3),
-        n22=FadingPmf.point(3, 3),
-    )
-
-
-def strong_example() -> ChannelSpec:
-    """Single layer, direct links Bernoulli(1/2), cross links Bernoulli(4/5)."""
-    return symmetric_bernoulli(Fraction(1, 2), Fraction(4, 5))
-
-
-def weak_example() -> ChannelSpec:
-    """Single layer, direct links Bernoulli(9/10), cross links Bernoulli(3/10)."""
-    return symmetric_bernoulli(Fraction(9, 10), Fraction(3, 10))
-
-
-def moderate_example() -> ChannelSpec:
-    """Single layer, direct links Bernoulli(4/5), cross links Bernoulli(1/2)."""
-    return symmetric_bernoulli(Fraction(4, 5), Fraction(1, 2))
 
 
 def mixed_example() -> ChannelSpec:
@@ -51,11 +31,12 @@ def mixed_example() -> ChannelSpec:
 
 
 def examples() -> dict:
+    """The named channels; symmetric_bernoulli takes (direct, cross) link means."""
     return {
-        "det": det_example(),
-        "strong": strong_example(),
-        "weak": weak_example(),
-        "moderate": moderate_example(),
+        "det": DetChannel(3, 2, 2, 3).to_spec(),
+        "strong": symmetric_bernoulli(Fraction(1, 2), Fraction(4, 5)),
+        "weak": symmetric_bernoulli(Fraction(9, 10), Fraction(3, 10)),
+        "moderate": symmetric_bernoulli(Fraction(4, 5), Fraction(1, 2)),
     }
 
 

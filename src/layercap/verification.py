@@ -1,8 +1,10 @@
 """Batch verification suites shared by the CLI and the acceptance tests.
 
-Each suite returns a SuiteResult with one human-readable line per check
-group; everything compared exactly is compared exactly, and the Monte Carlo
-suite states its tolerance in the output.
+Each suite returns a SuiteResult of human-readable lines; everything
+compared exactly is compared exactly, and the Monte Carlo suite states its
+tolerance in the output.  The counting suites (deterministic, coupling,
+inclusions) hand their failures to one verdict, _tally: `passed/total`,
+then at most ten failures (coupling only its first), then PASS or FAIL.
 """
 
 from __future__ import annotations
@@ -42,22 +44,24 @@ class SuiteResult:
         return f"{body}\n[{self.name}] {status}"
 
 
+def _tally(name: str, total: int, what: str, failures: list, describe,
+           shown: int = 10) -> SuiteResult:
+    """A counting suite's verdict: `[name] passed/total what`, then the first
+    `shown` failures; describe formats only those, so failures stay unformatted."""
+    lines = [f"[{name}] {total - len(failures)}/{total} {what}"]
+    lines.extend(f"[{name}]   {describe(failure)}" for failure in failures[:shown])
+    return SuiteResult(name, not failures, tuple(lines))
+
+
 _LEVEL_CAP = 3
 
 
 def verify_deterministic() -> SuiteResult:
     """Sweep every constant channel with levels in {0.._LEVEL_CAP}."""
-    total = 0
-    failures = []
-    rng = range(_LEVEL_CAP + 1)
-    for n11, n12, n21, n22 in itertools.product(rng, rng, rng, rng):
-        total += 1
-        if not verify_recovery(DetChannel(n11, n12, n21, n22)):
-            failures.append((n11, n12, n21, n22))
-    lines = [f"[deterministic] {total - len(failures)}/{total} constant channels recovered exactly"]
-    for tup in failures[:10]:
-        lines.append(f"[deterministic]   mismatch at levels {tup}")
-    return SuiteResult("deterministic", not failures, tuple(lines))
+    channels = list(itertools.product(range(_LEVEL_CAP + 1), repeat=4))
+    failures = [levels for levels in channels if not verify_recovery(DetChannel(*levels))]
+    return _tally("deterministic", len(channels), "constant channels recovered exactly",
+                  failures, lambda levels: f"mismatch at levels {levels}")
 
 
 def _small_pmfs() -> list:
@@ -82,20 +86,11 @@ def verify_coupling() -> SuiteResult:
     assert all(pmf.q == 2 for pmf in pmfs)
     index = range(len(pmfs))
     views = {(i, j): _pair_view(pmfs[i], pmfs[j]) for i, j in itertools.product(index, repeat=2)}
-    total = len(pmfs) ** 4
-    bad = 0
-    first = None
-    for i11, i12, i21, i22 in itertools.product(index, repeat=4):
-        if not coupling_holds(views[i21, i11], views[i22, i12]):
-            bad += 1
-            if first is None:
-                first = (pmfs[i11], pmfs[i12], pmfs[i21], pmfs[i22])
-    lines = [
-        f"[coupling] {total - bad}/{total} channels satisfy both identities and the pointwise order"
-    ]
-    if first is not None:
-        lines.append(f"[coupling]   first failure at {first}")
-    return SuiteResult("coupling", bad == 0, tuple(lines))
+    failures = [(i11, i12, i21, i22) for i11, i12, i21, i22 in itertools.product(index, repeat=4)
+                if not coupling_holds(views[i21, i11], views[i22, i12])]
+    return _tally("coupling", len(pmfs) ** 4,
+                  "channels satisfy both identities and the pointwise order", failures,
+                  lambda channel: f"first failure at {tuple(pmfs[i] for i in channel)}", shown=1)
 
 
 def verify_montecarlo(samples: int = 10 ** 6, seed: int = 0) -> SuiteResult:
@@ -169,16 +164,10 @@ def _check_weak_spec(spec: ChannelSpec) -> list:
 def verify_inclusions(count: int = 25, seed: int = 0) -> SuiteResult:
     """Randomized weak-regime battery: inclusions, sum capacity, corners."""
     rng = random.Random(seed)
-    bad = []
-    for i in range(count):
-        spec = random_weak_spec(rng, rng.randint(1, 3))
-        problems = _check_weak_spec(spec)
-        if problems:
-            bad.append((i, problems[0]))
-    lines = [f"[inclusions] {count - len(bad)}/{count} random weak channels pass every check"]
-    for i, problem in bad[:10]:
-        lines.append(f"[inclusions]   spec {i}: {problem}")
-    return SuiteResult("inclusions", not bad, tuple(lines))
+    checked = (_check_weak_spec(random_weak_spec(rng, rng.randint(1, 3))) for _ in range(count))
+    failures = [(i, problems) for i, problems in enumerate(checked) if problems]
+    return _tally("inclusions", count, "random weak channels pass every check", failures,
+                  lambda failure: f"spec {failure[0]}: {failure[1][0]}")
 
 
 SUITES = {

@@ -71,8 +71,8 @@ def test_spec_file_parsing_forms():
     parsed = ChannelSpecFile.parse(WEAK_SPEC, default_label="fallback")
     assert parsed.q == 1
     assert parsed.label == "fallback"
-    assert parsed.spec.n11.mass(1) == F(9, 10)
-    assert parsed.spec.n12.mass(1) == F(3, 10)
+    assert parsed.spec.n11.masses[1] == F(9, 10)
+    assert parsed.spec.n12.masses[1] == F(3, 10)
 
 
 @pytest.mark.parametrize(
@@ -604,6 +604,55 @@ def test_verify_failing_suite(capsys, monkeypatch):
     monkeypatch.setitem(verification.SUITES, "deterministic", fake)
     assert main(["verify", "deterministic"]) == 4
     assert "FAIL" in capsys.readouterr().out
+
+
+def _fail_where_n11_is_0(ch):
+    return ch.n11 != 0
+
+
+def _two_problems_on_even_calls():
+    calls = iter(range(25))
+
+    def check(spec):
+        i = next(calls)
+        return [] if i % 2 else [f"first of {i}", f"second of {i}"]
+
+    return check
+
+
+def _never(a, b):
+    return False
+
+
+_POINT2 = "FadingPmf([0, 0, 1])"
+
+
+@pytest.mark.parametrize("suite, attr, make_fake, expected", [
+    # 64 of the 256 channels fail; the first ten in product order are shown
+    ("deterministic", "verify_recovery", lambda: _fail_where_n11_is_0, [
+        "[deterministic] 192/256 constant channels recovered exactly",
+        *(f"[deterministic]   mismatch at levels {levels}" for levels in [
+            (0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 0, 2), (0, 0, 0, 3), (0, 0, 1, 0),
+            (0, 0, 1, 1), (0, 0, 1, 2), (0, 0, 1, 3), (0, 0, 2, 0), (0, 0, 2, 1)]),
+        "[deterministic] FAIL",
+    ]),
+    # 13 of the 25 specs fail; each line shows the spec's first problem
+    ("inclusions", "_check_weak_spec", _two_problems_on_even_calls, [
+        "[inclusions] 12/25 random weak channels pass every check",
+        *(f"[inclusions]   spec {i}: first of {i}" for i in range(0, 20, 2)),
+        "[inclusions] FAIL",
+    ]),
+    # every channel fails, and only the first is shown
+    ("coupling", "coupling_holds", lambda: _never, [
+        "[coupling] 0/50625 channels satisfy both identities and the pointwise order",
+        f"[coupling]   first failure at ({_POINT2}, {_POINT2}, {_POINT2}, {_POINT2})",
+        "[coupling] FAIL",
+    ]),
+], ids=["deterministic", "inclusions", "coupling"])
+def test_verify_failure_output_is_pinned(capsys, monkeypatch, suite, attr, make_fake, expected):
+    monkeypatch.setattr(verification, attr, make_fake())
+    assert main(["verify", suite]) == cli.EXIT_VERIFY
+    assert capsys.readouterr().out == "\n".join(expected) + "\n"
 
 
 def test_verify_inclusions_seeded(capsys):

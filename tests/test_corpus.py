@@ -18,7 +18,19 @@ F = Fraction
 
 def test_examples_cover_the_regimes():
     ex = examples()
-    assert set(ex) == {"det", "strong", "weak", "moderate"}
+    # the Monte Carlo suite prints the examples in this order
+    assert list(ex) == ["det", "strong", "weak", "moderate"]
+    assert {label: {link: pmf.masses for link, pmf in spec.links().items()}
+            for label, spec in ex.items()} == {
+        "det": {"n11": (0, 0, 0, 1), "n12": (0, 0, 1, 0),
+                "n21": (0, 0, 1, 0), "n22": (0, 0, 0, 1)},
+        "strong": {"n11": (F(1, 2), F(1, 2)), "n12": (F(1, 5), F(4, 5)),
+                   "n21": (F(1, 5), F(4, 5)), "n22": (F(1, 2), F(1, 2))},
+        "weak": {"n11": (F(1, 10), F(9, 10)), "n12": (F(7, 10), F(3, 10)),
+                 "n21": (F(7, 10), F(3, 10)), "n22": (F(1, 10), F(9, 10))},
+        "moderate": {"n11": (F(1, 5), F(4, 5)), "n12": (F(1, 2), F(1, 2)),
+                     "n21": (F(1, 2), F(1, 2)), "n22": (F(1, 5), F(4, 5))},
+    }
     assert ex["det"].q == 3
     assert classify(ex["strong"]).regime == "strong"
     assert classify(ex["weak"]).regime == "weak"

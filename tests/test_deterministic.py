@@ -69,8 +69,8 @@ def test_to_spec_round_trip():
     ch = DetChannel(1, 0, 2, 1)
     spec = ch.to_spec()
     assert spec.q == 2
-    assert spec.n11.mass(1) == 1
-    assert spec.n21.mass(2) == 1
+    assert spec.n11.masses[1] == 1
+    assert spec.n21.masses[2] == 1
 
 
 def test_rejects_bad_levels():
