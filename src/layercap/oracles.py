@@ -6,17 +6,20 @@ statistic the exact machinery computes.  One table lists each statistic
 once: its name, the per-use function of the four levels whose mean it is,
 and its exact value from the channel module's formulas.  The estimator
 averages every function over one joint histogram of the drawn levels and
-returns one mapping from each statistic's name to its estimate, so
-agreement is evidence the convolution formulas and the sampler describe the
-same level distributions.  The draws are Philox's raw 64-bit words, each
-cdf value turned into the integer threshold a word must reach for its
-uniform double to reach that value, so the histogram is that of the doubles
-without converting a word.  The coupling check verifies, analytically, the
-quantile-coupling identities that tie the difference-level variables
-together.  Its verdict, coupling_holds, reads only the integer views of two
-link pairs, so a batch of channels can share the views of its pairs.  Only
-_cell_counts and mc_estimate_stats import numpy, so the exact suites, which
-import this module too, do not pay for it.
+returns, per channel, one mapping from each statistic's name to its
+estimate, so agreement is evidence the convolution formulas and the sampler
+describe the same level distributions.  The draws are Philox's raw 64-bit
+words, each cdf value turned into the integer threshold a word must reach
+for its uniform double to reach that value, so the histogram is that of the
+doubles without converting a word.  The words depend only on the seed and
+the chunk, so one draw serves several channels: a SimConfig names the
+channels that share it, and each chunk of words is generated once and
+counted into every channel's histogram.  The coupling check verifies,
+analytically, the quantile-coupling identities that tie the difference-level
+variables together.  Its verdict, coupling_holds, reads only the integer
+views of two link pairs, so a batch of channels can share the views of its
+pairs.  Only _cell_counts and mc_estimate_stats import numpy, so the exact
+suites, which import this module too, do not pay for it.
 """
 
 from __future__ import annotations
@@ -47,13 +50,15 @@ _CHUNK = 1 << 16
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Sampling request: which channel, how many uses, which seed."""
+    """One draw: the channels that share it, how many uses, which seed."""
 
-    spec: ChannelSpec
+    specs: tuple
     samples: int
     seed: int = 0
 
     def __post_init__(self):
+        if not self.specs:
+            raise ValueError("specs must hold at least one channel")
         if self.samples < 1:
             raise ValueError(f"samples must be >= 1, got {self.samples}")
         if not 0 <= self.seed < 1 << 64:
@@ -68,16 +73,20 @@ def _word_threshold(c: float) -> int:
     return math.ceil(math.ldexp(c, 53)) << 11
 
 
-def _cell_counts(cfg: SimConfig):
-    """Joint histogram of the drawn levels, flat: cell ((n11*s + n12)*s +
-    n21)*s + n22, for s = q+1, counts the uses that drew those levels.
+def _cell_counts(cfg: SimConfig) -> list:
+    """Each spec's joint histogram of the drawn levels, flat, in cfg.specs'
+    order: for a spec with s = q+1, cell ((n11*s + n12)*s + n21)*s + n22
+    counts the uses that drew those levels.
 
     A link's level for its uniform draw u is the number of cdf[0..q-1] at or
     below u: for a non-decreasing cdf, the inverse-cdf level
     min(#{k : cdf[k] <= u}, q), also when the float cumsum ends below 1.
     Each 2^16-use chunk gets its own counter-based stream keyed by (seed,
     chunk index), so aggregate results do not depend on how chunks are
-    scheduled and reruns are bit-identical.
+    scheduled and reruns are bit-identical.  The stream does not depend on
+    the channel either, so every spec reads the same words: each chunk is
+    generated once and counted into every spec's histogram, and each
+    histogram is the one that spec drawn alone would give.
 
     The draws are Philox's raw 64-bit words r, never converted to doubles:
     u >= c holds exactly when r >= _word_threshold(c) = ceil(c * 2^53) * 2^11,
@@ -86,16 +95,17 @@ def _cell_counts(cfg: SimConfig):
     """
     import numpy as np
 
-    q = cfg.spec.q
-    side = q + 1
-    thresholds = []
-    for link in _LINKS:
-        cdf = np.cumsum([float(m) for m in cfg.spec.links()[link].masses])[:q]
-        thresholds.append([np.uint64(t) for t in map(_word_threshold, cdf) if t < 1 << 64])
-    counts = np.zeros(side ** 4, dtype=np.int64)
-    # every partial index n11, n11*s + n12, ... is below s^4, so the
-    # narrowest dtype holding s^4 - 1 never wraps, and narrow is fast
-    cell = np.min_scalar_type(side ** 4 - 1)
+    plans = []
+    for spec in cfg.specs:
+        side = spec.q + 1
+        thresholds = []
+        for link in _LINKS:
+            cdf = np.cumsum([float(m) for m in spec.links()[link].masses])[:spec.q]
+            thresholds.append([np.uint64(t) for t in map(_word_threshold, cdf) if t < 1 << 64])
+        # every partial index n11, n11*s + n12, ... is below s^4, so the
+        # narrowest dtype holding s^4 - 1 never wraps, and narrow is fast
+        plans.append((side, thresholds, np.min_scalar_type(side ** 4 - 1)))
+    counts = [np.zeros(side ** 4, dtype=np.int64) for side, _, _ in plans]
     done = 0
     chunk = 0
     while done < cfg.samples:
@@ -104,12 +114,13 @@ def _cell_counts(cfg: SimConfig):
         words = np.random.Philox(
             key=np.array([cfg.seed, chunk], dtype=np.uint64)
         ).random_raw((4, m))
-        flat = np.zeros(m, dtype=cell)
-        for row, link_thresholds in zip(words, thresholds):
-            flat *= side
-            for t in link_thresholds:
-                flat += row >= t
-        counts += np.bincount(flat, minlength=side ** 4)
+        for (side, thresholds, cell), hist in zip(plans, counts):
+            flat = np.zeros(m, dtype=cell)
+            for row, link_thresholds in zip(words, thresholds):
+                flat *= side
+                for t in link_thresholds:
+                    flat += row >= t
+            hist += np.bincount(flat, minlength=side ** 4)
         done += m
         chunk += 1
     return counts
@@ -146,20 +157,24 @@ def exact_stats(spec: ChannelSpec) -> dict:
     return {name: exact for name, _, exact in _statistics(spec)}
 
 
-def mc_estimate_stats(cfg: SimConfig) -> dict:
-    """Empirical counterpart of exact_stats from the joint level histogram:
-    each statistic's name mapped to its estimate, in exact_stats' order.
+def mc_estimate_stats(cfg: SimConfig) -> list:
+    """Empirical counterpart of exact_stats from the joint level histograms:
+    for each of cfg.specs, in order, each statistic's name mapped to its
+    estimate, in exact_stats' order.
 
     An estimate is the exact fraction sum/samples of the statistic's per-use
     values, so identical seeds give identical mappings.
     """
     import numpy as np
 
-    joint = _cell_counts(cfg).reshape((cfg.spec.q + 1,) * 4)
-    # the drawn level tuples with their counts
-    cells = [(n, int(joint[n])) for n in map(tuple, np.argwhere(joint).tolist())]
-    return {name: Fraction(sum(f(n) * c for n, c in cells), cfg.samples)
-            for name, f, _ in _statistics(cfg.spec)}
+    out = []
+    for spec, counts in zip(cfg.specs, _cell_counts(cfg)):
+        joint = counts.reshape((spec.q + 1,) * 4)
+        # the drawn level tuples with their counts
+        cells = [(n, int(joint[n])) for n in map(tuple, np.argwhere(joint).tolist())]
+        out.append({name: Fraction(sum(f(n) * c for n, c in cells), cfg.samples)
+                    for name, f, _ in _statistics(spec)})
+    return out
 
 
 # Coupled variables are the pseudo-inverse cdfs F^{-1}(v) = inf {u : F(u) >= v}

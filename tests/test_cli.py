@@ -597,6 +597,21 @@ def test_verify_montecarlo_few_samples(capsys):
     assert "[montecarlo] PASS" in out
 
 
+@pytest.mark.parametrize("samples, seed, errors, tolerance", [
+    ("20000", "0", ("0.00e+00", "2.85e-03", "3.00e-03", "5.35e-03"), "3.54e-02"),
+    # two chunks of 2^16 uses, the second holding one use
+    ("65537", "3", ("0.00e+00", "2.42e-03", "1.99e-03", "1.38e-03"), "1.95e-02"),
+])
+def test_verify_montecarlo_output_is_pinned(capsys, samples, seed, errors, tolerance):
+    assert main(["verify", "montecarlo", "--samples", samples, "--seed", seed]) == cli.EXIT_OK
+    counts = {"det": 34, "strong": 18, "weak": 18, "moderate": 18}
+    assert capsys.readouterr().out == "".join(
+        f"[montecarlo] {label}: {n} statistics, worst |error| = {err} "
+        f"(tolerance {tolerance}), rerun identical: True\n"
+        for (label, n), err in zip(counts.items(), errors)
+    ) + "[montecarlo] PASS\n"
+
+
 def test_verify_failing_suite(capsys, monkeypatch):
     def fake():
         return verification.SuiteResult("deterministic", False, ("[deterministic] bad",))

@@ -41,10 +41,15 @@ def const_spec(n11, n12, n21, n22, q):
 def test_sim_config_validation():
     spec = const_spec(1, 1, 1, 1, 1)
     with pytest.raises(ValueError):
-        SimConfig(spec=spec, samples=0, seed=0)
+        SimConfig(specs=(spec,), samples=0, seed=0)
     for seed in (-1, 2 ** 64):
         with pytest.raises(ValueError, match="seed must be in"):
-            SimConfig(spec=spec, samples=1, seed=seed)
+            SimConfig(specs=(spec,), samples=1, seed=seed)
+
+
+def test_sim_config_refuses_an_empty_draw():
+    with pytest.raises(ValueError, match="at least one channel"):
+        SimConfig(specs=(), samples=1, seed=0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -59,24 +64,25 @@ def test_seeds_below_2_63_keep_their_streams(seed, chunk):
 def test_seeds_past_2_63_give_distinct_streams():
     # as a list key these seeds became the same float64
     spec = symmetric_bernoulli(F(1, 2), F(1, 2))
-    a, b = (oracles._cell_counts(SimConfig(spec, 1000, 2 ** 63 + k)) for k in (1, 2))
+    (a,), (b,) = (oracles._cell_counts(SimConfig((spec,), 1000, 2 ** 63 + k)) for k in (1, 2))
     assert not np.array_equal(a, b)
 
 
 def test_same_seed_reproduces_exactly():
     spec = symmetric_bernoulli(F(9, 10), F(3, 10))
-    cfg = SimConfig(spec=spec, samples=70_000, seed=123)
-    a = mc_estimate_stats(cfg)
-    b = mc_estimate_stats(cfg)
+    cfg = SimConfig(specs=(spec,), samples=70_000, seed=123)
+    (a,) = mc_estimate_stats(cfg)
+    (b,) = mc_estimate_stats(cfg)
     assert list(a.items()) == list(b.items())
-    c = mc_estimate_stats(SimConfig(spec=spec, samples=70_000, seed=124))
+    (c,) = mc_estimate_stats(SimConfig(specs=(spec,), samples=70_000, seed=124))
     assert any(a[name] != c[name] for name in a)
 
 
 def test_estimates_are_sample_frequencies():
     spec = symmetric_bernoulli(F(1, 2), F(1, 2))
-    cfg = SimConfig(spec=spec, samples=1000, seed=9)
-    for name, estimate in mc_estimate_stats(cfg).items():
+    cfg = SimConfig(specs=(spec,), samples=1000, seed=9)
+    (estimates,) = mc_estimate_stats(cfg)
+    for name, estimate in estimates.items():
         if name.startswith(("tail:", "diff_tail:")):
             assert 0 <= estimate <= 1
             assert 1000 % estimate.denominator == 0
@@ -84,8 +90,8 @@ def test_estimates_are_sample_frequencies():
 
 def test_exact_and_estimated_names_agree():
     spec = examples()["moderate"]
-    cfg = SimConfig(spec=spec, samples=256, seed=0)
-    estimates = mc_estimate_stats(cfg)
+    cfg = SimConfig(specs=(spec,), samples=256, seed=0)
+    (estimates,) = mc_estimate_stats(cfg)
     exact = exact_stats(spec)
     assert list(estimates) == list(exact)
     assert estimates["expect:n11"] >= 0
@@ -108,8 +114,8 @@ def test_every_statistic_is_the_mean_of_its_level_function(spec):
 
 def test_constant_channel_estimates_are_exact():
     spec = const_spec(3, 2, 2, 3, 3)
-    cfg = SimConfig(spec=spec, samples=500, seed=11)
-    assert mc_estimate_stats(cfg) == exact_stats(spec)
+    cfg = SimConfig(specs=(spec,), samples=500, seed=11)
+    assert mc_estimate_stats(cfg) == [exact_stats(spec)]
 
 
 def reference_estimates(cfg) -> dict:
@@ -118,8 +124,10 @@ def reference_estimates(cfg) -> dict:
     # the pair statistics from the two links' joint marginal
     links = ("n11", "n12", "n21", "n22")
     pairs = (("n11", "n21"), ("n21", "n11"), ("n22", "n12"), ("n12", "n22"))
-    side = cfg.spec.q + 1
-    joint = oracles._cell_counts(cfg).reshape((side,) * 4)
+    (spec,) = cfg.specs
+    side = spec.q + 1
+    (counts,) = oracles._cell_counts(cfg)
+    joint = counts.reshape((side,) * 4)
     levels = np.arange(side)
     diff = levels[:, None] - levels[None, :]
 
@@ -152,16 +160,19 @@ def reference_estimates(cfg) -> dict:
 @given(spec=st.integers(0, 3).flatmap(lambda q: st.builds(ChannelSpec, *[pmfs(q)] * 4)),
        samples=st.integers(1, 3000), seed=st.integers(0, 2 ** 64 - 1))
 def test_estimates_are_the_histograms_marginal_means(spec, samples, seed):
-    cfg = SimConfig(spec, samples, seed)
-    assert list(mc_estimate_stats(cfg).items()) == list(reference_estimates(cfg).items())
+    cfg = SimConfig((spec,), samples, seed)
+    (estimates,) = mc_estimate_stats(cfg)
+    assert list(estimates.items()) == list(reference_estimates(cfg).items())
 
 
 def reference_cell_counts(cfg):
     # the inverse-cdf levels by searchsorted over the same Philox draws,
     # as a (4, m) level array per chunk, then the flat joint-cell histogram
-    q = cfg.spec.q
+    # of cfg's one spec
+    (spec,) = cfg.specs
+    q = spec.q
     side = q + 1
-    cdfs = [np.cumsum([float(m) for m in pmf.masses]) for pmf in cfg.spec.links().values()]
+    cdfs = [np.cumsum([float(m) for m in pmf.masses]) for pmf in spec.links().values()]
     counts = np.zeros(side ** 4, dtype=np.int64)
     done = chunk = 0
     while done < cfg.samples:
@@ -198,7 +209,7 @@ def test_raw_words_map_to_the_generators_doubles():
 
 
 def assert_same_cell_counts(cfg):
-    got, want = oracles._cell_counts(cfg), reference_cell_counts(cfg)
+    (got,), want = oracles._cell_counts(cfg), reference_cell_counts(cfg)
     assert got.dtype == want.dtype and np.array_equal(got, want), cfg
     assert int(got.sum()) == cfg.samples
 
@@ -206,36 +217,60 @@ def assert_same_cell_counts(cfg):
 @settings(max_examples=60, deadline=None)
 @given(spec=specs(max_q=4), samples=st.integers(1, 3000), seed=st.integers(0, 2 ** 64 - 1))
 def test_cell_counts_match_searchsorted_levels(spec, samples, seed):
-    assert_same_cell_counts(SimConfig(spec, samples, seed))
+    assert_same_cell_counts(SimConfig((spec,), samples, seed))
 
 
 def test_cell_counts_when_the_float_cdf_ends_below_one():
     pmf = FadingPmf([F(1, 6), F(2, 3), F(1, 6)])
     assert np.cumsum([float(m) for m in pmf.masses])[-1] < 1.0
     spec = ChannelSpec(pmf, FadingPmf.point(2, 2), pmf, FadingPmf([F(1, 2), F(0), F(1, 2)]))
-    assert_same_cell_counts(SimConfig(spec, 5000, 3))
+    assert_same_cell_counts(SimConfig((spec,), 5000, 3))
 
 
 @pytest.mark.parametrize("samples", [1, 65_535, 65_537, 140_000])
 def test_cell_counts_across_chunk_boundaries(samples):
-    assert_same_cell_counts(SimConfig(examples()["det"], samples, 7))
-    assert_same_cell_counts(SimConfig(examples()["moderate"], samples, 7))
+    assert_same_cell_counts(SimConfig((examples()["det"],), samples, 7))
+    assert_same_cell_counts(SimConfig((examples()["moderate"],), samples, 7))
+
+
+@settings(max_examples=40, deadline=None)
+@given(draw=st.lists(specs(max_q=4, weights=MIXED_WEIGHTS), min_size=1, max_size=4).map(tuple),
+       samples=st.integers(1, 140_000), seed=st.integers(0, 2 ** 64 - 1))
+def test_a_shared_draw_changes_no_channels_histogram(draw, samples, seed):
+    hists = oracles._cell_counts(SimConfig(draw, samples, seed))
+    assert len(hists) == len(draw)
+    for spec, got in zip(draw, hists):
+        want = reference_cell_counts(SimConfig((spec,), samples, seed))
+        assert got.dtype == want.dtype and np.array_equal(got, want), spec
 
 
 def test_montecarlo_suite_fails_on_a_changed_rerun(monkeypatch):
-    # every other mapping is drawn with another seed, so the rerun differs
-    # in its estimates except on the constant det channel, whose estimates
-    # are exact
+    # the estimate and the rerun are drawn with different seeds, so the
+    # rerun differs in its estimates except on the constant det channel,
+    # whose estimates are exact
     calls = []
 
     def flaky(cfg):
         calls.append(cfg)
-        return mc_estimate_stats(SimConfig(cfg.spec, cfg.samples, cfg.seed + len(calls) % 2))
+        return mc_estimate_stats(SimConfig(cfg.specs, cfg.samples, cfg.seed + len(calls) % 2))
 
     monkeypatch.setattr(verification, "mc_estimate_stats", flaky)
     result = verification.verify_montecarlo(samples=1000)
     assert not result.ok
     assert sum("rerun identical: False" in line for line in result.lines) == 3
+
+
+def test_montecarlo_suite_draws_twice_for_all_four_channels(monkeypatch):
+    # the estimate and the rerun, each one draw shared by the four examples
+    calls = []
+
+    def counted(cfg):
+        calls.append(cfg)
+        return mc_estimate_stats(cfg)
+
+    monkeypatch.setattr(verification, "mc_estimate_stats", counted)
+    assert verification.verify_montecarlo(samples=1000, seed=5).ok
+    assert calls == [SimConfig(tuple(examples().values()), 1000, 5)] * 2
 
 
 def pair_views(spec, view=oracles._pair_view):
