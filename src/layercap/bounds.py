@@ -33,38 +33,38 @@ alpha(l)/g(l) < omega; likewise, for omega > 0,
                                   + omega*(E[N12] - Y(mu/omega)),
 
 X and Y summing P(N11 >= l) and P(N12 >= l) over the layers with
-P(N12 >= l) < (mu/omega)*P(N11 >= l).  Each sweep keeps its layers sorted
-by ratio, as integer pairs (num, den) with integer prefix sums, and finds
-the layers below a weight p/r by bisection on the cross-multiplied test
-num*r < p*den.  With omega = p/r and mu = m/r over one denominator r, a
-bound is then one integer expression over r*D, for example
+P(N12 >= l) < (mu/omega)*P(N11 >= l).  Each sweep sorts its layers by
+ratio, as integer pairs (num, den), and keeps the integer prefix sums of
+that order.  With omega = p/r and mu = m/r over one denominator r, a bound
+is then one integer expression over r*D, for example
 
     r*D * c(p/r, m/r) = r*(E11 - A) + p*(LIFT + G) + m*X + p*(E12 - Y),
 
-and a bound costs O(log q) integer operations on numbers the size of r*D.
-
-That one expression is every family's bound, read on the pieces its
-weights sit at: i of the family's omega sweep and j of the top sweep, a
-term the a- and b-families leave at zero.  A weight is the integer tuple
-(p, m, r, i, j).  The critical weights are read off the sweeps' sorted
-keys with their pieces known, the index of each kink's first key: the
-count of keys below it, so the piece bisection would find.  Each sweep
-reduces its kinks once, when its kernel is built, and keeps them as a
-tuple that every enumeration of the cached kernel reads.  Grid weights
-find theirs by one forward walk over the keys per grid line, and the
-weights of bound_a/b/c by bisection (locate).  Both enumerations emit
-their bounds as BoundRows: the half-plane of each over D,
+read on the pieces its weights sit at: i of the family's omega sweep, the
+prefix of layers below omega, and j of the top sweep, those below mu/omega,
+a term the a- and b-families leave at zero.  A weight is the integer tuple
+(p, m, r, i, j).  Each sweep reduces its kinks once, when its kernel is
+built, and keeps them as a tuple: every distinct ratio in [0, 1] with the
+count of layers below it, the piece it closes.  The critical weights are
+read off those tables with their pieces known, and grid weights find theirs
+by one walk over the table per grid line.  bound_a/b/c need no piece: a
+term [omega*g(l) - alpha(l)]^+ is positive exactly on the layers below
+omega, a prefix of the sweep's order, so the kink sum is the largest of its
+prefix sums, omega*G - A over every piece, and the top term the largest
+mu*X + omega*(E12 - Y).  A single bound is the largest of its pieces'
+affine forms, O(q) integer operations on numbers the size of r*D.  Both
+enumerations emit their bounds as BoundRows: the half-plane of each over D,
 (r+m, p, r*D*bound) for user 1, meaning (r+m)*R1 + p*R2 <= r*bound, read
 off those numerators with no Fraction and no gcd.  The rows carry D once,
-as their den, and intersect(rows, den) takes them as they are, with D
-never multiplied in.  The rows of two consecutive a- or b-family kinks
-both lie on the bound piece between them, R1 + omega*R2 <= (const +
+as their den, and BoundRows.region hands them to intersect as they are,
+with D never multiplied in.  The rows of two consecutive a- or b-family
+kinks both lie on the bound piece between them, R1 + omega*R2 <= (const +
 omega*slope)/D for user 1, so they cross at its apex (const/D, slope/D);
-outer_rows records that apex as the pair's crossing, and intersect takes
-a chain vertex between such neighbours from there, not by Cramer's rule.
-A WeightedBound, with its Fraction weights, value and reduced half-plane,
-is built only for a row that is read: by active_bounds for the constraints
-it reports, or by outer_halfplanes and grid_bounds for every row.
+outer_rows records that apex as the pair's crossing, and intersect takes a
+chain vertex between such neighbours from there, not by Cramer's rule.  A
+WeightedBound, with its Fraction weights, value and reduced half-plane, is
+built only for a row that is read: by active_bounds for the constraints it
+reports, or by outer_halfplanes and grid_bounds for every row.
 
 The grid at N steps runs one grid line at a time: the a- and b-families
 have one, omega = k/N for k = 0..N, and the c-family one per omega, mu =
@@ -102,7 +102,6 @@ R1 <= 0, which pins R1.  User 2 mirrors this.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -187,7 +186,7 @@ def _kinks(keys) -> tuple:
     """The kinks inside the weight range of a sweep's sorted keys, ascending,
     as reduced pairs with the index of their first key, (n, d, k): (0, 1, 0),
     each distinct key ratio in (0, 1), then (1, 1).  k counts the keys below
-    n/d, what _Sweep.below(n, d) returns, so it indexes the kink's piece."""
+    n/d: the piece of every weight past the previous kink up to n/d."""
     out, last = [(0, 1, 0)], (0, 1)
     for k, (n, d) in enumerate(keys):
         if n >= d:
@@ -201,40 +200,33 @@ def _kinks(keys) -> tuple:
 
 
 class _Sweep:
-    """Layers with den > 0 sorted by num/den, with prefix sums of den and num,
-    and their kinks (_kinks), reduced once and kept.
+    """The prefix sums of den and num over the layers with den > 0, sorted
+    by num/den, and their kinks (_kinks), reduced once and kept.
 
     num and den are integer numerators over the kernel's denominator, so a
     key is the pair (num, den) and keys are compared by cross-multiplying.
     """
 
-    __slots__ = ("keys", "dens", "nums", "kinks")
+    __slots__ = ("dens", "nums", "kinks")
 
     def __init__(self, nums, dens):
         pairs = [(n, d) for n, d in zip(nums, dens) if d > 0]
-        self.keys = [pairs[i] for i in ratio_order(pairs)[0]]
+        keys = [pairs[i] for i in ratio_order(pairs)[0]]
         self.dens, self.nums = [0], [0]
-        for n, d in self.keys:
+        for n, d in keys:
             self.dens.append(self.dens[-1] + d)
             self.nums.append(self.nums[-1] + n)
-        self.kinks = _kinks(self.keys)
-
-    def below(self, p, r) -> int:
-        """How many keys are < p/r, for r > 0; none for p = r = 0."""
-        return bisect_left(self.keys, True, key=lambda k: k[0] * r >= p * k[1])
+        self.kinks = _kinks(keys)
 
 
-def _walk(sweep: _Sweep, last, r) -> list:
-    """sweep.below(t, r) for t = 0..last, in one forward walk over the keys:
-    key k, (n, d), is below t/r from t = n*r//d + 1 on, and keys ascend,
-    so the first key below no t <= last ends the walk."""
+def _walk(sweep: _Sweep, r) -> list:
+    """The piece of t/r for t = 0..r, in one pass over the sweep's kinks:
+    kink (n, d, k) is the piece of every t <= n*r//d not yet filled, and
+    the last kink, (1, 1, k), fills t = r."""
     out = []
-    for k, (n, d) in enumerate(sweep.keys):
-        first = n * r // d + 1
-        if first > last:
-            return out + [k] * (last + 1 - len(out))
-        out += [k] * (first - len(out))
-    return out + [len(sweep.keys)] * (last + 1 - len(out))
+    for n, d, k in sweep.kinks:
+        out += [k] * (n * r // d + 1 - len(out))
+    return out
 
 
 # the a- and b-families have no top term: one piece, zero
@@ -274,16 +266,9 @@ class BoundKernel:
             "c": ([(e11 - n, lift + d) for n, d in gamma], top),
         }
 
-    def locate(self, family, weights) -> list:
-        """The weights (p, m, r), omega = p/r and mu = m/r, as (p, m, r, i, j)
-        with their pieces found by bisection: i of the family's omega sweep,
-        j of the top sweep, which is 0 at m = 0."""
-        sweep, top = self.beta if family == "a" else self.gamma, self.top
-        return [(p, m, r, sweep.below(p, r), top.below(m, p)) for p, m, r in weights]
-
     def at(self, family, weights) -> list:
         """r*D times the family's bound at each weight (p, m, r, i, j), read
-        on the pieces i and j it sits at; no bisection runs."""
+        on the pieces i and j it sits at."""
         pieces, top = self._pieces[family]
         return [r * pieces[i][0] + p * (pieces[i][1] + top[j][1]) + m * top[j][0]
                 for p, m, r, i, j in weights]
@@ -298,13 +283,13 @@ class BoundKernel:
         piece _walk finds along omega; each c line adds the top term at
         every mu on the piece _walk finds along the line."""
         pieces, top = self._pieces[family]
-        i_of = _walk(self.beta if family == "a" else self.gamma, steps, steps)
+        i_of = _walk(self.beta if family == "a" else self.gamma, steps)
         if family != "c":
             return [(lambda t: (t, 0, steps, i_of[t], 0),
                      [steps * pieces[i][0] + k * pieces[i][1] for k, i in enumerate(i_of)])]
 
         def line(k, i):
-            base, j_of = steps * pieces[i][0] + k * pieces[i][1], _walk(self.top, k, k)
+            base, j_of = steps * pieces[i][0] + k * pieces[i][1], _walk(self.top, k)
             return (lambda t: (k, t, steps, i, j_of[t]),
                     [base + k * top[j][1] + t * top[j][0] for t, j in enumerate(j_of)])
 
@@ -327,7 +312,9 @@ def _bound(spec: ChannelSpec, user, family, omega: Fraction, mu=0) -> Fraction:
     kernel = bound_kernel(spec, user)
     (p, r), (m, s) = omega.as_integer_ratio(), mu.as_integer_ratio()
     t = lcm(r, s)
-    [value] = kernel.at(family, kernel.locate(family, [(p * (t // r), m * (t // s), t)]))
+    p, m = p * (t // r), m * (t // s)
+    pieces, top = kernel._pieces[family]
+    value = max(t * c + p * v for c, v in pieces) + max(m * x + p * y for x, y in top)
     return Fraction(value, t * kernel.den)
 
 
@@ -350,8 +337,8 @@ def bound_c(spec: ChannelSpec, user, omega, mu) -> Fraction:
 def _kink_weights(kernel: BoundKernel, family) -> list:
     """critical_weights as integer tuples (p, m, r, i, j), omega = p/r and
     mu = m/r (m = 0 outside family c), in ascending (omega, mu) order, with
-    the pieces the weights sit at: i of the family's omega sweep, j of the
-    top sweep (0 outside family c), what locate bisects there."""
+    the pieces the weights sit at, the layers below them: i of the family's
+    omega sweep, j of the top sweep (0 outside family c)."""
     if family != "c":
         sweep = kernel.beta if family == "a" else kernel.gamma
         return [(n, 0, d, k, 0) for n, d, k in sweep.kinks]
@@ -384,8 +371,8 @@ def critical_weights(spec: ChannelSpec, user, family):
 
 class BoundRows(Sequence):
     """One spec's bounds as Rows of their half-planes over the kernel's
-    denominator D, for intersect(rows, den, crossings); item i is the
-    WeightedBound of row i, built when it is read."""
+    denominator D, which region intersects; item i is the WeightedBound of
+    row i, built when it is read."""
 
     __slots__ = ("den", "rows", "crossings", "_tags")
 
@@ -402,6 +389,10 @@ class BoundRows(Sequence):
         family, p, m, r = self._tags[i]
         mu = Fraction(m, r) if family[1] == "c" else None
         return WeightedBound(family, Fraction(p, r), mu, Fraction(self.rows[i][2], r * self.den))
+
+    def region(self) -> RegionPolytope:
+        """The region the rows carve, intersected with their crossings."""
+        return intersect(self.rows, self.den, self.crossings)
 
     def extend(self, tag: str, weights, values):
         """Add family tag's rows at weights (p, m, r, i, j), where omega =
@@ -483,8 +474,7 @@ def grid_rows(spec: ChannelSpec, steps: int, prune=False) -> BoundRows:
 
 def family_region(spec: ChannelSpec, user, family) -> RegionPolytope:
     """Region cut out by a single family over all of its weights."""
-    rows = outer_rows(spec, (_family_tag(user, family),))
-    return intersect(rows.rows, rows.den, rows.crossings)
+    return outer_rows(spec, (_family_tag(user, family),)).region()
 
 
 def outer_halfplanes(spec: ChannelSpec) -> list:
@@ -494,8 +484,7 @@ def outer_halfplanes(spec: ChannelSpec) -> list:
 
 def outer_region(spec: ChannelSpec) -> RegionPolytope:
     """The full outer bound: intersection of every family's half-planes."""
-    rows = outer_rows(spec)
-    return intersect(rows.rows, rows.den, rows.crossings)
+    return outer_rows(spec).region()
 
 
 def grid_bounds(spec: ChannelSpec, steps: int) -> list:
@@ -506,8 +495,8 @@ def grid_bounds(spec: ChannelSpec, steps: int) -> list:
 def active_bounds(rows: BoundRows, region: RegionPolytope) -> list:
     """Bounds whose half-planes support the region along an edge.
 
-    rows are the BoundRows the region was intersected from, as
-    intersect(rows.rows, rows.den); the region records which of them are
+    rows are the BoundRows the region was intersected from, by
+    rows.region(); the region records which of them are
     active (active_planes), and only those are read as WeightedBounds.
     Identical half-planes keep only the first occurrence, so the family
     order of the rows decides the reported provenance.  Degenerate regions

@@ -27,8 +27,8 @@ from .bounds import (
     outer_rows,
 )
 from .channel import _LINKS, ChannelSpec, FadingPmf, expect, expect_pos_diff
-from .geometry import RegionPolytope, intersect
-from .regimes import classify, weak_sum_capacity
+from .geometry import RegionPolytope
+from .regimes import _weak_sum, classify
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -228,7 +228,7 @@ def _constraint_entry(bound: WeightedBound) -> dict:
 def _region(spec: ChannelSpec, mode: str, grid_steps: int) -> tuple:
     """The mode's BoundRows and the region they intersect to."""
     rows = grid_rows(spec, grid_steps, prune=True) if mode == "grid" else outer_rows(spec)
-    return rows, intersect(rows.rows, rows.den, rows.crossings)
+    return rows, rows.region()
 
 
 def region_document(spec_file: ChannelSpecFile, mode: str, grid_steps: int) -> dict:
@@ -260,7 +260,7 @@ def classify_document(spec_file: ChannelSpecFile) -> dict:
         "vertices": [[str(r1), str(r2)] for r1, r2 in region.vertices],
     }
     if report.regime == "weak":
-        doc["sum_capacity"] = str(weak_sum_capacity(spec))
+        doc["sum_capacity"] = str(_weak_sum(spec))
     elif report.regime == "strong":
         doc["sum_capacity"] = str(region.support(1, 1))
     return doc
@@ -331,7 +331,7 @@ def render_svg(spec_file: ChannelSpecFile, region: RegionPolytope) -> str:
 
     spec = spec_file.spec
     if classify(spec).regime == "weak":
-        c_sum = weak_sum_capacity(spec)
+        c_sum = _weak_sum(spec)
         # dashed sum-capacity line R1 + R2 = C_sum, clipped to the plot box
         lo = max(0.0, float(c_sum) - ymax)
         hi = min(xmax, float(c_sum))

@@ -130,14 +130,18 @@ def strong_region(spec: ChannelSpec) -> RegionPolytope:
 def weak_region(spec: ChannelSpec) -> RegionPolytope:
     """Capacity region under weak interference: the two b-family regions meet."""
     _require(spec, "weak")
-    rows = outer_rows(spec, ("1b", "2b"))
-    return intersect(rows.rows, rows.den, rows.crossings)
+    return outer_rows(spec, ("1b", "2b")).region()
+
+
+def _weak_sum(spec: ChannelSpec) -> Fraction:
+    """weak_sum_capacity without its gate, for a spec already classified weak."""
+    return expect_pos_diff(spec.n22, spec.n12) + expect_pos_diff(spec.n11, spec.n21)
 
 
 def weak_sum_capacity(spec: ChannelSpec) -> Fraction:
     """E[(N22-N12)^+] + E[(N11-N21)^+], the weak-regime sum capacity."""
     _require(spec, "weak")
-    return expect_pos_diff(spec.n22, spec.n12) + expect_pos_diff(spec.n11, spec.n21)
+    return _weak_sum(spec)
 
 
 def weak_corner(spec: ChannelSpec, omega_A) -> CornerAllocation:

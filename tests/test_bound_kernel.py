@@ -9,11 +9,11 @@ half-plane each bound builds from the kernel's integers.  The critical
 weights, enumerated in integers, are checked against a Fraction enumeration
 through sets and sorts, and every row of outer_rows and grid_rows against
 the half-plane of the bound it reads back as.  outer_rows reads each
-critical-weight bound on the sweep pieces its kink indexes, with no
-bisection; every kink's pieces are checked against the ones the kernel's
-locator bisects at the same weight, and its value against the bound read
-on those.  The crossing outer_rows records for two consecutive a- or
-b-family rows, the apex of the piece between them, is checked to lie on
+critical-weight bound on the sweep pieces its kink indexes, and grid lines
+on the pieces a walk over the kinks finds; each piece is checked against a
+count of the layers below its weight, and each value against bound_a/b/c,
+which read no piece.  The crossing outer_rows records for two consecutive
+a- or b-family rows, the apex of the piece between them, is checked to lie on
 both rows and to give intersect the region Cramer's rule gives.  Every
 non-axis edge of an exact, pruned grid or one-family a or b region must lie
 on a bound active_bounds reports, with c from the reference: the continuum
@@ -91,22 +91,45 @@ def plane_of(wb):
     return HalfPlane(wb.omega, own, wb.value)
 
 
-def sweeps(spec, user):
-    """{0, 1} plus the per-layer kink ratios in [0, 1] of each of the user's
-    three sweeps: alpha/beta, alpha/gamma and P(N12 >= l)/P(N11 >= l)."""
+def layer_ratios(spec, user):
+    """The per-layer ratios of each of the user's three sweeps, alpha/beta,
+    alpha/gamma and P(N12 >= l)/P(N11 >= l), on the layers with a positive
+    denominator."""
     sp = spec if user == 1 else swap_users(spec)
-    out = {"beta": {F(0), F(1)}, "gamma": {F(0), F(1)}, "top": {F(0), F(1)}}
+    out = {"beta": [], "gamma": [], "top": []}
     for l in range(1, sp.q + 1):
         clear = diff_tail(sp.n21, sp.n11, l)
         alpha = tail(sp.n21, l) - clear
         for key, g in (("beta", tail(sp.n22, l) - clear),
                        ("gamma", diff_tail(sp.n22, sp.n12, l) - clear)):
-            if g > 0 and alpha <= g:
-                out[key].add(alpha / g)
+            if g > 0:
+                out[key].append(alpha / g)
         t11, t12 = tail(sp.n11, l), tail(sp.n12, l)
-        if t11 > 0 and t12 <= t11:
-            out["top"].add(t12 / t11)
+        if t11 > 0:
+            out["top"].append(t12 / t11)
     return out
+
+
+def sweeps(spec, user):
+    """{0, 1} plus the per-layer kink ratios in [0, 1] of each of the user's
+    three sweeps."""
+    return {key: {F(0), F(1), *(x for x in xs if x <= 1)}
+            for key, xs in layer_ratios(spec, user).items()}
+
+
+def pieces(ratios, family, omega, mu):
+    """The pieces (i, j) the weight (omega, mu) sits at, each a count of the
+    layer_ratios below it: i of the family's omega sweep below omega, j of
+    the top sweep below mu/omega, 0 outside family c."""
+    i = sum(x < omega for x in ratios["beta" if family == "a" else "gamma"])
+    return i, sum(x * omega < mu for x in ratios["top"]) if family == "c" else 0
+
+
+def bound_value(spec, user, family, omega, mu):
+    """The bound through bound_a/b/c, which read no piece."""
+    if family == "c":
+        return bound_c(spec, user, omega, mu)
+    return (bound_a if family == "a" else bound_b)(spec, user, omega)
 
 
 def ratios(spec, user):
@@ -207,19 +230,20 @@ KINK_EDGE_SPECS = [
 
 def kink_value_mismatches(spec):
     """The critical weights (tag, p, m, r) whose kink pieces (i, j) differ
-    from the ones the locator bisects at the same weight, or at which
-    outer_rows's value differs from the bound on the bisected pieces."""
+    from the counts of layers below them (pieces), or at which outer_rows's
+    value differs from the bound there."""
     table = outer_rows(spec)
     expected = []
     for tag in FAMILIES:
-        kernel = bound_kernel(spec, int(tag[0]))
-        kinks = _kink_weights(kernel, tag[1])
-        located = kernel.locate(tag[1], [kink[:3] for kink in kinks])
-        expected += [(tag, kink, where, value) for kink, where, value
-                     in zip(kinks, located, kernel.at(tag[1], located))]
+        user, family = int(tag[0]), tag[1]
+        ratios = layer_ratios(spec, user)
+        for p, m, r, i, j in _kink_weights(bound_kernel(spec, user), family):
+            omega, mu = F(p, r), F(m, r)
+            expected.append(((tag, p, m, r), (i, j) == pieces(ratios, family, omega, mu),
+                             r * table.den * bound_value(spec, user, family, omega, mu)))
     assert len(expected) == len(table)
-    return [(tag, *kink[:3]) for (tag, kink, where, value), (_, _, c)
-            in zip(expected, table.rows) if kink != where or c != value]
+    return [weight for (weight, same, value), (_, _, c)
+            in zip(expected, table.rows) if not same or c != value]
 
 
 @settings(max_examples=300, deadline=None)
@@ -234,7 +258,7 @@ def test_kink_indexed_values_equal_the_bisected_ones(spec):
 
 @pytest.mark.parametrize("step", [-1, 1])
 def test_an_off_by_one_kink_index_fails_the_value_check(monkeypatch, step):
-    # a shifted index differs from the bisected piece at every kink; the
+    # a shifted index differs from the counted piece at every kink; the
     # values tell it only at some, since a bound is continuous at its kinks.
     # A sweep reduces its kinks once, when its kernel is built, so the
     # kernels are rebuilt on both sides of the patch: a cached one would
@@ -260,9 +284,13 @@ def test_each_sweep_keeps_its_kinks():
     weights = {(user, family): critical_weights(spec, user, family)
                for user in (1, 2) for family in "abc"}
     for user in (1, 2):
-        kernel = bound_kernel(spec, user)
-        for sweep in (kernel.beta, kernel.gamma, kernel.top):
-            assert type(sweep.kinks) is tuple and sweep.kinks == _kinks(sweep.keys)
+        kernel, ratios = bound_kernel(spec, user), layer_ratios(spec, user)
+        for key, kinks in sweeps(spec, user).items():
+            # each kink with the count of the sweep's ratios below it
+            table = tuple((x.numerator, x.denominator, sum(y < x for y in ratios[key]))
+                          for x in sorted(kinks))
+            sweep = getattr(kernel, key)
+            assert type(sweep.kinks) is tuple and sweep.kinks == table
     bound_kernel.cache_clear()
     assert weights == {(user, family): critical_weights(spec, user, family)
                        for user in (1, 2) for family in "abc"}
@@ -343,17 +371,20 @@ def test_walked_grid_pieces_equal_the_bisected_ones(spec, steps):
     # BoundKernel.lines reads the omega piece of each k off one walk along
     # omega, and the top piece of each j off one walk along each c line;
     # the weights its lines give must be the grid's, in order, with the
-    # pieces locate bisects, and their values what at reads there
+    # pieces counted there, and their values r*D times the bound there
     for tag in FAMILIES:
-        kernel, family = bound_kernel(spec, int(tag[0])), tag[1]
+        user, family = int(tag[0]), tag[1]
+        kernel, ratios = bound_kernel(spec, user), layer_ratios(spec, user)
         grid = ([(k, j, steps) for k in range(steps + 1) for j in range(k + 1)]
                 if family == "c" else [(k, 0, steps) for k in range(steps + 1)])
         walked, values = [], []
         for weight, line in kernel.lines(family, steps):
             walked += map(weight, range(len(line)))
             values += line
-        assert walked == kernel.locate(family, grid)
-        assert values == kernel.at(family, walked)
+        assert walked == [(p, m, r, *pieces(ratios, family, F(p, r), F(m, r)))
+                          for p, m, r in grid]
+        assert values == [r * kernel.den * bound_value(spec, user, family, F(p, r), F(m, r))
+                          for p, m, r, _, _ in walked]
 
 
 # outer_rows, then grid_rows in full and pruned

@@ -18,6 +18,7 @@ from layercap.cli import ChannelSpecFile, SpecFileError, main
 from layercap.corpus import random_moderate_spec
 import layercap.bounds as bounds
 import layercap.cli as cli
+import layercap.regimes as regimes
 import layercap.verification as verification
 from strategies import int_str_digit_limit, no_int_str_digit_limit, specs
 
@@ -261,6 +262,26 @@ def test_only_json_output_selects_active_constraints(tmp_path, capsys, monkeypat
     monkeypatch.setattr(cli, "active_bounds", counted)
     assert main(argv + ["json"]) == 0
     assert capsys.readouterr().out == expected["json"]
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("command", [["classify"], ["region", "--format", "svg"]])
+def test_a_weak_spec_is_classified_once(tmp_path, capsys, monkeypatch, command):
+    # both print the weak sum capacity, read off the one verdict the command
+    # takes: cli and the regimes gates each call classify by its own name
+    argv = command + ["--spec", write(tmp_path, "weak.json", WEAK_SPEC)]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+    calls, classify = [], regimes.classify
+
+    def counted(*args):
+        calls.append(args)
+        return classify(*args)
+
+    monkeypatch.setattr(cli, "classify", counted)
+    monkeypatch.setattr(regimes, "classify", counted)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == expected
     assert len(calls) == 1
 
 
