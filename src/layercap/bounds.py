@@ -103,14 +103,12 @@ R1 <= 0, which pins R1.  User 2 mirrors this.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from math import gcd, lcm
-from typing import Optional
 
-from .channel import FRAMES, ChannelSpec, as_fraction, layer_coefficients
+from .channel import FRAMES, ChannelSpec, _Record, _set, as_fraction, layer_coefficients
 from .geometry import HalfPlane, RegionPolytope, Row, active_planes, intersect, ratio_order
 
 FAMILIES = ("1a", "1b", "1c", "2a", "2b", "2c")
@@ -151,29 +149,29 @@ def _check_mu(omega: Fraction, mu) -> Fraction:
     raise ValueError(f"mu must lie in [0, omega], got mu={mu}, omega={omega}")
 
 
-@dataclass(frozen=True)
-class WeightedBound:
+class WeightedBound(_Record):
     """One evaluated bound: family tag, weights and right-hand side.
 
     Families 1a/1b induce R1 + omega*R2 <= value, family 1c induces
     (1+mu)*R1 + omega*R2 <= value; the 2-families mirror R1 and R2.
     """
 
-    family: str
-    omega: Fraction
-    mu: Optional[Fraction]
-    value: Fraction
+    __slots__ = ("family", "omega", "mu", "value")
 
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
-        omega = _check_omega(self.omega)
-        if self.family.endswith("c"):
-            _check_mu(omega, self.mu)
-        elif self.mu is not None:
+    def __init__(self, family: str, omega: Fraction, mu: Fraction | None, value: Fraction):
+        if family not in FAMILIES:
+            raise ValueError(f"unknown family {family!r}")
+        checked = _check_omega(omega)
+        if family.endswith("c"):
+            _check_mu(checked, mu)
+        elif mu is not None:
             raise ValueError("mu only applies to c-families")
-        if self.value.numerator < 0:
-            raise ValueError(f"bound value must be nonnegative, got {self.value}")
+        if value.numerator < 0:
+            raise ValueError(f"bound value must be nonnegative, got {value}")
+        _set(self, "family", family)
+        _set(self, "omega", omega)
+        _set(self, "mu", mu)
+        _set(self, "value", value)
 
     def halfplane(self) -> HalfPlane:
         """The bound's reduced half-plane."""

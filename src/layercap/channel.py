@@ -12,11 +12,50 @@ plotting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from operator import mul
+from operator import attrgetter, mul
+
+
+_set = object.__setattr__  # sets a field of a _Record, in its __init__
+
+
+class _Record:
+    """A frozen record of the fields its class names in __slots__.
+
+    A record equals only a record of its own class with equal fields, and
+    hashes, shows and pickles as its fields.  It refuses assignment and
+    deletion: each class checks its arguments and sets its fields with _set
+    in its own __init__.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = attrgetter(*cls.__slots__)  # record -> its field values
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields(self) == self._fields(other)
+
+    def __hash__(self):
+        return hash(self._fields(self))
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={value!r}" for name, value in
+                          zip(self.__slots__, self._fields(self)))
+        return f"{type(self).__qualname__}({shown})"
+
+    def __reduce__(self):
+        return type(self), self._fields(self)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def as_fraction(value) -> Fraction:
@@ -152,8 +191,7 @@ class FadingPmf:
         return "FadingPmf([%s])" % ", ".join(str(m) for m in self.masses)
 
 
-@dataclass(frozen=True)
-class ChannelSpec:
+class ChannelSpec(_Record):
     """The four fading pmfs of a two-user channel, all sharing the same q.
 
     nAB is the link from transmitter A to receiver B: n11/n22 are the direct
@@ -161,15 +199,16 @@ class ChannelSpec:
     mutually independent, so joint quantities are computed by products.
     """
 
-    n11: FadingPmf
-    n12: FadingPmf
-    n21: FadingPmf
-    n22: FadingPmf
+    __slots__ = ("n11", "n12", "n21", "n22")
 
-    def __post_init__(self):
-        qs = {self.n11.q, self.n12.q, self.n21.q, self.n22.q}
+    def __init__(self, n11: FadingPmf, n12: FadingPmf, n21: FadingPmf, n22: FadingPmf):
+        qs = {n11.q, n12.q, n21.q, n22.q}
         if len(qs) != 1:
             raise ValueError(f"all four links must share q, got q values {sorted(qs)}")
+        _set(self, "n11", n11)
+        _set(self, "n12", n12)
+        _set(self, "n21", n21)
+        _set(self, "n22", n22)
 
     @property
     def q(self) -> int:
@@ -187,8 +226,7 @@ def _fraction_view(key) -> property:
                     doc=f"{key} as a tuple of Fractions, built from ints on each read")
 
 
-@dataclass(frozen=True)
-class LayerCoefficients:
+class LayerCoefficients(_Record):
     """Per-layer coefficients of the weighted bounds, plus the tail tables,
     as integer numerators over one positive denominator.
 
@@ -205,8 +243,11 @@ class LayerCoefficients:
     vector as Fractions.
     """
 
-    den: int
-    ints: dict
+    __slots__ = ("den", "ints")
+
+    def __init__(self, den: int, ints: dict):
+        _set(self, "den", den)
+        _set(self, "ints", ints)
 
     alpha1, beta1, gamma1, alpha2, beta2, gamma2 = map(_fraction_view, _COEFFICIENTS)
 

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from pathlib import Path
 
 from .bounds import (
     WeightedBound,
@@ -26,7 +25,7 @@ from .bounds import (
     outer_region,
     outer_rows,
 )
-from .channel import _LINKS, ChannelSpec, FadingPmf, expect, expect_pos_diff
+from .channel import _LINKS, ChannelSpec, FadingPmf, _Record, _set, expect, expect_pos_diff
 from .geometry import RegionPolytope
 from .regimes import _weak_sum, classify
 
@@ -143,13 +142,15 @@ def _mass(raw, where) -> tuple:
     return value.numerator, value.denominator
 
 
-@dataclass(frozen=True)
-class ChannelSpecFile:
+class ChannelSpecFile(_Record):
     """A parsed channel description: level count, label, and the four pmfs."""
 
-    q: int
-    label: str
-    spec: ChannelSpec
+    __slots__ = ("q", "label", "spec")
+
+    def __init__(self, q: int, label: str, spec: ChannelSpec):
+        _set(self, "q", q)
+        _set(self, "label", label)
+        _set(self, "spec", spec)
 
     @classmethod
     def parse(cls, text: str, default_label: str = "channel") -> "ChannelSpecFile":
@@ -204,13 +205,18 @@ class ChannelSpecFile:
 
 
 def load_spec_file(path) -> ChannelSpecFile:
-    p = Path(path)
     try:
-        text = p.read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
     except (OSError, UnicodeDecodeError) as exc:
         # the reason only: the caller's error line names the path
         raise SpecFileError(f"cannot read: {getattr(exc, 'strerror', None) or exc}") from exc
-    return ChannelSpecFile.parse(text, default_label=p.stem)
+    # the file name's stem, as PurePath.stem reads it: a leading or trailing
+    # dot starts no suffix
+    name = os.path.basename(path)
+    dot = name.rfind(".")
+    stem = name[:dot] if 0 < dot < len(name) - 1 else name
+    return ChannelSpecFile.parse(text, default_label=stem)
 
 
 def _constraint_entry(bound: WeightedBound) -> dict:
@@ -378,7 +384,8 @@ def _emit(text: str, out) -> int:
         sys.stdout.write(text)
         return EXIT_OK
     try:
-        Path(out).write_text(text)
+        with open(out, "w") as f:
+            f.write(text)
     except OSError as exc:
         print(f"error: cannot write {out}: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_PARSE

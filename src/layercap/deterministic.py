@@ -12,23 +12,21 @@ them; verify_recovery checks each pin and the assembled outer region.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .channel import ChannelSpec, FadingPmf
+from .channel import ChannelSpec, FadingPmf, _Record, _set
 from .bounds import bound_a, bound_b, bound_c, outer_region
 from .geometry import HalfPlane, RegionPolytope, intersect
 
 
-@dataclass(frozen=True)
-class DetChannel:
+class DetChannel(_Record):
     """Constant link levels; q is the largest of the four."""
 
-    n11: int
-    n12: int
-    n21: int
-    n22: int
+    __slots__ = ("n11", "n12", "n21", "n22")
 
-    def __post_init__(self):
+    def __init__(self, n11: int, n12: int, n21: int, n22: int):
+        _set(self, "n11", n11)
+        _set(self, "n12", n12)
+        _set(self, "n21", n21)
+        _set(self, "n22", n22)
         for name, v in self.levels().items():
             # bool is an int subclass, but a level written as True is an error
             if isinstance(v, bool) or not isinstance(v, int) or v < 0:

@@ -25,15 +25,16 @@ suites, which import this module too, do not pay for it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from .channel import (
     _LINKS,
     _PAIRS,
     ChannelSpec,
     FadingPmf,
+    _Record,
+    _set,
     _diff_tails,
     diff_tail,
     dominates,
@@ -48,21 +49,21 @@ _MAX_PAIRS = (("n11", "n21"), ("n22", "n12"))
 _CHUNK = 1 << 16
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class SimConfig(_Record):
     """One draw: the channels that share it, how many uses, which seed."""
 
-    specs: tuple
-    samples: int
-    seed: int = 0
+    __slots__ = ("specs", "samples", "seed")
 
-    def __post_init__(self):
-        if not self.specs:
+    def __init__(self, specs: tuple, samples: int, seed: int = 0):
+        if not specs:
             raise ValueError("specs must hold at least one channel")
-        if self.samples < 1:
-            raise ValueError(f"samples must be >= 1, got {self.samples}")
-        if not 0 <= self.seed < 1 << 64:
-            raise ValueError(f"seed must be in [0, 2^64), got {self.seed}")
+        if samples < 1:
+            raise ValueError(f"samples must be >= 1, got {samples}")
+        if not 0 <= seed < 1 << 64:
+            raise ValueError(f"seed must be in [0, 2^64), got {seed}")
+        _set(self, "specs", specs)
+        _set(self, "samples", samples)
+        _set(self, "seed", seed)
 
 
 def _word_threshold(c: float) -> int:
@@ -187,7 +188,7 @@ def prob_sandwich(low: FadingPmf, high: FadingPmf, l: int) -> Fraction:
     return gap if gap > 0 else Fraction(0)
 
 
-class _PairView(NamedTuple):
+class _PairView(namedtuple("_PairView", "den tails diff_tails alpha_ok dominated")):
     """What the coupling identities read of one link pair (x, y).
 
     tails[l-1] and diff_tails[l-1] are P((N_x - N_y)^+ >= l), once from the
@@ -197,11 +198,7 @@ class _PairView(NamedTuple):
     coupling.
     """
 
-    den: int
-    tails: tuple
-    diff_tails: tuple
-    alpha_ok: bool
-    dominated: bool
+    __slots__ = ()
 
 
 def _pair_view(x: FadingPmf, y: FadingPmf) -> _PairView:

@@ -18,12 +18,13 @@ strong and weak at once) stay usable with either toolset.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .channel import (
     FRAMES,
     ChannelSpec,
+    _Record,
+    _set,
     as_fraction,
     expect,
     expect_max,
@@ -54,8 +55,7 @@ _CONDITIONS = {
 }
 
 
-@dataclass(frozen=True)
-class RegimeReport:
+class RegimeReport(_Record):
     """Regime label plus the per-layer condition flags behind it.
 
     conditions maps each regime of _CONDITIONS, in its order, to the pair
@@ -67,17 +67,22 @@ class RegimeReport:
     exact capacity region.
     """
 
-    regime: str
-    conditions: dict = field(hash=False)
-    conjecture_precondition: bool
+    __slots__ = ("regime", "conditions", "conjecture_precondition")
+
+    def __init__(self, regime: str, conditions: dict, conjecture_precondition: bool):
+        _set(self, "regime", regime)
+        _set(self, "conditions", conditions)
+        _set(self, "conjecture_precondition", conjecture_precondition)
+
+    def __hash__(self):
+        return hash((self.regime, self.conjecture_precondition))
 
     def holds(self, regime: str) -> bool:
         """True when both users meet regime's condition at every layer."""
         return all(map(all, self.conditions[regime]))
 
 
-@dataclass(frozen=True)
-class CornerAllocation:
+class CornerAllocation(_Record):
     """A sum-rate corner and the layer split that achieves it.
 
     private_layers collects the layers l with omega_A*gamma1(l) >= alpha1(l)
@@ -86,10 +91,14 @@ class CornerAllocation:
     E[(N21-N11)^+] + sum_private gamma1(l)).
     """
 
-    omega_A: Fraction
-    private_layers: frozenset
-    common_layers: frozenset
-    corner: tuple
+    __slots__ = ("omega_A", "private_layers", "common_layers", "corner")
+
+    def __init__(self, omega_A: Fraction, private_layers: frozenset,
+                 common_layers: frozenset, corner: tuple):
+        _set(self, "omega_A", omega_A)
+        _set(self, "private_layers", private_layers)
+        _set(self, "common_layers", common_layers)
+        _set(self, "corner", corner)
 
 
 def classify(spec: ChannelSpec) -> RegimeReport:
@@ -208,8 +217,7 @@ def moderate_bounds(spec: ChannelSpec, user, family, omega, mu=None) -> Fraction
     return e11 + omega * lift + top
 
 
-@dataclass(frozen=True)
-class SymmetricQ1Report:
+class SymmetricQ1Report(_Record):
     """The single-layer symmetric moderate region and its redundancy facts.
 
     cap_planes are the per-user rate caps R_i <= p_d; a_planes the two
@@ -220,17 +228,23 @@ class SymmetricQ1Report:
     user-1 a-plane and c-plane boundary lines.
     """
 
-    p_d: Fraction
-    p_c: Fraction
-    cap_planes: tuple
-    a_planes: tuple
-    sum_plane: HalfPlane
-    c_planes: tuple
-    weight_a: Fraction
-    weight_c: Fraction
-    region: RegionPolytope
-    a_redundant: bool
-    crossing: tuple
+    __slots__ = ("p_d", "p_c", "cap_planes", "a_planes", "sum_plane", "c_planes",
+                 "weight_a", "weight_c", "region", "a_redundant", "crossing")
+
+    def __init__(self, p_d: Fraction, p_c: Fraction, cap_planes: tuple, a_planes: tuple,
+                 sum_plane: HalfPlane, c_planes: tuple, weight_a: Fraction, weight_c: Fraction,
+                 region: RegionPolytope, a_redundant: bool, crossing: tuple):
+        _set(self, "p_d", p_d)
+        _set(self, "p_c", p_c)
+        _set(self, "cap_planes", cap_planes)
+        _set(self, "a_planes", a_planes)
+        _set(self, "sum_plane", sum_plane)
+        _set(self, "c_planes", c_planes)
+        _set(self, "weight_a", weight_a)
+        _set(self, "weight_c", weight_c)
+        _set(self, "region", region)
+        _set(self, "a_redundant", a_redundant)
+        _set(self, "crossing", crossing)
 
 
 def symmetric_q1_region(p_d, p_c) -> SymmetricQ1Report:

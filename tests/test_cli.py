@@ -7,7 +7,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from pathlib import Path
+from pathlib import Path, PurePath
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -499,6 +499,27 @@ def test_byte_identical_outputs(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "name", ["a.b.json", "noext", ".json", "name.", "..json", "a..json", "dir.d/spec.json"])
+def test_a_spec_without_a_label_is_labelled_by_its_file_stem(tmp_path, name):
+    (tmp_path / "dir.d").mkdir()
+    path = write(tmp_path, name, WEAK_SPEC)
+    assert cli.load_spec_file(path).label == PurePath(path).stem
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("region", ["--format", "json"]), ("region", ["--format", "csv"]),
+    ("region", ["--format", "svg"]), ("classify", [])])
+def test_out_writes_the_bytes_stdout_gets(tmp_path, capsysbinary, command, flags):
+    path = write(tmp_path, "weak.json", WEAK_SPEC)
+    out = tmp_path / "out"
+    assert main([command, "--spec", path, *flags]) == 0
+    printed = capsysbinary.readouterr().out
+    assert main([command, "--spec", path, *flags, "--out", str(out)]) == 0
+    assert capsysbinary.readouterr().out == b""
+    assert out.read_bytes() == printed
+
+
 def test_classify_weak_output(tmp_path, capsys):
     path = write(tmp_path, "weak.json", WEAK_SPEC)
     assert main(["classify", "--spec", path]) == 0
@@ -736,6 +757,12 @@ def test_seeds_outside_64_bits_are_usage_errors(capsys, seed):
     assert "argument --seed: " in capsys.readouterr().err
 
 
+# stdlib modules that no command loads: dataclasses imports inspect, and
+# both cost more than the work of a small region; the interpreter runs with
+# -S, since a site-packages .pth file may load typing or pathlib first
+UNLOADED = ("dataclasses", "inspect", "typing", "pathlib")
+
+
 def test_region_and_classify_load_only_the_core(tmp_path):
     # the suites, the corpus, the oracles and numpy stay unloaded; in-process
     # tests cannot show it, because the test modules import them first
@@ -748,18 +775,23 @@ def test_region_and_classify_load_only_the_core(tmp_path):
         f"    assert cli.main([command, '--spec', {path!r}, '--out', {out!r}]) == 0\n"
         "print(' '.join(sorted(m for m in sys.modules\n"
         "                      if m.split('.')[0] in ('layercap', 'numpy'))))\n"
+        f"print(' '.join(m for m in {UNLOADED!r} if m in sys.modules))\n"
     )
-    run = run_fresh(code)
+    run = run_fresh_argv(["-S", "-c", code])
     assert run.returncode == 0, run.stderr
-    assert run.stdout.split() == ["layercap", "layercap.bounds", "layercap.channel",
-                                  "layercap.cli", "layercap.geometry", "layercap.regimes"]
+    loaded, stdlib = run.stdout.split("\n")[:2]
+    assert loaded.split() == ["layercap", "layercap.bounds", "layercap.channel",
+                              "layercap.cli", "layercap.geometry", "layercap.regimes"]
+    assert stdlib == ""
 
 
 def test_verify_imports_its_suites_when_run():
-    run = run_fresh("import sys\nfrom layercap import cli\n"
-                    "sys.exit(cli.main(['verify', 'deterministic']))")
+    run = run_fresh_argv(["-S", "-c", "import sys\nfrom layercap import cli\n"
+                          "code = cli.main(['verify', 'deterministic'])\n"
+                          f"print(*(m for m in {UNLOADED!r} if m in sys.modules))\n"
+                          "sys.exit(code)"])
     assert run.returncode == cli.EXIT_OK, run.stderr
-    assert "[deterministic] PASS" in run.stdout
+    assert run.stdout.splitlines()[-2:] == ["[deterministic] PASS", ""]
 
 
 def test_main_builds_the_parser_once(tmp_path, capsys):

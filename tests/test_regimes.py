@@ -1,6 +1,5 @@
 """Regime classification, exact capacity regions, corners, and the q=1 display."""
 
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -9,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from layercap import (
     ChannelSpec,
+    CornerAllocation,
     FadingPmf,
     bound_a,
     bound_b,
@@ -281,7 +281,10 @@ def test_inclusions_suite_checks_the_weight_1_corner(monkeypatch):
     def lowered(spec, omega):
         alloc = real(spec, omega)
         r1, r2 = alloc.corner
-        return dataclasses.replace(alloc, corner=(r1, r2 / 2)) if omega == 1 else alloc
+        if omega != 1:
+            return alloc
+        return CornerAllocation(alloc.omega_A, alloc.private_layers, alloc.common_layers,
+                                (r1, r2 / 2))
 
     monkeypatch.setattr(verification, "weak_corner", lowered)
     assert verification._check_weak_spec(WEAK1) == [
