@@ -412,12 +412,24 @@ def cmd_verify(args) -> int:
     # corpus or the oracles
     from . import verification
 
-    if args.suite == "montecarlo":
-        result = verification.verify_montecarlo(samples=args.samples, seed=args.seed)
-    elif args.suite == "inclusions":
-        result = verification.verify_inclusions(seed=args.seed)
-    else:
-        result = verification.SUITES[args.suite]()
+    # no suite calls a BLAS routine, so a numpy that the suite imports loads
+    # OpenBLAS with one thread: starting its worker thread took numpy's
+    # import from about 105 ms to 180 ms (2-core VM, numpy 2.4.6).  A value
+    # the caller set stands, and the variable is removed again, so a caller
+    # of main that imports numpy later gets numpy's default
+    blas_default = "OPENBLAS_NUM_THREADS" not in os.environ
+    if blas_default:
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        if args.suite == "montecarlo":
+            result = verification.verify_montecarlo(samples=args.samples, seed=args.seed)
+        elif args.suite == "inclusions":
+            result = verification.verify_inclusions(seed=args.seed)
+        else:
+            result = verification.SUITES[args.suite]()
+    finally:
+        if blas_default:
+            os.environ.pop("OPENBLAS_NUM_THREADS", None)
     print(result.render())
     return EXIT_OK if result.ok else EXIT_VERIFY
 

@@ -50,11 +50,16 @@ _CHUNK = 1 << 16
 
 
 class SimConfig(_Record):
-    """One draw: the channels that share it, how many uses, which seed."""
+    """One draw: the channels that share it, how many uses, which seed.
+
+    specs may be any iterable of ChannelSpecs; the record keeps them as a tuple.
+    """
 
     __slots__ = ("specs", "samples", "seed")
 
-    def __init__(self, specs: tuple, samples: int, seed: int = 0):
+    def __init__(self, specs, samples: int, seed: int = 0):
+        # a tuple, so that a generator is read once and the record hashes
+        specs = tuple(specs)
         if not specs:
             raise ValueError("specs must hold at least one channel")
         if samples < 1:

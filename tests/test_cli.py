@@ -712,17 +712,38 @@ def test_verify_failure_output_is_pinned(capsys, monkeypatch, suite, attr, make_
     assert capsys.readouterr().out == "\n".join(expected) + "\n"
 
 
+def test_verify_sets_blas_threads_only_while_its_suite_runs(monkeypatch):
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    seen = []
+
+    def fails():
+        seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+        raise RuntimeError("suite broke")
+
+    monkeypatch.setitem(verification.SUITES, "deterministic", fails)
+    with pytest.raises(RuntimeError, match="suite broke"):
+        main(["verify", "deterministic"])
+    assert seen == ["1"] and "OPENBLAS_NUM_THREADS" not in os.environ
+
+
 def test_verify_inclusions_seeded(capsys):
     assert main(["verify", "inclusions", "--seed", "3"]) == 0
     assert "[inclusions] PASS" in capsys.readouterr().out
 
 
-def run_fresh_argv(argv, timeout=None):
-    """Run the interpreter on argv, importing layercap from this checkout."""
+def run_fresh_argv(argv, timeout=None, env=None):
+    """Run the interpreter on argv, importing layercap from this checkout.
+
+    env maps variable names to the value the child gets, or to None to leave
+    the variable out of the child's environment."""
     src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    child = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
-    return subprocess.run([sys.executable, *argv], env=env, capture_output=True,
+    for name, value in (env or {}).items():
+        child.pop(name, None)
+        if value is not None:
+            child[name] = value
+    return subprocess.run([sys.executable, *argv], env=child, capture_output=True,
                           text=True, timeout=timeout)
 
 
@@ -792,6 +813,38 @@ def test_verify_imports_its_suites_when_run():
                           "sys.exit(code)"])
     assert run.returncode == cli.EXIT_OK, run.stderr
     assert run.stdout.splitlines()[-2:] == ["[deterministic] PASS", ""]
+
+
+def test_the_exact_suites_never_import_numpy():
+    # without -S, so numpy could load from site-packages if a suite asked
+    run = run_fresh_argv(["-c", "import sys\nfrom layercap import cli\n"
+                          "for suite in ('deterministic', 'coupling', 'inclusions'):\n"
+                          "    assert cli.main(['verify', suite]) == 0\n"
+                          "    assert 'numpy' not in sys.modules, suite\n"])
+    assert run.returncode == cli.EXIT_OK, run.stderr
+    assert [line for line in run.stdout.splitlines() if line.endswith("PASS")] == [
+        "[deterministic] PASS", "[coupling] PASS", "[inclusions] PASS"]
+
+
+# a verify process that imports numpy itself: no suite calls a BLAS routine,
+# so OpenBLAS starts no worker thread, and a value the caller set stands
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+@pytest.mark.parametrize("given, threads", [(None, 1), ("2", None)])
+def test_verify_montecarlo_imports_numpy_without_a_blas_thread_pool(given, threads):
+    code = ("import os, sys\n"
+            "from layercap import cli\n"
+            "with open(os.devnull, 'w') as sys.stdout:\n"
+            "    code = cli.main(['verify', 'montecarlo', '--samples', '1000'])\n"
+            "sys.stdout = sys.__stdout__\n"
+            "assert code == 0 and 'numpy' in sys.modules\n"
+            "print(len(os.listdir('/proc/self/task')))\n"
+            "print(os.environ.get('OPENBLAS_NUM_THREADS'))\n")
+    run = run_fresh_argv(["-c", code], env={"OPENBLAS_NUM_THREADS": given})
+    assert run.returncode == 0, run.stderr
+    count, after = run.stdout.splitlines()
+    # the caller's 2 threads may be fewer on a one-core host
+    assert threads is None or int(count) == threads
+    assert after == str(given)
 
 
 def test_main_builds_the_parser_once(tmp_path, capsys):

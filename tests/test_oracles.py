@@ -52,6 +52,21 @@ def test_sim_config_refuses_an_empty_draw():
         SimConfig(specs=(), samples=1, seed=0)
 
 
+def test_sim_config_keeps_its_specs_as_a_tuple():
+    # a generator used to pass the empty check and be consumed by the draw,
+    # so the estimates came back empty; a list left the record unhashable
+    pair = (examples()["weak"], examples()["strong"])
+    want = mc_estimate_stats(SimConfig(pair, 1000, 4))
+    assert len(want) == 2
+    for given_specs in (list(pair), (spec for spec in pair)):
+        cfg = SimConfig(given_specs, 1000, 4)
+        assert cfg.specs == pair
+        assert hash(cfg) == hash(SimConfig(pair, 1000, 4))
+        assert mc_estimate_stats(cfg) == want
+    with pytest.raises(ValueError, match="at least one channel"):
+        SimConfig((spec for spec in ()), samples=1, seed=0)
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2 ** 63 - 1), chunk=st.integers(0, 100))
 def test_seeds_below_2_63_keep_their_streams(seed, chunk):
