@@ -108,7 +108,7 @@ from functools import lru_cache
 from itertools import chain
 from math import gcd, lcm
 
-from .channel import FRAMES, ChannelSpec, _Record, _set, as_fraction, layer_coefficients
+from .channel import FRAMES, ChannelSpec, _Record, as_fraction, layer_coefficients
 from .geometry import HalfPlane, RegionPolytope, Row, active_planes, intersect, ratio_order
 
 FAMILIES = ("1a", "1b", "1c", "2a", "2b", "2c")
@@ -153,7 +153,8 @@ class WeightedBound(_Record):
     """One evaluated bound: family tag, weights and right-hand side.
 
     Families 1a/1b induce R1 + omega*R2 <= value, family 1c induces
-    (1+mu)*R1 + omega*R2 <= value; the 2-families mirror R1 and R2.
+    (1+mu)*R1 + omega*R2 <= value; the 2-families mirror R1 and R2.  The
+    weights and the value are kept as the Fractions the checks read.
     """
 
     __slots__ = ("family", "omega", "mu", "value")
@@ -161,17 +162,15 @@ class WeightedBound(_Record):
     def __init__(self, family: str, omega: Fraction, mu: Fraction | None, value: Fraction):
         if family not in FAMILIES:
             raise ValueError(f"unknown family {family!r}")
-        checked = _check_omega(omega)
+        omega = _check_omega(omega)
         if family.endswith("c"):
-            _check_mu(checked, mu)
+            mu = _check_mu(omega, mu)
         elif mu is not None:
             raise ValueError("mu only applies to c-families")
+        value = as_fraction(value)
         if value.numerator < 0:
             raise ValueError(f"bound value must be nonnegative, got {value}")
-        _set(self, "family", family)
-        _set(self, "omega", omega)
-        _set(self, "mu", mu)
-        _set(self, "value", value)
+        super().__init__(family, omega, mu, value)
 
     def halfplane(self) -> HalfPlane:
         """The bound's reduced half-plane."""

@@ -18,22 +18,38 @@ from math import gcd, lcm
 from operator import attrgetter, mul
 
 
-_set = object.__setattr__  # sets a field of a _Record, in its __init__
-
-
 class _Record:
     """A frozen record of the fields its class names in __slots__.
 
+    The constructor binds positional and keyword arguments to those fields
+    in order and sets them; a missing, extra, repeated or unknown field
+    raises TypeError.  A class that checks its arguments keeps its own
+    __init__ and ends it in super().__init__(...) with the checked values.
+    A subclass that declares no fields of its own keeps its base's.
+
     A record equals only a record of its own class with equal fields, and
     hashes, shows and pickles as its fields.  It refuses assignment and
-    deletion: each class checks its arguments and sets its fields with _set
-    in its own __init__.
+    deletion.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls):
-        cls._fields = attrgetter(*cls.__slots__)  # record -> its field values
+        if cls.__dict__.get("__slots__"):
+            cls._names = cls.__slots__
+            cls._fields = attrgetter(*cls._names)  # record -> its field values
+            # the slots' own setters, past the __setattr__ that refuses
+            cls._puts = tuple(getattr(cls, name).__set__ for name in cls._names)
+
+    def __init__(self, *values, **named):
+        names = self._names
+        if named and named.keys() == set(names[len(values):]):
+            values += tuple(map(named.__getitem__, names[len(values):]))
+        elif named or len(values) != len(names):
+            raise TypeError(f"{type(self).__qualname__}() takes the fields {', '.join(names)}, "
+                            f"got {len(values)} positional and {sorted(named)} by keyword")
+        for put, value in zip(self._puts, values):
+            put(self, value)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -45,7 +61,7 @@ class _Record:
 
     def __repr__(self):
         shown = ", ".join(f"{name}={value!r}" for name, value in
-                          zip(self.__slots__, self._fields(self)))
+                          zip(self._names, self._fields(self)))
         return f"{type(self).__qualname__}({shown})"
 
     def __reduce__(self):
@@ -205,10 +221,7 @@ class ChannelSpec(_Record):
         qs = {n11.q, n12.q, n21.q, n22.q}
         if len(qs) != 1:
             raise ValueError(f"all four links must share q, got q values {sorted(qs)}")
-        _set(self, "n11", n11)
-        _set(self, "n12", n12)
-        _set(self, "n21", n21)
-        _set(self, "n22", n22)
+        super().__init__(n11, n12, n21, n22)
 
     @property
     def q(self) -> int:
@@ -244,10 +257,6 @@ class LayerCoefficients(_Record):
     """
 
     __slots__ = ("den", "ints")
-
-    def __init__(self, den: int, ints: dict):
-        _set(self, "den", den)
-        _set(self, "ints", ints)
 
     alpha1, beta1, gamma1, alpha2, beta2, gamma2 = map(_fraction_view, _COEFFICIENTS)
 

@@ -25,7 +25,7 @@ from .bounds import (
     outer_region,
     outer_rows,
 )
-from .channel import _LINKS, ChannelSpec, FadingPmf, _Record, _set, expect, expect_pos_diff
+from .channel import _LINKS, ChannelSpec, FadingPmf, _Record, expect, expect_pos_diff
 from .geometry import RegionPolytope
 from .regimes import _weak_sum, classify
 
@@ -146,11 +146,6 @@ class ChannelSpecFile(_Record):
     """A parsed channel description: level count, label, and the four pmfs."""
 
     __slots__ = ("q", "label", "spec")
-
-    def __init__(self, q: int, label: str, spec: ChannelSpec):
-        _set(self, "q", q)
-        _set(self, "label", label)
-        _set(self, "spec", spec)
 
     @classmethod
     def parse(cls, text: str, default_label: str = "channel") -> "ChannelSpecFile":

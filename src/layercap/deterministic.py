@@ -12,7 +12,7 @@ them; verify_recovery checks each pin and the assembled outer region.
 
 from __future__ import annotations
 
-from .channel import ChannelSpec, FadingPmf, _Record, _set
+from .channel import ChannelSpec, FadingPmf, _Record
 from .bounds import bound_a, bound_b, bound_c, outer_region
 from .geometry import HalfPlane, RegionPolytope, intersect
 
@@ -23,17 +23,11 @@ class DetChannel(_Record):
     __slots__ = ("n11", "n12", "n21", "n22")
 
     def __init__(self, n11: int, n12: int, n21: int, n22: int):
-        _set(self, "n11", n11)
-        _set(self, "n12", n12)
-        _set(self, "n21", n21)
-        _set(self, "n22", n22)
-        for name, v in self.levels().items():
+        for name, v in zip(DetChannel.__slots__, (n11, n12, n21, n22)):
             # bool is an int subclass, but a level written as True is an error
             if isinstance(v, bool) or not isinstance(v, int) or v < 0:
                 raise ValueError(f"{name} must be a nonnegative integer, got {v!r}")
-
-    def levels(self) -> dict:
-        return {"n11": self.n11, "n12": self.n12, "n21": self.n21, "n22": self.n22}
+        super().__init__(n11, n12, n21, n22)
 
     @property
     def q(self) -> int:

@@ -43,18 +43,19 @@ from itertools import compress, pairwise
 from math import gcd, lcm
 from operator import eq, itemgetter
 
-from .channel import as_fraction
+from .channel import _Record, as_fraction
 
 
 class UnboundedRegionError(Exception):
     """The half-plane family leaves the region unbounded."""
 
 
-class HalfPlane:
+class HalfPlane(_Record):
     """Constraint a*R1 + b*R2 <= c with a, b, c >= 0 and (a, b) != (0, 0).
 
     Coefficients are stored gcd-reduced over the integers, so two instances
-    describe the same constraint iff they compare equal.
+    describe the same constraint iff they compare equal; one hashes as the
+    triple (a, b, c).
     """
 
     __slots__ = ("a", "b", "c")
@@ -75,15 +76,7 @@ class HalfPlane:
             den = lcm(a.denominator, b.denominator, c.denominator)
             a, b, c = (x.numerator * (den // x.denominator) for x in (a, b, c))
         g = gcd(a, b, c)
-        self.a, self.b, self.c = a // g, b // g, c // g
-
-    def __eq__(self, other):
-        if not isinstance(other, HalfPlane):
-            return NotImplemented
-        return (self.a, self.b, self.c) == (other.a, other.b, other.c)
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.c))
+        super().__init__(a // g, b // g, c // g)
 
     def __repr__(self):
         return f"HalfPlane({self.a}*R1 + {self.b}*R2 <= {self.c})"

@@ -34,7 +34,6 @@ from .channel import (
     ChannelSpec,
     FadingPmf,
     _Record,
-    _set,
     _diff_tails,
     diff_tail,
     dominates,
@@ -66,9 +65,7 @@ class SimConfig(_Record):
             raise ValueError(f"samples must be >= 1, got {samples}")
         if not 0 <= seed < 1 << 64:
             raise ValueError(f"seed must be in [0, 2^64), got {seed}")
-        _set(self, "specs", specs)
-        _set(self, "samples", samples)
-        _set(self, "seed", seed)
+        super().__init__(specs, samples, seed)
 
 
 def _word_threshold(c: float) -> int:

@@ -24,7 +24,6 @@ from .channel import (
     FRAMES,
     ChannelSpec,
     _Record,
-    _set,
     as_fraction,
     expect,
     expect_max,
@@ -69,11 +68,6 @@ class RegimeReport(_Record):
 
     __slots__ = ("regime", "conditions", "conjecture_precondition")
 
-    def __init__(self, regime: str, conditions: dict, conjecture_precondition: bool):
-        _set(self, "regime", regime)
-        _set(self, "conditions", conditions)
-        _set(self, "conjecture_precondition", conjecture_precondition)
-
     def __hash__(self):
         return hash((self.regime, self.conjecture_precondition))
 
@@ -92,13 +86,6 @@ class CornerAllocation(_Record):
     """
 
     __slots__ = ("omega_A", "private_layers", "common_layers", "corner")
-
-    def __init__(self, omega_A: Fraction, private_layers: frozenset,
-                 common_layers: frozenset, corner: tuple):
-        _set(self, "omega_A", omega_A)
-        _set(self, "private_layers", private_layers)
-        _set(self, "common_layers", common_layers)
-        _set(self, "corner", corner)
 
 
 def classify(spec: ChannelSpec) -> RegimeReport:
@@ -230,21 +217,6 @@ class SymmetricQ1Report(_Record):
 
     __slots__ = ("p_d", "p_c", "cap_planes", "a_planes", "sum_plane", "c_planes",
                  "weight_a", "weight_c", "region", "a_redundant", "crossing")
-
-    def __init__(self, p_d: Fraction, p_c: Fraction, cap_planes: tuple, a_planes: tuple,
-                 sum_plane: HalfPlane, c_planes: tuple, weight_a: Fraction, weight_c: Fraction,
-                 region: RegionPolytope, a_redundant: bool, crossing: tuple):
-        _set(self, "p_d", p_d)
-        _set(self, "p_c", p_c)
-        _set(self, "cap_planes", cap_planes)
-        _set(self, "a_planes", a_planes)
-        _set(self, "sum_plane", sum_plane)
-        _set(self, "c_planes", c_planes)
-        _set(self, "weight_a", weight_a)
-        _set(self, "weight_c", weight_c)
-        _set(self, "region", region)
-        _set(self, "a_redundant", a_redundant)
-        _set(self, "crossing", crossing)
 
 
 def symmetric_q1_region(p_d, p_c) -> SymmetricQ1Report:

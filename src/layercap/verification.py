@@ -17,7 +17,7 @@ import random
 from fractions import Fraction
 
 from .bounds import bound_b, critical_weights, family_region, outer_region
-from .channel import ChannelSpec, FadingPmf, _Record, _set, expect_pos_diff, swap_users
+from .channel import ChannelSpec, FadingPmf, _Record, expect_pos_diff, swap_users
 from .corpus import examples, random_weak_spec
 from .deterministic import DetChannel, verify_recovery
 from .oracles import SimConfig, _pair_view, coupling_holds, exact_stats, mc_estimate_stats
@@ -35,11 +35,6 @@ def mc_within_tolerance(err: Fraction, samples: int) -> bool:
 
 class SuiteResult(_Record):
     __slots__ = ("name", "ok", "lines")
-
-    def __init__(self, name: str, ok: bool, lines: tuple):
-        _set(self, "name", name)
-        _set(self, "ok", ok)
-        _set(self, "lines", lines)
 
     def render(self) -> str:
         status = "PASS" if self.ok else "FAIL"

@@ -3,8 +3,11 @@
 Each record is built positionally and by keyword, equals only a record of
 its own class with equal fields, hashes as its equals do (RegimeReport
 leaves its conditions out of the hash), shows its fields in its repr,
-refuses assignment and deletion, and survives copy and pickle.  Its checks
-raise the documented exceptions with the documented messages.
+refuses assignment and deletion, and survives copy and pickle.  A missing,
+extra, repeated or unknown field is refused with TypeError, and a subclass
+that declares no fields of its own is a record of its base's.  Its checks
+raise the documented exceptions with the documented messages.  HalfPlane is
+one of these records, with a repr of its own.
 """
 
 import copy
@@ -18,6 +21,7 @@ from layercap import (ChannelSpec, FadingPmf, LayerCoefficients, classify, layer
 from layercap.bounds import WeightedBound
 from layercap.cli import ChannelSpecFile
 from layercap.deterministic import DetChannel
+from layercap.geometry import HalfPlane
 from layercap.oracles import SimConfig, _pair_view
 from layercap.regimes import CornerAllocation, RegimeReport, SymmetricQ1Report
 from layercap.verification import SuiteResult
@@ -52,6 +56,7 @@ RECORDS = {
     "DetChannel": (DetChannel, ("n11", "n12", "n21", "n22"), (3, 2, 2, 3)),
     "SimConfig": (SimConfig, ("specs", "samples", "seed"), ((WEAK, STRONG), 1000, 7)),
     "SuiteResult": (SuiteResult, ("name", "ok", "lines"), ("demo", True, ("[demo] 1/1",))),
+    "HalfPlane": (HalfPlane, ("a", "b", "c"), (1, 2, 3)),
 }
 _, _fields, _ = RECORDS["SymmetricQ1Report"]
 RECORDS["SymmetricQ1Report"] = (SymmetricQ1Report, _fields,
@@ -74,6 +79,47 @@ def test_a_record_is_built_positionally_and_by_keyword(name):
         cls(*values, values[0])
     with pytest.raises(TypeError):
         cls(*values[:-1], **{fields[0]: values[0]})
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_a_record_refuses_a_missing_or_unknown_field(name):
+    cls, fields, values, record = build(name)
+    named = dict(zip(fields, values))
+    # SimConfig's last field, seed, defaults to 0: leave out samples too
+    with pytest.raises(TypeError):
+        cls(*values[:-2] if name == "SimConfig" else values[:-1])
+    with pytest.raises(TypeError):
+        cls(*values, extra=values[0])
+    with pytest.raises(TypeError):
+        cls(**named, extra=values[0])
+    del named[fields[1]]
+    with pytest.raises(TypeError):
+        cls(**named)
+
+
+def test_a_record_names_its_fields_when_it_refuses_a_binding():
+    with pytest.raises(TypeError) as exc:
+        ChannelSpecFile(1, "weak", label="weak")
+    assert str(exc.value) == ("ChannelSpecFile() takes the fields q, label, spec,"
+                              " got 2 positional and ['label'] by keyword")
+    with pytest.raises(TypeError) as exc:
+        SuiteResult("demo", True)
+    assert str(exc.value) == ("SuiteResult() takes the fields name, ok, lines,"
+                              " got 2 positional and [] by keyword")
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_a_subclass_without_fields_of_its_own_keeps_its_bases(name):
+    cls, fields, values, record = build(name)
+
+    class Thin(cls):
+        __slots__ = ()
+
+    thin = Thin(*values)
+    assert tuple(getattr(thin, f) for f in fields) == values
+    assert thin == Thin(**dict(zip(fields, values))) and thin != record
+    if name != "LayerCoefficients":
+        assert hash(thin) == hash(record)
 
 
 @pytest.mark.parametrize("name", RECORDS)
@@ -109,7 +155,7 @@ def test_a_regime_report_leaves_its_conditions_out_of_the_hash():
     assert RegimeReport("weak", {}, True) != RegimeReport("weak", {}, False)
 
 
-@pytest.mark.parametrize("name", RECORDS)
+@pytest.mark.parametrize("name", [name for name in RECORDS if name != "HalfPlane"])
 def test_a_record_repr_shows_its_fields(name):
     cls, fields, values, record = build(name)
     shown = ", ".join(f"{f}={v!r}" for f, v in zip(fields, values))
@@ -121,6 +167,7 @@ def test_small_record_reprs_are_pinned():
         "WeightedBound(family='1a', omega=Fraction(1, 2), mu=None, value=Fraction(1, 1))")
     assert repr(DetChannel(3, 2, 2, 3)) == "DetChannel(n11=3, n12=2, n21=2, n22=3)"
     assert repr(SuiteResult("x", False, ())) == "SuiteResult(name='x', ok=False, lines=())"
+    assert repr(HalfPlane(2, 4, 6)) == "HalfPlane(1*R1 + 2*R2 <= 3)"
     assert repr(SimConfig((WEAK,), 5)) == (
         "SimConfig(specs=(ChannelSpec(n11=FadingPmf([1/10, 9/10]), n12=FadingPmf([7/10, 3/10]),"
         " n21=FadingPmf([7/10, 3/10]), n22=FadingPmf([1/10, 9/10])),), samples=5, seed=0)")
@@ -143,6 +190,15 @@ def test_a_record_survives_copy_and_pickle(name):
     for twin in (copy.copy(record), copy.deepcopy(record),
                  pickle.loads(pickle.dumps(record))):
         assert type(twin) is cls and twin == record
+
+
+def test_a_halfplane_stays_found_and_hashes_as_its_reduced_triple():
+    plane = HalfPlane(2, 4, 6)
+    planes = {plane}
+    with pytest.raises(AttributeError):
+        plane.a = 5
+    assert plane in planes and HalfPlane(1, 2, 3) in planes
+    assert hash(plane) == hash((1, 2, 3))
 
 
 def test_sim_config_seed_defaults_to_0():
@@ -173,6 +229,19 @@ def test_weighted_bound_checks(args, message):
 def test_weighted_bound_refuses_a_float_weight():
     with pytest.raises(TypeError) as exc:
         WeightedBound("1a", 0.5, None, F(1))
+    assert str(exc.value) == "refusing float 0.5; pass a string, int or Fraction"
+
+
+def test_weighted_bound_stores_the_fractions_it_checked():
+    bound = WeightedBound("1c", "2/3", "1/3", 1)
+    assert bound == WeightedBound("1c", F(2, 3), F(1, 3), F(1))
+    assert all(type(x) is Fraction for x in (bound.omega, bound.mu, bound.value))
+    assert WeightedBound("1a", "1/2", None, F(1)) == WeightedBound("1a", F(1, 2), None, F(1))
+    assert WeightedBound("1c", 1, "1/2", 2).halfplane() == HalfPlane(3, 2, 4)
+    with pytest.raises(ValueError):
+        WeightedBound("1a", F(1, 2), None, "one")
+    with pytest.raises(TypeError) as exc:
+        WeightedBound("1a", F(1, 2), None, 0.5)
     assert str(exc.value) == "refusing float 0.5; pass a string, int or Fraction"
 
 
