@@ -15,7 +15,6 @@ import json
 import os
 import re
 import sys
-from fractions import Fraction
 from functools import cache
 
 from .bounds import (
@@ -46,6 +45,10 @@ class SpecFileError(ValueError):
 # leaves room for masses as small as 10^-1000.
 MAX_EXPONENT = 1000
 
+# The most digits q may have: a spec holds q + 1 masses per link, so no
+# readable file has q >= 10^18, and a longer q is refused unconverted
+MAX_Q_DIGITS = 18
+
 # The largest --grid-steps.  Grid mode evaluates (N+1)(N+2)/2 c-family
 # bounds per user at N steps, so N sets most of its time, and keeps three
 # grid lines of them at a time besides the rows it intersects.  On the
@@ -57,11 +60,15 @@ MAX_EXPONENT = 1000
 # of command line, would ask for 5*10^9 bounds.
 MAX_GRID_STEPS = 1024
 
-# a decimal literal with an exponent, in the grammar Fraction reads; group 1
-# is the exponent.  Left to re's cache, so that it is compiled only when a
-# literal needs it, not at every start-up
-_EXPONENT = (r"\s*[-+]?(?=\d|\.\d)(?:\d+(?:_\d+)*)?(?:\.(?:\d+(?:_\d+)*)?)?"
-             r"[eE]([-+]?\d+(?:_\d+)*)\s*")
+# A mass literal, as Python 3.12's Fraction reads it, the widest of
+# 3.10-3.12: a sign, digits with single "_" between them (any script's
+# decimal digits, which int() reads), then "/" and a denominator, with
+# spaces around the slash, or a "." fraction and an "e" or "E" exponent,
+# all optional but the first digit, inside whitespace.  Groups: the signed
+# numerator, then the denominator, fraction and exponent or None
+_DIGITS = r"\d+(?:_\d+)*"
+_LITERAL = re.compile(rf"\s*(?=[-+]?\.?\d)([-+]?\d*(?:_\d+)*)(?:\s*/\s*({_DIGITS})"
+                      rf"|(?:\.({_DIGITS})?)?(?:[eE]([-+]?{_DIGITS}))?)\s*")
 
 
 def _clip(text: str, width: int = 40) -> str:
@@ -74,8 +81,8 @@ def _clip(text: str, width: int = 40) -> str:
 
 class _JsonNumber:
     """A JSON number literal kept as its text, so that _mass reads it
-    exactly.  Not a str, so that a label or q written as a number is still
-    rejected."""
+    exactly and q is checked before it is converted.  Not a str, so that a
+    label or q written as a number is still rejected."""
 
     __slots__ = ("text",)
 
@@ -83,63 +90,55 @@ class _JsonNumber:
         self.text = text
 
 
-def _json_int(text: str):
-    # past the int <-> str digit limit, kept as text too: _mass then reports
-    # it on its entry, where json.loads would raise a bare ValueError
-    try:
-        return int(text)
-    except ValueError:
-        return _JsonNumber(text)
+def _key_error(what: str, keys) -> SpecFileError:
+    # a key that would break the line (a newline, say) shows as its repr
+    shown = (k if k.isprintable() else repr(k) for k in sorted(keys))
+    return SpecFileError(f"{what} keys: " + _clip(", ".join(shown)))
 
 
-def _exponent_over_cap(exponent: str) -> bool:
-    digits = exponent.lstrip("+-").replace("_", "")
-    if not digits.isascii():
-        digits = "".join(str(int(c)) for c in digits)
-    digits = digits.lstrip("0")
-    return len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT
+def _json_object(pairs: list) -> dict:
+    # json.loads alone keeps the last value of a repeated key without a word
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        keys = sorted(k for k, _ in pairs)
+        raise _key_error("repeated", {a for a, b in zip(keys, keys[1:]) if a == b})
+    return doc
 
 
 def _mass(raw, where) -> tuple:
-    """One mass as an integer pair (n, d), d > 0, of the value Fraction
-    reads from raw (for a JSON number, from its text), or a SpecFileError.
-
-    Plain ASCII-digit literals n, n/d, i.f, .f and i. are read with str
-    methods and int(); every other literal goes through Fraction, after a
-    decimal exponent has been checked against MAX_EXPONENT.
-    """
-    if type(raw) is int:
-        return raw, 1
+    """One mass as an integer pair (n, d), d > 0, read from raw (for a JSON
+    number, from its text) by the _LITERAL grammar, or a SpecFileError."""
     text = raw.text if type(raw) is _JsonNumber else raw
     if not isinstance(text, str):
-        # JSON true and false: bool is an int subclass, but not int itself
+        # JSON true and false
         kind = "a boolean" if isinstance(text, bool) else type(text).__name__
         raise SpecFileError(f"{where}: expected a rational, got {kind}")
-    if text.isascii():
-        try:
-            if text.isdigit():
-                return int(text), 1
-            num, slash, den = text.partition("/")
-            if slash:
-                if num.isdigit() and den.isdigit():
-                    d = int(den)
-                    if d:
-                        return int(num), d
-            else:
-                whole, dot, frac = text.partition(".")
-                if dot and (whole + frac).isdigit():
-                    return int(whole + frac), 10 ** len(frac)
-        except ValueError:
-            pass  # past the int <-> str digit limit: Fraction reports it
-    exp = re.fullmatch(_EXPONENT, text)
-    if exp and _exponent_over_cap(exp[1]):
-        raise SpecFileError(f"{where}: decimal exponent larger than {MAX_EXPONENT} "
-                            f"in magnitude: {_clip(repr(text))}")
+    literal = _LITERAL.fullmatch(text)
+    if literal is None:
+        raise SpecFileError(f"{where}: not a rational: {_clip(repr(text))}")
+    num, den, frac, exp = literal.groups()
+    if exp:
+        digits = exp.lstrip("+-").replace("_", "")
+        if not digits.isascii():
+            digits = "".join(str(int(c)) for c in digits)
+        digits = digits.lstrip("0")
+        if len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT:
+            raise SpecFileError(f"{where}: decimal exponent larger than {MAX_EXPONENT} "
+                                f"in magnitude: {_clip(repr(text))}")
     try:
-        value = Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise SpecFileError(f"{where}: not a rational: {_clip(repr(text))}") from exc
-    return value.numerator, value.denominator
+        if den:
+            n, d = int(num), int(den)
+        else:
+            # n * 10^power, the fraction's digits moved into n
+            frac = frac or ""
+            n = int(num + frac)
+            power = (int(exp) if exp else 0) - len(frac) + frac.count("_")
+            n, d = (n * 10 ** power, 1) if power >= 0 else (n, 10 ** -power)
+    except ValueError:
+        d = 0  # past the int <-> str digit limit: refused as n/0 is
+    if not d:
+        raise SpecFileError(f"{where}: not a rational: {_clip(repr(text))}")
+    return n, d
 
 
 class ChannelSpecFile(_Record):
@@ -152,7 +151,8 @@ class ChannelSpecFile(_Record):
         # numbers stay literal text until _mass reads them exactly, so 0.9
         # means exactly 9/10
         try:
-            doc = json.loads(text, parse_float=_JsonNumber, parse_int=_json_int)
+            doc = json.loads(text, object_pairs_hook=_json_object,
+                             parse_float=_JsonNumber, parse_int=_JsonNumber)
         except json.JSONDecodeError as exc:
             raise SpecFileError(
                 f"line {exc.lineno} column {exc.colno}: {exc.msg}"
@@ -161,18 +161,22 @@ class ChannelSpecFile(_Record):
             raise SpecFileError("JSON nested too deeply") from exc
         if not isinstance(doc, dict):
             raise SpecFileError("top level must be a JSON object")
-        unknown = sorted(set(doc) - {"q", "label", *_LINKS})
+        unknown = set(doc) - {"q", "label", *_LINKS}
         if unknown:
-            # a key that would break the line (a newline, say) shows as its repr
-            shown = (k if k.isprintable() else repr(k) for k in unknown)
-            raise SpecFileError("unknown keys: " + _clip(", ".join(shown)))
+            raise _key_error("unknown", unknown)
         if "q" not in doc:
             raise SpecFileError("missing key: q")
+        # a JSON integer's text: an optional minus, then digits without
+        # leading zeros
         q = doc["q"]
-        if isinstance(q, bool) or not isinstance(q, int):
+        digits = q.text.removeprefix("-") if type(q) is _JsonNumber else ""
+        if not digits.isdecimal():
             raise SpecFileError("q must be an integer")
-        if q < 0:
+        if digits != q.text and digits != "0":
             raise SpecFileError("q must be nonnegative")
+        if len(digits) > MAX_Q_DIGITS:
+            raise SpecFileError(f"q must be less than 10^{MAX_Q_DIGITS}")
+        q = int(digits)
         label = doc.get("label", default_label)
         if not isinstance(label, str):
             raise SpecFileError("label must be a string")
@@ -182,12 +186,10 @@ class ChannelSpecFile(_Record):
                 raise SpecFileError(f"missing key: {key}")
             entries = doc[key]
             if not isinstance(entries, list):
-                raise SpecFileError(f"{key}: expected an array of {_clip(str(q + 1))} masses")
+                raise SpecFileError(f"{key}: expected an array of {q + 1} masses")
             if len(entries) != q + 1:
-                raise SpecFileError(
-                    f"{key}: expected {_clip(str(q + 1))} masses for q={_clip(str(q))}, "
-                    f"got {len(entries)}"
-                )
+                raise SpecFileError(f"{key}: expected {q + 1} masses for q={q}, "
+                                    f"got {len(entries)}")
             pairs = [_mass(raw, f"{key}[{i}]") for i, raw in enumerate(entries)]
             try:
                 pmfs[key] = FadingPmf.from_pairs(pairs)

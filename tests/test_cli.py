@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -91,6 +92,8 @@ def test_spec_file_parsing_forms():
         lambda d: d.replace('"q": 1', '"q": 1, "label": 1.5'),
         lambda d: d.replace('"q": 1', '"q": 1.0'),
         lambda d: "[" * 100_000 + "]" * 100_000,
+        # json.loads alone would keep the second n11
+        lambda d: d.replace('"q": 1', '"q": 1, "n11": [1, 0]'),
     ],
 )
 def test_spec_file_rejects_malformed_input(mangle):
@@ -98,16 +101,58 @@ def test_spec_file_rejects_malformed_input(mangle):
         ChannelSpecFile.parse(mangle(WEAK_SPEC))
 
 
-def _reference_or_error(literal):
-    # what Fraction reads from the literal, or the message a literal it
-    # refuses gets: the repr, or its first 40 characters and its length
+@pytest.mark.parametrize("q,message", [
+    ('1, "n11": [1, 0]', "repeated keys: n11"),
+    ('1, "n22": [1, 0], "q": 1, "q": 1', "repeated keys: n22, q"),
+    # an object anywhere in the file, not only the top level
+    ('1, "label": [{"\\n": 1, "\\n": 2}]', "repeated keys: '\\n'"),
+    ("1.0", "q must be an integer"),
+    ('"1"', "q must be an integer"),
+    ("true", "q must be an integer"),
+    ("-1", "q must be nonnegative"),
+    (f"-{10 ** 18}", "q must be nonnegative"),
+    ("2", "n11: expected 3 masses for q=2, got 2"),
+    ("-0", "n11: expected 1 masses for q=0, got 2"),
+    (str(10 ** 18 - 1), f"n11: expected {10 ** 18} masses for q={10 ** 18 - 1}, got 2"),
+    (str(10 ** 18), "q must be less than 10^18"),
+])
+def test_spec_errors_are_pinned(q, message):
+    with pytest.raises(SpecFileError) as exc:
+        ChannelSpecFile.parse(WEAK_SPEC.replace('"q": 1', f'"q": {q}'))
+    assert str(exc.value) == message
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python has no int <-> str digit limit")
+def test_a_huge_q_is_refused_unread(tmp_path, capsys):
+    # 300,000 digits: converting q, and printing it and q + 1 in the
+    # wrong-count message, took seconds; past the digit limit, outside main,
+    # it was called no integer at all
+    text = WEAK_SPEC.replace('"q": 1', '"q": 1' + "0" * 300_000)
+    path = write(tmp_path, "huge.json", text)
+    for limit in (sys.int_info.default_max_str_digits, 0):
+        with int_str_digit_limit(limit):
+            with pytest.raises(SpecFileError) as exc:
+                ChannelSpecFile.parse(text)
+            assert str(exc.value) == "q must be less than 10^18"
+            assert main(["classify", "--spec", path]) == cli.EXIT_PARSE
+        assert capsys.readouterr() == ("", f"error: {path}: q must be less than 10^18\n")
+
+
+def _refusal(literal):
+    # the message a literal that is not read gets: its repr, or the repr's
+    # first 40 characters and its length
+    shown = repr(literal)
+    if len(shown) > 40:
+        shown = f"{shown[:40]}... ({len(shown):,} characters)"
+    return f"n11[0]: not a rational: {shown}"
+
+
+def _fraction_or_none(literal):
     try:
-        return F(literal.strip())
+        return F(literal)
     except (ValueError, ZeroDivisionError):
-        shown = repr(literal)
-        if len(shown) > 40:
-            shown = f"{shown[:40]}... ({len(shown):,} characters)"
-        return f"n11[0]: not a rational: {shown}"
+        return None
 
 
 def _exponent(literal):
@@ -122,6 +167,7 @@ LITERAL_FORMS = st.one_of(
     st.from_regex(r"[0-9]{1,30}|[0-9]{1,20}/[0-9]{1,20}|[0-9]{0,20}\.[0-9]{0,20}", fullmatch=True),
     st.from_regex(r"\s?[-+]?\d{0,6}(_\d{1,3})?(\.\d{0,6})?([eE][-+]?\d{1,4}(_\d)?)?\s?",
                   fullmatch=True),
+    st.from_regex(r"\s?[-+]?\d{1,6}(_\d{1,3})?\s?/\s?\d{1,6}(_\d{1,3})?\s?", fullmatch=True),
 )
 
 
@@ -139,11 +185,19 @@ LITERAL_FORMS = st.one_of(
 @example(literal="1_0")
 @example(literal="1e1000")
 @example(literal="1e-1001")
+@example(literal=" 1 / 2 ")
+@example(literal="1_0/1_00")
+@example(literal="1.d")
 def test_mass_reader_matches_the_fraction_reference(literal):
-    # the pair read, as a string or as a JSON number's text, has the value
-    # Fraction reads from the literal, or both raise the same message; only
-    # a literal whose exponent is past the cap is refused with its own
-    want = _reference_or_error(literal)
+    # a literal the running Python's Fraction reads is read, as a string or
+    # as a JSON number's text, to the same value, unless its exponent is
+    # past the cap; a literal it refuses is refused with the same message,
+    # unless an older Python's grammar is narrower: spaces around "/" are
+    # read from 3.12 on, and "_" between digits from 3.11
+    want = _fraction_or_none(literal)
+    widened = re.sub(r"\s*/\s*", "/", literal)
+    if sys.version_info < (3, 11):
+        widened = widened.replace("_", "")
     for raw in (literal, cli._JsonNumber(literal)):
         try:
             n, d = cli._mass(raw, "n11[0]")
@@ -153,12 +207,38 @@ def test_mass_reader_matches_the_fraction_reference(literal):
                 assert str(exc) == (f"n11[0]: decimal exponent larger than {cli.MAX_EXPONENT} "
                                     f"in magnitude: {literal!r}")
             else:
-                assert str(exc) == want
+                assert want is None and str(exc) == _refusal(literal)
             continue
         assert type(n) is int and type(d) is int and d > 0
+        if want is None:
+            assert widened != literal and _fraction_or_none(widened) is not None, literal
+            want = F(widened)
         assert F(n, d) == want
         if "e" in literal.lower():
             assert abs(_exponent(literal)) <= cli.MAX_EXPONENT
+
+
+# every literal's pair, or the message refusing it, on every Python
+_CAP = f"decimal exponent larger than {cli.MAX_EXPONENT} in magnitude"
+GRAMMAR = [
+    ("1_0", (10, 1)), (" 1 / 2 ", (1, 2)), ("1\t/2", (1, 2)), ("1_0/1_00", (10, 100)),
+    ("\u0661/\u0662", (1, 2)), ("+.5e1", (5, 1)), ("5.", (5, 1)), ("-0", (0, 1)),
+    ("0.50", (50, 100)), ("1e1_0", (10 ** 10, 1)), ("1.5E-2", (15, 1000)),
+    ("1e-1000", (1, 10 ** 1000)), ("1e-1001", _CAP), ("1__0", None), ("_1", None),
+    ("1_", None), ("1/0", None), (".", None), ("1.d", None), ("1 / 2_", None),
+    ("1/.5", None), ("1/-2", None), ("1e", None), ("", None), ("0x10", None), ("\u00bd", None),
+]
+
+
+@pytest.mark.parametrize("literal,read", GRAMMAR, ids=[repr(g[0]) for g in GRAMMAR])
+def test_the_mass_grammar_is_pinned(literal, read):
+    for raw in (literal, cli._JsonNumber(literal)):
+        if isinstance(read, tuple):
+            assert cli._mass(raw, "n11[0]") == read
+            continue
+        with pytest.raises(SpecFileError) as exc:
+            cli._mass(raw, "n11[0]")
+        assert str(exc.value) == (f"n11[0]: {read}: {literal!r}" if read else _refusal(literal))
 
 
 @pytest.mark.parametrize("raw,kind", [(True, "a boolean"), (None, "NoneType"), ([1], "list"),

@@ -1,10 +1,11 @@
 """README.md as an executable document.
 
-Four parts of the README are checked against the code: the Python example
+Five parts of the README are checked against the code: the Python example
 runs and its commented results hold; the weak-spec `layercap region`
 example shows the command's own output; the exit codes named in the text
-are cli's; and the command-line synopsis names exactly the subcommands,
-options and choices of the parser.
+are cli's; the mass literals the text lists are read or refused as it
+says; and the command-line synopsis names exactly the subcommands, options
+and choices of the parser.
 """
 
 import argparse
@@ -12,7 +13,10 @@ import ast
 import json
 import re
 import shlex
+from fractions import Fraction
 from pathlib import Path
+
+import pytest
 
 from layercap import cli
 
@@ -84,6 +88,32 @@ def test_exit_codes_in_the_text_are_clis():
                      "verification": cli.EXIT_VERIFY}
     # the first rejected --grid-steps is named among the bad values
     assert f"`--grid-steps {cli.MAX_GRID_STEPS + 1}`" in text
+
+
+def test_the_mass_literals_in_the_text_read_as_it_says():
+    # each literal before "is read" or "are read" reads through cli._mass to
+    # the value it writes, and each before "refused" is refused; a quoted
+    # literal is a JSON string, a bare one a JSON number
+    text = README[README.index("A mass is"):]
+    text = text[:text.index("A number is never a string")]
+    verdicts = {"read": [], "refused": []}
+    for literals, verdict in re.findall(r"((?:`[^`]+`,?\s+(?:and\s+)?)+)(?:is|are) (read|refused)",
+                                        text):
+        verdicts[verdict] += re.findall(r"`([^`]+)`", literals)
+    assert len(verdicts["read"]) == 9 and len(verdicts["refused"]) == 5
+    for verdict, literals in verdicts.items():
+        for literal in literals:
+            quoted = literal.startswith('"')
+            written = json.loads(literal) if quoted else literal
+            raw = written if quoted else cli._JsonNumber(written)
+            if verdict == "refused":
+                with pytest.raises(cli.SpecFileError):
+                    cli._mass(raw, "n11[0]")
+                continue
+            # this Python's Fraction reads it once "_" and the spaces around
+            # "/" are gone
+            n, d = cli._mass(raw, "n11[0]")
+            assert Fraction(n, d) == Fraction(re.sub(r"\s*/\s*", "/", written).replace("_", ""))
 
 
 def synopsis():
